@@ -10,9 +10,9 @@ from tetrachain.precision import RealCtx, make_constants
 from tetrachain.strings import octahelix_string, quadrahelix_string
 
 
-def _verdict_line(label, chain, c, ctx):
+def _verdict_line(label, chain):
     t0 = time.perf_counter()
-    v = verify_embedded(chain, ctx=ctx)
+    v = verify_embedded(chain)
     dt = time.perf_counter() - t0
     status = "embedded" if v.embedded else f"OVERLAP at {v.first_violation}"
     print(
@@ -36,7 +36,7 @@ def main():
     print("open chains:")
     for L in range(1, args.qh_max + 1):
         chain = realize_printed(quadrahelix_string(L), c)
-        v = verify_embedded(chain, ctx=ctx)
+        v = verify_embedded(chain)
         if not v.embedded:
             print(f"  QH {L}: OVERLAP at {v.first_violation}")
             break
@@ -45,7 +45,7 @@ def main():
 
     print("loops:")
     for L in args.oh:
-        _verdict_line(f"OH {L}", realize_printed(octahelix_string(L), c), c, ctx)
+        _verdict_line(f"OH {L}", realize_printed(octahelix_string(L), c))
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from mpmath import mp, mpf
 
@@ -50,10 +50,6 @@ class BaryMatrix:
         with ctx.work():
             d = mpf(3) ** self.power
             return [[mpf(x) / d for x in row] for row in self.num]
-
-    def to_float(self) -> list[list[float]]:
-        d = Fraction(3) ** self.power
-        return [[float(Fraction(x) / d) for x in row] for row in self.num]
 
     def column_sums(self) -> list[Fraction]:
         d = 3**self.power
@@ -104,6 +100,27 @@ def reflection_matrix(i: int) -> BaryMatrix:
     return BaryMatrix(tuple(rows), 1)
 
 
+def prefix_products(s: Sequence[int]) -> Iterator[_Rows]:
+    """Numerator columns of each prefix product M_{s[0]} ... M_{s[k]}, over 3^(k+1).
+
+    Right-multiplying by M_i changes only column i: the new column i is
+    2*(sum of the other columns) - 3*(column i), and the other columns are
+    multiplied by 3.  Column j of the k-th product holds the barycentric
+    coordinates over T_0 of vertex j of tetrahedron T_{k+1}.  The caller
+    validates s.
+    """
+    cols = IDENTITY.num  # the identity is its own transpose
+    for sym in s:
+        i = sym - 1
+        # 2*(sum of the others) - 3*x, as 2*(sum of all four) - 5*x
+        twice_total = [2 * (a + b + c + d) for a, b, c, d in zip(*cols)]
+        new = tuple(t - 5 * x for t, x in zip(twice_total, cols[i]))
+        cols = tuple(
+            new if j == i else tuple(3 * x for x in col) for j, col in enumerate(cols)
+        )
+        yield cols
+
+
 def chain_matrix(s: Sequence[int]) -> BaryMatrix:
     """Exact product M_{s[0]} M_{s[1]} ... in string order."""
     if not is_valid(s):
@@ -113,10 +130,9 @@ def chain_matrix(s: Sequence[int]) -> BaryMatrix:
             f"string length {len(s)} exceeds the exact-product limit "
             f"{MAX_EXACT_LENGTH}; evaluate via motion.k_formula instead"
         )
-    out = reflection_matrix(s[0])
-    for sym in s[1:]:
-        out = out @ reflection_matrix(sym)
-    return out
+    for cols in prefix_products(s):
+        pass
+    return BaryMatrix(tuple(zip(*cols)), len(s))
 
 
 def three_leading_matrices(tail: Sequence[int]) -> dict[int, BaryMatrix]:

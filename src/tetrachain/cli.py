@@ -244,8 +244,7 @@ def cmd_verify_embed(args) -> int:
     c = make_constants(ctx)
     spec, s = _chain_spec(args)
     chain = realize_printed(s, c)
-    eps = mpf(args.eps) if args.eps is not None else None
-    verdict = verify_embedded(chain, eps=eps, ctx=ctx)
+    verdict = verify_embedded(chain)
     payload = {"string": format_string(s), "length": len(s)}
     payload.update(verdict.to_json_dict())
     _emit(_json_text(payload), args.out)
@@ -367,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-embed", help="certify pairwise-disjoint interiors")
     _add_common(p, chain=True)
-    p.add_argument("--eps", default=None, help="separation tolerance")
     p.set_defaults(func=cmd_verify_embed)
 
     p = sub.add_parser("scan-ratio", help="norm-gap / (L delta^2) ratio sweep")

@@ -2,11 +2,16 @@
 
 Two convex polytopes have disjoint interiors iff a separating plane exists
 among the face normals and pairwise edge cross products (separating axis
-theorem).  Non-adjacent pairs of a chain are screened with axis-aligned
-bounding boxes, decided in float64 when the margin is clear, and re-decided
-in arbitrary precision only when the float verdict sits inside the noise
-band.  Adjacent pairs must share a face bit-for-bit and are exempt from the
-interior test.
+theorem).  Non-adjacent pairs of a chain are pruned with axis-aligned
+bounding boxes.  A float64 SAT screen then picks, for each surviving pair,
+the axis that separates best and the margin to report; it decides nothing.
+The verdict is exact: every vertex of T_k has integer barycentric
+coordinates over T_0 with denominator 3^k, and a separating plane survives
+any affine map, so SAT runs on Python ints once both tetrahedra of a pair
+are brought to one power of 3.  The screen's axis is tried first, the other
+43 only if it does not separate, and a pair that touches separates by
+exactly 0.  No tolerance enters the verdict.  Adjacent pairs must share a
+face bit-for-bit and are exempt from the interior test.
 """
 
 from __future__ import annotations
@@ -17,12 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpf
 
+from .bary import prefix_products
 from .geometry import RealizedChain, Tetrahedron, tetra_array
-from .precision import Constants, RealCtx
+from .precision import Constants
 
 _FACE_IDX = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 _EDGE_I, _EDGE_J = zip(*itertools.combinations(range(4), 2))
-_FLOAT_NOISE = 1e-11  # float64 SAT verdicts closer than this are re-decided exactly
+_BOX_SLACK = 1e-9  # bounding boxes this close still count as overlapping
 
 
 def quadplane_determinant(q: int, c: Constants):
@@ -65,7 +71,11 @@ def quadplane_determinant_direct(q: int, c: Constants):
 
 
 def _sat_axes(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """All 44 candidate separating axes for tetra pair (A, B), unnormalized."""
+    """All 44 candidate separating axes for tetra pair (A, B), unnormalized.
+
+    Faces of A are axes 0-3, faces of B axes 4-7, and the cross product of
+    edge p of A with edge q of B is axis 8 + 6p + q.
+    """
     faces = [
         np.cross(V[j] - V[i], V[k] - V[i])
         for V in (A, B)
@@ -77,65 +87,107 @@ def _sat_axes(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.vstack([faces, cross])
 
 
-def _sat_margin_float(A: np.ndarray, B: np.ndarray) -> float:
-    """Best normalized separation over all axes (>= 0 means no overlap)."""
+def _sat_screen(A: np.ndarray, B: np.ndarray) -> tuple[float, int]:
+    """Float64 SAT: the best normalized separation and the axis that gives it.
+
+    The margin (>= 0 means no overlap, up to rounding) is only reported; the
+    axis is where the exact test looks first.
+    """
     axes = _sat_axes(A, B)
     norms = np.linalg.norm(axes, axis=1)
-    keep = norms > 1e-14
-    axes, norms = axes[keep], norms[keep]
+    kept = np.flatnonzero(norms > 1e-14)
+    axes, norms = axes[kept], norms[kept]
     pa = axes @ A.T
     pb = axes @ B.T
     sep = np.maximum(pb.min(axis=1) - pa.max(axis=1), pa.min(axis=1) - pb.max(axis=1))
-    return float((sep / norms).max())
+    margins = sep / norms
+    best = int(margins.argmax())
+    return float(margins[best]), int(kept[best])
 
 
-def _sat_margin_mpf(a: Tetrahedron, b: Tetrahedron, ctx: RealCtx):
-    """Exact-arithmetic version of the margin, for ambiguous float verdicts."""
-
-    def sub(u, v):
-        return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
-
-    def cross(u, v):
-        return (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
-
-    with ctx.work():
-        va, vb = a.vertices, b.vertices
-        axes = [
-            cross(sub(V[j], V[i]), sub(V[k], V[i]))
-            for V in (va, vb)
-            for (i, j, k) in _FACE_IDX
-        ]
-        ea = [sub(va[j], va[i]) for i, j in zip(_EDGE_I, _EDGE_J)]
-        eb = [sub(vb[j], vb[i]) for i, j in zip(_EDGE_I, _EDGE_J)]
-        axes += [cross(u, v) for u in ea for v in eb]
-        best = None
-        for ax in axes:
-            n2 = ax[0] ** 2 + ax[1] ** 2 + ax[2] ** 2
-            if n2 < mpf(10) ** (-2 * ctx.digits):
-                continue
-            pa = [ax[0] * v[0] + ax[1] * v[1] + ax[2] * v[2] for v in va]
-            pb = [ax[0] * v[0] + ax[1] * v[1] + ax[2] * v[2] for v in vb]
-            sep = max(min(pb) - max(pa), min(pa) - max(pb)) / mp.sqrt(n2)
-            if best is None or sep > best:
-                best = sep
-        return best
+def _sub(u, v):
+    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
 
 
-def tetra_interiors_disjoint(
-    a: Tetrahedron, b: Tetrahedron, eps: float, ctx: RealCtx | None = None
-) -> bool:
-    """True iff a separating axis exists with separation >= -eps (touch ok)."""
-    margin = _sat_margin_float(tetra_array(a), tetra_array(b))
-    if margin >= -eps + _FLOAT_NOISE:
-        return True
-    if margin < -eps - _FLOAT_NOISE:
-        return False
-    ctx = ctx or RealCtx()
-    return _sat_margin_mpf(a, b, ctx) >= -mpf(eps)
+def _cross(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def _exact_axis(A, B, k: int):
+    """Axis k of _sat_axes, on points with exact integer coordinates."""
+    if k < 8:
+        V = A if k < 4 else B
+        i, j, l = _FACE_IDX[k % 4]
+        return _cross(_sub(V[j], V[i]), _sub(V[l], V[i]))
+    p, q = divmod(k - 8, 6)
+    return _cross(
+        _sub(A[_EDGE_J[p]], A[_EDGE_I[p]]), _sub(B[_EDGE_J[q]], B[_EDGE_I[q]])
+    )
+
+
+def _exact_separation(A, B, first: int) -> int | None:
+    """Exact SAT on integer points: the separation along the first axis that separates.
+
+    Axis `first` (the float screen's pick) is tried before the other 43, and
+    zero axes (parallel edges) are skipped.  A result >= 0 proves the
+    interiors disjoint, and 0 means the pair touches along that axis; None
+    means no axis separates, so the interiors overlap.
+    """
+    for k in (first, *(k for k in range(44) if k != first)):
+        ax = _exact_axis(A, B, k)
+        if ax == (0, 0, 0):
+            continue
+        pa = [ax[0] * v[0] + ax[1] * v[1] + ax[2] * v[2] for v in A]
+        pb = [ax[0] * v[0] + ax[1] * v[1] + ax[2] * v[2] for v in B]
+        sep = max(min(pb) - max(pa), min(pa) - max(pb))
+        if sep >= 0:
+            return sep
+    return None
+
+
+def _dyadic(a: Tetrahedron, b: Tetrahedron) -> tuple[list, list]:
+    """The vertices of a and b as integers over one common power of 2.
+
+    An mpf is exactly (-1)^sign * man * 2^exp, so nothing is rounded.
+    """
+    parts = [mpf(x)._mpf_ for t in (a, b) for v in t.vertices for x in v]
+    low = min(exp for _, man, exp, _ in parts if man)
+    ints = [
+        (-1) ** sign * (man << (exp - low)) if man else 0
+        for sign, man, exp, _ in parts
+    ]
+    points = [tuple(ints[n : n + 3]) for n in range(0, 24, 3)]
+    return points[:4], points[4:]
+
+
+def _exact_points(string) -> list:
+    """The vertices of each tetrahedron T_k of a chain as integer points over 3^k.
+
+    Vertex j of T_k is column j of the k-th prefix product.  Dropping its
+    last barycentric coordinate leaves affine coordinates over T_0, in which
+    SAT verdicts are the same as in space.
+    """
+    return [tuple(col[:3] for col in cols) for cols in prefix_products(string)]
+
+
+def _pair_separation(exact: list, i: int, j: int, first: int) -> int | None:
+    """_exact_separation of T_i and T_j (0-based, i < j) at T_j's power of 3."""
+    scale = 3 ** (j - i)
+    A = [tuple(x * scale for x in v) for v in exact[i]]
+    return _exact_separation(A, exact[j], first)
+
+
+def tetra_interiors_disjoint(a: Tetrahedron, b: Tetrahedron) -> bool:
+    """True iff the interiors of a and b are disjoint (touching counts as disjoint).
+
+    Decided exactly on the mpf vertices read as dyadic rationals.
+    """
+    _, axis = _sat_screen(tetra_array(a), tetra_array(b))
+    return _exact_separation(*_dyadic(a, b), axis) is not None
 
 
 @dataclass(frozen=True)
@@ -164,19 +216,17 @@ def _adjacent_share_face(a: Tetrahedron, b: Tetrahedron) -> bool:
     return differing == 1
 
 
-def verify_embedded(
-    chain: RealizedChain, eps: float | None = None, ctx: RealCtx | None = None
-) -> EmbeddingVerdict:
+def verify_embedded(chain: RealizedChain) -> EmbeddingVerdict:
     """Certify pairwise interior-disjointness of the visible tetrahedra.
 
-    Pairs are pruned with bounding boxes; surviving pairs get the float64
-    separating-axis test, and verdicts inside the float noise band are
-    re-decided in exact arithmetic.  Indices in the verdict are 1-based
-    positions among the visible tetrahedra.
+    Pairs are pruned with bounding boxes; for each surviving pair the float64
+    screen picks an axis and reports a margin, and the exact test decides
+    the pair on the integer barycentric coordinates of bary.prefix_products.
+    A pair's margin is the float margin, clamped so its sign never
+    contradicts the exact verdict, and exactly 0.0 where the deciding axis
+    shows the pair touching.  Indices in the verdict are 1-based positions
+    among the visible tetrahedra.
     """
-    ctx = ctx or RealCtx()
-    if eps is None:
-        eps = 10.0 ** (-ctx.digits / 2)
     tets = chain.tetrahedra
     n = len(tets)
     adjacency_ok = all(
@@ -185,7 +235,7 @@ def verify_embedded(
     arrays = np.stack([tetra_array(t) for t in tets]) if n else np.zeros((0, 4, 3))
     lo = arrays.min(axis=1)  # (n, 3)
     hi = arrays.max(axis=1)
-    slack = max(eps, 1e-9)
+    exact = _exact_points(chain.string)
     violations = []
     margins = []
     pairs_tested = 0
@@ -195,16 +245,17 @@ def verify_embedded(
         if j0 >= n:
             break
         overlap = np.all(
-            (lo[i] <= hi[j0:] + slack) & (lo[j0:] <= hi[i] + slack), axis=1
+            (lo[i] <= hi[j0:] + _BOX_SLACK) & (lo[j0:] <= hi[i] + _BOX_SLACK), axis=1
         )
-        for j in np.nonzero(overlap)[0] + j0:
+        for j in (np.nonzero(overlap)[0] + j0).tolist():
             pairs_tested += 1
-            margin = _sat_margin_float(arrays[i], arrays[j])
-            if abs(margin + eps) <= _FLOAT_NOISE:
-                margin = float(_sat_margin_mpf(tets[i], tets[int(j)], ctx))
-            margins.append(margin)
-            if margin < -eps:
-                violations.append((i + 1, int(j) + 1))
+            margin, axis = _sat_screen(arrays[i], arrays[j])
+            sep = _pair_separation(exact, i, j, axis)
+            if sep is None:
+                violations.append((i + 1, j + 1))
+                margins.append(min(margin, 0.0))
+            else:
+                margins.append(max(margin, 0.0) if sep else 0.0)
     embedded = adjacency_ok and not violations
     return EmbeddingVerdict(
         embedded=embedded,

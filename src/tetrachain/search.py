@@ -67,6 +67,8 @@ def continued_fraction_convergents(
     precision cannot support that many convergents, and raises
     :class:`PrecisionError` rather than returning junk.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     ctx = ctx or c.ctx
     with ctx.work():
         first = _cf_denominators(c.theta / c.two_pi, count)
@@ -145,6 +147,8 @@ def babai_lll_search(
     basis order 2, 1.  The answer is x = t_2, y = t_3 (all rounding half to
     even, performed on exact rationals).
     """
+    if not (mp.isfinite(X) and X > 0):
+        raise ValueError(f"X must be a positive finite number, got {mp.nstr(X, 6)}")
     ctx = ctx or RealCtx()
     with ctx.work():
         # size the working precision from the scale factor: a, b, c below are

@@ -343,7 +343,7 @@ def test_length10_gap_minima(c40, ctx40):
     for gap, s in scored:
         key = mirror_key(s)
         if key not in verdicts:
-            verdicts[key] = verify_embedded(realize_printed(key, c40), ctx=ctx40)
+            verdicts[key] = verify_embedded(realize_printed(key, c40))
         if verdicts[key].embedded:
             best_embedded = (gap, s)
             break
@@ -364,7 +364,7 @@ def test_length10_gap_minima(c40, ctx40):
     assert not verdicts[mirror_key(s_min)].embedded
     qh2 = quadrahelix_string(2)
     assert qh2 in reps
-    assert verify_embedded(realize_printed(qh2, c40), ctx=ctx40).embedded
+    assert verify_embedded(realize_printed(qh2, c40)).embedded
     dt = time.perf_counter() - t0
     assert dt < 60
     print(
@@ -423,15 +423,15 @@ def test_criterion_05_closed_form_identity(ctx60):
     )
 
 
-def test_criterion_06_embedding_verdicts(c40, ctx40):
+def test_criterion_06_embedding_verdicts(c40):
     t0 = time.perf_counter()
     for L in range(1, 61):
-        v = verify_embedded(realize_printed(quadrahelix_string(L), c40), ctx=ctx40)
+        v = verify_embedded(realize_printed(quadrahelix_string(L), c40))
         assert v.embedded and v.adjacency_ok and v.first_violation is None, L
-    v4 = verify_embedded(realize_printed(octahelix_string(4), c40), ctx=ctx40)
+    v4 = verify_embedded(realize_printed(octahelix_string(4), c40))
     assert not v4.embedded and v4.first_violation == (13, 31)
     for L in (5, 6, 36):
-        v = verify_embedded(realize_printed(octahelix_string(L), c40), ctx=ctx40)
+        v = verify_embedded(realize_printed(octahelix_string(L), c40))
         assert v.embedded and v.adjacency_ok, L
     dt = time.perf_counter() - t0
     assert dt < 120

@@ -1,3 +1,5 @@
+import functools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -53,6 +55,12 @@ def test_chain_matrix_structure(s):
     assert all(x == 1 for x in sums)
     # denominator exponent never exceeds the word length
     assert 0 <= K.power <= len(s)
+
+
+@given(valid_strings(max_size=30))
+def test_chain_matrix_is_fold_of_reflections(s):
+    # the prefix kernel against the plain 4x4 products it replaces
+    assert chain_matrix(s) == functools.reduce(operator.matmul, map(reflection_matrix, s))
 
 
 @given(valid_strings(max_size=10), valid_strings(max_size=10))

@@ -176,6 +176,23 @@ def test_search_lll_known_row(capsys):
     assert payload["log10_err"] == pytest.approx(-1.80, abs=0.05)
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_search_cf_rejects_count_below_one(count, capsys):
+    assert main(["search-cf", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: count must be at least 1, got {count}"]
+
+
+@pytest.mark.parametrize("X", ["0", "-5", "inf"])
+def test_search_lll_rejects_nonpositive_scale(X, capsys):
+    assert main(["search-lll", "--X", X]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: X must be a positive finite number")
+
+
 # --- verification and scans --------------------------------------------------------
 
 
@@ -198,6 +215,19 @@ def test_verify_embed_flags_octahelix_4(capsys):
     )
     assert payload["embedded"] is False
     assert payload["first_violation"] == [13, 31]
+
+
+def test_verify_embed_touching_margin_is_exact(capsys):
+    # verdicts are exact, so there is no tolerance to set and touching reads 0.0
+    payload = _run_json(
+        capsys,
+        ["verify-embed", "--kind", "quadrahelix", "--L", "10"],
+        schema="embed-verdict.schema.json",
+    )
+    assert payload["embedded"] is True and payload["min_separation_margin"] == 0.0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-embed", "--kind", "quadrahelix", "--L", "10", "--eps", "0"])
+    assert exc.value.code == 2
 
 
 def test_scan_ratio_rows(capsys):

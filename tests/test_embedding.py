@@ -1,15 +1,22 @@
+import itertools
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from conftest import valid_strings
 from tetrachain.embedding import (
+    _exact_points,
+    _pair_separation,
+    _sat_screen,
     quadplane_determinant,
     quadplane_determinant_direct,
     tetra_interiors_disjoint,
     verify_embedded,
 )
-from tetrachain.geometry import Tetrahedron, invisible_t0, realize_printed
+from tetrachain.geometry import Tetrahedron, invisible_t0, realize_printed, tetra_array
+from tetrachain.precision import RealCtx, make_constants
 from tetrachain.strings import octahelix_string, quadrahelix_string
 
 
@@ -50,52 +57,112 @@ def test_interiors_disjoint_cases(c40, ctx40):
     t0 = invisible_t0(c40)
     with ctx40.work():
         far = _shift(t0, (mpf(5), mpf(0), mpf(0)))
-        assert tetra_interiors_disjoint(t0, far, mpf(10) ** -20, ctx40)
+        assert tetra_interiors_disjoint(t0, far)
         # a copy of itself overlaps
-        assert not tetra_interiors_disjoint(t0, t0, mpf(10) ** -20, ctx40)
+        assert not tetra_interiors_disjoint(t0, t0)
         # tiny nudge: still overlapping interiors
         nudged = _shift(t0, (mpf(10) ** -6, mpf(0), mpf(0)))
-        assert not tetra_interiors_disjoint(t0, nudged, mpf(10) ** -20, ctx40)
+        assert not tetra_interiors_disjoint(t0, nudged)
 
 
-def test_adjacent_tetrahedra_disjoint(c40, ctx40):
+def test_adjacent_tetrahedra_disjoint(c40):
     # neighbours meet exactly in a face: interiors count as disjoint
     chain = realize_printed((1, 2, 3), c40)
     a, b = chain.tetrahedra[0], chain.tetrahedra[1]
-    assert tetra_interiors_disjoint(a, b, mpf(10) ** -20, ctx40)
+    assert tetra_interiors_disjoint(a, b)
 
 
 @pytest.mark.parametrize("L", [1, 2, 5, 12])
-def test_quadrahelix_embedded(L, c40, ctx40):
+def test_quadrahelix_embedded(L, c40):
     chain = realize_printed(quadrahelix_string(L), c40)
-    verdict = verify_embedded(chain, ctx=ctx40)
+    verdict = verify_embedded(chain)
     assert verdict.embedded and verdict.adjacency_ok
     assert verdict.first_violation is None
     assert verdict.pairs_tested > 0
 
 
-def test_octahelix_4_not_embedded(c40, ctx40):
+def test_octahelix_4_not_embedded(c40):
     chain = realize_printed(octahelix_string(4), c40)
-    verdict = verify_embedded(chain, ctx=ctx40)
+    verdict = verify_embedded(chain)
     assert not verdict.embedded
     assert verdict.first_violation == (13, 31)
+    assert verdict.min_separation_margin == -0.396489381480742
 
 
-def test_octahelix_1_not_embedded(c40, ctx40):
+def test_octahelix_1_not_embedded(c40):
     chain = realize_printed(octahelix_string(1), c40)
-    verdict = verify_embedded(chain, ctx=ctx40)
+    verdict = verify_embedded(chain)
     assert not verdict.embedded
     assert verdict.first_violation == (4, 10)
+    assert verdict.min_separation_margin == -0.6719131406833958
 
 
-def test_octahelix_5_embedded(c40, ctx40):
+def test_octahelix_5_embedded(c40):
     chain = realize_printed(octahelix_string(5), c40)
-    verdict = verify_embedded(chain, ctx=ctx40)
+    verdict = verify_embedded(chain)
     assert verdict.embedded and verdict.adjacency_ok
 
 
-def test_verdict_json_shape(c40, ctx40):
+def test_verdict_json_shape(c40):
     chain = realize_printed(quadrahelix_string(1), c40)
-    d = verify_embedded(chain, ctx=ctx40).to_json_dict()
+    d = verify_embedded(chain).to_json_dict()
     assert d["embedded"] is True
     assert {"embedded", "first_violation", "min_separation_margin", "pairs_tested", "adjacency_ok"} <= set(d)
+
+
+@pytest.fixture(scope="module")
+def ctx80():
+    return RealCtx(digits=80)
+
+
+def _reference_margin(a, b, ctx):
+    """Best normalized SAT separation over the 44 axes, in mpf (the reference)."""
+
+    def sub(u, v):
+        return [x - y for x, y in zip(u, v)]
+
+    def cross(u, v):
+        return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+    faces = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+    edges = list(itertools.combinations(range(4), 2))
+    with ctx.work():
+        va, vb = a.vertices, b.vertices
+        axes = [cross(sub(V[j], V[i]), sub(V[k], V[i])) for V in (va, vb) for i, j, k in faces]
+        axes += [
+            cross(sub(va[j], va[i]), sub(vb[l], vb[k])) for i, j in edges for k, l in edges
+        ]
+        best = None
+        for ax in axes:
+            n2 = sum(x * x for x in ax)
+            if n2 < mpf(10) ** -100:
+                continue
+            pa = [sum(x * y for x, y in zip(ax, v)) for v in va]
+            pb = [sum(x * y for x, y in zip(ax, v)) for v in vb]
+            sep = max(min(pb) - max(pa), min(pa) - max(pb)) / mp.sqrt(n2)
+            best = sep if best is None else max(best, sep)
+        return best
+
+
+@settings(max_examples=15)
+@given(valid_strings(min_size=3, max_size=14))
+def test_exact_verdicts_agree_with_mpf_sat(ctx80, s):
+    chain = realize_printed(s, make_constants(ctx80))
+    tets = chain.tetrahedra
+    exact = _exact_points(chain.string)
+    overlaps = []
+    for i, j in itertools.combinations(range(len(tets)), 2):
+        if j == i + 1:
+            continue
+        _, axis = _sat_screen(tetra_array(tets[i]), tetra_array(tets[j]))
+        sep = _pair_separation(exact, i, j, axis)
+        margin = _reference_margin(tets[i], tets[j], ctx80)
+        if abs(margin) > mpf(10) ** -30:
+            assert (sep is not None) == (margin > 0), (s, i, j, margin)
+        else:
+            assert sep == 0, (s, i, j, margin)  # touching
+        if sep is None:
+            overlaps.append((i + 1, j + 1))
+    verdict = verify_embedded(chain)
+    assert verdict.embedded == (not overlaps)
+    assert verdict.first_violation == (min(overlaps) if overlaps else None)
