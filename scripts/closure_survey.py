@@ -10,43 +10,23 @@ import argparse
 
 from mpmath import mp
 
-from tetrachain.metrics import gap_report
-from tetrachain.motion import closed_form_gap, gap_bound_qh
+from tetrachain.motion import gap_bound_qh, quadrahelix_gap_report
 from tetrachain.precision import RealCtx, make_constants, reduce_theta_multiple
-from tetrachain.search import continued_fraction_convergents
-from tetrachain.strings import quadrahelix_string
+from tetrachain.search import convergent_lengths
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--digits", type=int, default=40)
     ap.add_argument("--L-max", dest="L_max", type=int, default=6163435)
-    ap.add_argument(
-        "--exact-threshold",
-        type=int,
-        default=4000,
-        help="largest L to evaluate via exact rational products",
-    )
     args = ap.parse_args()
 
     ctx = RealCtx(digits=args.digits)
     c = make_constants(ctx)
-    count = 25
-    while continued_fraction_convergents(c, count)[-1].L <= args.L_max:
-        count += 15
-    rows = [
-        v.L
-        for v in continued_fraction_convergents(c, count)
-        if 1 <= v.L <= args.L_max
-    ]
-
     print(f"{'L':>9}  {'delta_bar':>13}  {'gap':>13}  {'5*L*d^2':>13}  bound/gap")
     with ctx.work():
-        for L in sorted(set(rows)):
-            if L <= args.exact_threshold:
-                gap = gap_report(quadrahelix_string(L), c).gap
-            else:
-                gap = closed_form_gap(L, ctx, c).gap
+        for L in convergent_lengths(c, args.L_max):
+            gap = quadrahelix_gap_report(L, c).gap
             delta, _ = reduce_theta_multiple(L + 1, ctx)
             bound = gap_bound_qh(L, ctx).bound
             ratio = bound / gap if gap > 0 else mp.inf

@@ -21,16 +21,23 @@ from . import __version__
 from .bary import chain_matrix
 from .embedding import verify_embedded
 from .geometry import invisible_t0, realize_printed
-from .metrics import gap_report, loop_gap_report, spectral_norm
+from .metrics import gap_report, loop_gap_report
 from .motion import (
-    closed_form_gap,
     decompose_motion,
     k_formula,
     leg_axis_cosines,
     motion_residuals,
+    quadrahelix_gap_report,
+    ratio_terms,
 )
-from .precision import Constants, PrecisionError, RealCtx, make_constants, reduce_theta_multiple
-from .search import babai_lll_search, continued_fraction_convergents, fixup_negative_x, lattice_table
+from .precision import PrecisionError, RealCtx, make_constants, reduce_theta_multiple
+from .search import (
+    babai_lll_search,
+    continued_fraction_convergents,
+    convergent_lengths,
+    fixup_negative_x,
+    lattice_table,
+)
 from .strings import format_string, make_chain, parse_string
 
 
@@ -93,20 +100,22 @@ def cmd_build(args) -> int:
     ctx = RealCtx(digits=args.digits)
     c = make_constants(ctx)
     spec, s = _chain_spec(args)
-    chain = realize_printed(s, c)
     summary = {
         "kind": spec.kind if spec else "string",
         "param": spec.param if spec else None,
         "string": format_string(s),
         "length": len(s),
-        "tetrahedra": len(chain.tetrahedra),
     }
+    # the gap first: a string past the exact-product limit fails before the
+    # realization, whose exact arithmetic grows with the square of its length
     if spec and spec.kind == "preset540":
         loop = loop_gap_report(s, c)
         summary["gap_report"] = loop.best.to_json_dict()
         summary["loop"] = loop.to_json_dict()
     else:
         summary["gap_report"] = gap_report(s, c).to_json_dict()
+    chain = realize_printed(s, c)
+    summary["tetrahedra"] = len(chain.tetrahedra)
     if args.format == "obj":
         out = args.out or f"{summary['kind']}_{summary['param'] or len(s)}.obj"
         _write_atomic(out, _obj_mesh(chain))
@@ -129,7 +138,10 @@ def cmd_gap(args) -> int:
         payload = {"string": format_string(s), "length": len(s), "loop": loop.to_json_dict()}
         _emit(_json_text(payload), args.out)
         return 0
-    rep = gap_report(s, c, r0=args.r0)
+    if spec and spec.kind == "quadrahelix":
+        rep = quadrahelix_gap_report(spec.param, c, r0=args.r0)
+    else:
+        rep = gap_report(s, c, r0=args.r0)
     if args.format == "csv":
         text = rep.CSV_HEADER + "\n" + rep.to_csv_row() + "\n"
     else:
@@ -142,36 +154,13 @@ def cmd_gap(args) -> int:
 # --- tables -------------------------------------------------------------------
 
 
-def _convergent_rows(c: Constants, L_max: int):
-    count = 25
-    while True:
-        convs = continued_fraction_convergents(c, count)
-        if convs[-1].q - 1 > L_max:
-            break
-        count += 15
-    rows = []
-    seen = set()
-    for conv in convs:
-        L = conv.q - 1
-        if L < 1 or L > L_max or L in seen:
-            continue
-        seen.add(L)
-        rows.append(L)
-    return rows
-
-
 def cmd_table1(args) -> int:
     ctx = RealCtx(digits=args.digits)
     c = make_constants(ctx)
     lines = ["L,k,delta_bar,gap"]
-    for L in _convergent_rows(c, args.L_max):
-        if L <= args.exact_threshold:
-            delta_bar, k = reduce_theta_multiple(L + 1, ctx)
-            rep = gap_report(make_chain("quadrahelix", L).string, c)
-            gap = rep.gap
-        else:
-            cf = closed_form_gap(L, ctx, c)
-            delta_bar, k, gap = cf.delta_bar, cf.k, cf.gap
+    for L in convergent_lengths(c, args.L_max):
+        delta_bar, k = reduce_theta_multiple(L + 1, ctx)
+        gap = quadrahelix_gap_report(L, c).gap
         lines.append(f"{L},{k},{_nstr(delta_bar, 8)},{_nstr(gap, 8)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -214,8 +203,8 @@ def cmd_search_cf(args) -> int:
     return 0
 
 
-def cmd_search_lll(args) -> int:
-    ctx = RealCtx(digits=args.digits)
+def _lll_payload(args, digits: int) -> dict:
+    ctx = RealCtx(digits=digits)
     c = make_constants(ctx)
     with ctx.work():
         X = mpf(args.X)
@@ -223,7 +212,7 @@ def cmd_search_lll(args) -> int:
         sol = babai_lll_search(c.theta, c.two_pi, gamma, X, ctx, target=args.target)
         if sol.x < 0:
             sol = fixup_negative_x(sol, c)
-        payload = {
+        return {
             "X": float(X),
             "x": sol.x,
             "y": sol.y,
@@ -232,6 +221,21 @@ def cmd_search_lll(args) -> int:
             "kronecker_ok": sol.kronecker_ok,
             "target": sol.target,
         }
+
+
+def cmd_search_lll(args) -> int:
+    payload = _lll_payload(args, args.digits)
+    if payload["x"] == 0:
+        raise ValueError(f"X = {args.X} is too small: the search finds only x = 0")
+    # as in continued_fraction_convergents, an answer that moves when the
+    # working digits double is not certified
+    check = _lll_payload(args, 2 * args.digits)
+    x, y, err = (payload[k] for k in ("x", "y", "err"))
+    if (x, y) != (check["x"], check["y"]) or abs(err - check["err"]) > 1e-12 * check["err"]:
+        raise PrecisionError(
+            f"search-lll gives x, y, err = {x}, {y}, {err:.6g} at {args.digits} digits but "
+            f"{check['x']}, {check['y']}, {check['err']:.6g} at {2 * args.digits}"
+        )
     _emit(_json_text(payload), args.out)
     return 0
 
@@ -254,16 +258,9 @@ def cmd_verify_embed(args) -> int:
 def cmd_scan_ratio(args) -> int:
     ctx = RealCtx(digits=args.digits)
     lines = ["L,delta_bar,norm_gap,ratio"]
-    with ctx.work():
-        for L in range(4, args.L_max + 1):
-            delta_bar, _ = reduce_theta_multiple(L + 1, ctx)
-            K = k_formula(L, ctx, delta_bar=delta_bar)
-            diff = [[K[i][j] - (1 if i == j else 0) for j in range(4)] for i in range(4)]
-            norm = spectral_norm(diff, ctx)
-            ratio = norm / (mpf(L) * delta_bar**2)
-            lines.append(
-                f"{L},{_nstr(delta_bar, 8)},{_nstr(norm, 8)},{_nstr(ratio, 8)}"
-            )
+    for L in range(4, args.L_max + 1):
+        delta_bar, norm, ratio = ratio_terms(L, ctx)
+        lines.append(f"{L},{_nstr(delta_bar, 8)},{_nstr(norm, 8)},{_nstr(ratio, 8)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -337,13 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table1", help="closure survey over convergent denominators")
     _add_common(p)
     p.add_argument("--L-max", dest="L_max", type=int, default=6163435)
-    p.add_argument(
-        "--exact-threshold",
-        dest="exact_threshold",
-        type=int,
-        default=4000,
-        help="largest L evaluated by exact products (closed form above)",
-    )
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("table2", help="lattice-reduction solutions for X = 10^2 .. 10^6.5")

@@ -23,7 +23,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .bary import prefix_products
-from .geometry import RealizedChain, Tetrahedron, tetra_array
+from .geometry import RealizedChain, Tetrahedron, _cross, _sub, dyadic_ints, tetra_array
 from .precision import Constants
 
 _FACE_IDX = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
@@ -59,14 +59,8 @@ def quadplane_determinant_direct(q: int, c: Constants):
         vq = helix_vertex(q, c)
         v0, v1, v2, v3 = (helix_vertex(i, c) for i in range(4))
         mid = tuple((a + b) / 2 for a, b in zip(v0, v3))
-        r1 = tuple(a - b for a, b in zip(vq, v1))
-        r2 = tuple(a - b for a, b in zip(vq, v2))
-        r3 = tuple(a - b for a, b in zip(vq, mid))
-        det = (
-            r1[0] * (r2[1] * r3[2] - r2[2] * r3[1])
-            - r1[1] * (r2[0] * r3[2] - r2[2] * r3[0])
-            + r1[2] * (r2[0] * r3[1] - r2[1] * r3[0])
-        )
+        n = _cross(_sub(vq, v2), _sub(vq, mid))
+        det = sum(x * y for x, y in zip(_sub(vq, v1), n))
         return 20 * mp.sqrt(10) * det
 
 
@@ -105,18 +99,6 @@ def _sat_screen(A: np.ndarray, B: np.ndarray) -> tuple[float, int]:
     return float(margins[best]), int(kept[best])
 
 
-def _sub(u, v):
-    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
-
-
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def _exact_axis(A, B, k: int):
     """Axis k of _sat_axes, on points with exact integer coordinates."""
     if k < 8:
@@ -149,21 +131,6 @@ def _exact_separation(A, B, first: int) -> int | None:
     return None
 
 
-def _dyadic(a: Tetrahedron, b: Tetrahedron) -> tuple[list, list]:
-    """The vertices of a and b as integers over one common power of 2.
-
-    An mpf is exactly (-1)^sign * man * 2^exp, so nothing is rounded.
-    """
-    parts = [mpf(x)._mpf_ for t in (a, b) for v in t.vertices for x in v]
-    low = min(exp for _, man, exp, _ in parts if man)
-    ints = [
-        (-1) ** sign * (man << (exp - low)) if man else 0
-        for sign, man, exp, _ in parts
-    ]
-    points = [tuple(ints[n : n + 3]) for n in range(0, 24, 3)]
-    return points[:4], points[4:]
-
-
 def _exact_points(string) -> list:
     """The vertices of each tetrahedron T_k of a chain as integer points over 3^k.
 
@@ -187,7 +154,9 @@ def tetra_interiors_disjoint(a: Tetrahedron, b: Tetrahedron) -> bool:
     Decided exactly on the mpf vertices read as dyadic rationals.
     """
     _, axis = _sat_screen(tetra_array(a), tetra_array(b))
-    return _exact_separation(*_dyadic(a, b), axis) is not None
+    ints, _ = dyadic_ints(x for t in (a, b) for v in t.vertices for x in v)
+    points = [tuple(ints[n : n + 3]) for n in range(0, 24, 3)]
+    return _exact_separation(points[:4], points[4:], axis) is not None
 
 
 @dataclass(frozen=True)

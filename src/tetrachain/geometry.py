@@ -3,18 +3,23 @@
 The seed helix V_i = (r cos(i*theta), r sin(i*theta), i*h) places unit
 regular tetrahedra {V_i, V_{i+1}, V_{i+2}, V_{i+3}} along a cylinder; the
 invisible starting tetrahedron T_0 is {V_-1, V_0, V_1, V_2}.  A chain is
-realized by repeatedly reflecting the off-face vertex across the plane of
-the shared face, which keeps the three shared vertices bit-for-bit equal.
+realized from its exact barycentric prefix products: tetrahedron T_k is
+T_0 K_k, so the vertex placed at step k is an integer combination of T_0's
+coordinates over 3^k, rounded once.  The other three vertices are copied,
+which keeps the shared face bit-for-bit equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
+from .bary import prefix_products
 from .precision import Constants, RealCtx
 from .strings import is_valid
 
@@ -61,35 +66,48 @@ def invisible_t0(c: Constants) -> Tetrahedron:
     return Tetrahedron(tuple(helix_vertex(i, c) for i in (-1, 0, 1, 2)))
 
 
-def _reflect_across_face(p: Point3, a: Point3, b: Point3, c3: Point3) -> Point3:
-    """Householder reflection of p across the plane through a, b, c3."""
-    u = tuple(b[k] - a[k] for k in range(3))
-    v = tuple(c3[k] - a[k] for k in range(3))
-    n = (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
+def _sub(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
     )
-    nn = n[0] ** 2 + n[1] ** 2 + n[2] ** 2
-    d = p[0] - a[0], p[1] - a[1], p[2] - a[2]
-    t = 2 * (d[0] * n[0] + d[1] * n[1] + d[2] * n[2]) / nn
-    return (p[0] - t * n[0], p[1] - t * n[1], p[2] - t * n[2])
 
 
-def reflect_tetra(t: Tetrahedron, i: int) -> Tetrahedron:
-    """Reflect vertex i of t across the opposite face; other slots copied."""
-    if i not in (1, 2, 3, 4):
-        raise ValueError(f"face index must be 1..4, got {i}")
-    vs = list(t.vertices)
-    others = [vs[k] for k in range(4) if k != i - 1]
-    vs[i - 1] = _reflect_across_face(vs[i - 1], *others)
-    return Tetrahedron(tuple(vs))
+def dyadic_ints(xs) -> tuple[list[int], int]:
+    """The mpf values xs as integers n with x = n * 2**low, for one common low.
+
+    An mpf is exactly (-1)^sign * man * 2^exp, so nothing is rounded.
+    """
+    parts = [mpf(x)._mpf_ for x in xs]
+    low = min((exp for _, man, exp, _ in parts if man), default=0)
+    ints = [(-1) ** s * (man << (exp - low)) if man else 0 for s, man, exp, _ in parts]
+    return ints, low
+
+
+def _rounded(n: int, den: int, low: int) -> mpf:
+    """n * 2**low / den, rounded once to the working precision.
+
+    The quotient keeps at least prec + 2 bits and one more bit records a
+    nonzero remainder, which is all the rounding needs to be correct.
+    """
+    shift = max(0, mp.prec + 3 - n.bit_length() + den.bit_length())
+    q, r = divmod(n << shift, den)
+    man = 2 * q + (r != 0)
+    return mp.make_mpf(from_man_exp(man, low - shift - 1, mp.prec, round_nearest))
 
 
 def realize_chain(tail: Sequence[int], r0: int, c: Constants) -> RealizedChain:
     """Realize the chain with leading face r0 followed by the symbols of tail.
 
     The visible tetrahedra are T_1 .. T_{len(tail)+1}; T_0 stays invisible.
+    Step k replaces the vertex in the slot of its symbol by T_0 times that
+    column of the k-th prefix product, exact until the one rounding to the
+    working precision.
     """
     if r0 not in (1, 2, 3, 4):
         raise ValueError(f"r0 must be 1..4, got {r0}")
@@ -98,20 +116,24 @@ def realize_chain(tail: Sequence[int], r0: int, c: Constants) -> RealizedChain:
             raise ValueError(f"invalid tail {tail!r}")
         if tail[0] == r0:
             raise ValueError(f"r0={r0} doubles back into tail start {tail[0]}")
+    s = (r0, *tail)
     with c.ctx.work():
         t0 = invisible_t0(c)
-        chain = RealizedChain(
-            string=(r0, *tail), r0=r0, invisible=t0, tetrahedra=[], ages=[]
-        )
-        cur = t0
+        ints, low = dyadic_ints(x for v in t0.vertices for x in v)
+        axes = [ints[axis::3] for axis in range(3)]  # one coordinate of each vertex
+        chain = RealizedChain(string=s, r0=r0, invisible=t0)
+        verts = list(t0.vertices)
         age = [0, 1, 2, 3]
-        step = 4
-        for sym in (r0, *tail):
-            cur = reflect_tetra(cur, sym)
+        den = 1
+        for step, (sym, cols) in enumerate(zip(s, prefix_products(s)), start=4):
+            den *= 3
+            col = cols[sym - 1]
+            verts[sym - 1] = tuple(
+                _rounded(sum(map(mul, xs, col)), den, low) for xs in axes
+            )
             age = age.copy()
             age[sym - 1] = step
-            step += 1
-            chain.tetrahedra.append(cur)
+            chain.tetrahedra.append(Tetrahedron(tuple(verts)))
             chain.ages.append(tuple(age))
         return chain
 
@@ -169,15 +191,8 @@ def tetrahelix_bary_point(q: int, base: Tetrahedron, c: Constants) -> Point3:
 
 def tetra_volume(t: Tetrahedron) -> mpf:
     a, b, c3, d = t.vertices
-    u = tuple(b[k] - a[k] for k in range(3))
-    v = tuple(c3[k] - a[k] for k in range(3))
-    w = tuple(d[k] - a[k] for k in range(3))
-    det = (
-        u[0] * (v[1] * w[2] - v[2] * w[1])
-        - u[1] * (v[0] * w[2] - v[2] * w[0])
-        + u[2] * (v[0] * w[1] - v[1] * w[0])
-    )
-    return abs(det) / 6
+    n = _cross(_sub(c3, a), _sub(d, a))
+    return abs(sum(x * y for x, y in zip(_sub(b, a), n))) / 6
 
 
 def edge_lengths(t: Tetrahedron) -> list:

@@ -15,13 +15,9 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from . import bary
-from .geometry import Tetrahedron, apply_bary, invisible_t0
+from .geometry import Tetrahedron, _sub, apply_bary, invisible_t0
 from .precision import Constants, RealCtx
 from .strings import rotate
-
-
-def _sub(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
 def _dot(a, b):
@@ -130,6 +126,13 @@ def discrete_hausdorff(a: Tetrahedron, b: Tetrahedron):
     return max(one_way(a.vertices, b.vertices), one_way(b.vertices, a.vertices))
 
 
+def minus_identity(M) -> list:
+    """M - I for a square matrix given as rows."""
+    return [
+        [x - (1 if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(M)
+    ]
+
+
 def maxnorm(M) -> mpf:
     return max(abs(x) for row in M for x in row)
 
@@ -181,50 +184,52 @@ class GapReport:
         )
 
 
-def _metrics_for_matrix(K: bary.BaryMatrix, t0: Tetrahedron, ctx: RealCtx):
-    K_mpf = K.to_mpf(ctx)
-    tn = apply_bary(t0, K_mpf)
-    gap = hausdorff_tetra(t0, tn)
-    diff = bary.matrix_minus_identity_mpf(K, ctx)
-    return gap, spectral_norm(diff, ctx), maxnorm(diff), discrete_hausdorff(t0, tn)
+def lead_minimized_report(matrices: dict, c: Constants, r0: int | None = None) -> GapReport:
+    """Gap metrics minimized over the leading faces in matrices (face -> (K, K - I)).
+
+    The report carries the minimum Hausdorff gap (ties broken by smallest
+    face) and the minimum norms; passing r0 pins the leading face instead.
+    """
+    if r0 is not None:
+        if r0 not in matrices:
+            raise ValueError(f"leading face {r0} collides with the second symbol")
+        matrices = {r0: matrices[r0]}
+    ctx = c.ctx
+    with ctx.work():
+        t0 = invisible_t0(c)
+        best = None
+        norms, maxnorms = [], []
+        for lead, (K, diff) in sorted(matrices.items()):
+            tn = apply_bary(t0, K)
+            gap = hausdorff_tetra(t0, tn)
+            norms.append(spectral_norm(diff, ctx))
+            maxnorms.append(maxnorm(diff))
+            if best is None or gap < best[0]:
+                best = (gap, lead, tn)
+        gap, lead, tn = best
+        return GapReport(
+            gap=gap,
+            norm_gap=min(norms),
+            maxnorm_gap=min(maxnorms),
+            discrete_gap=discrete_hausdorff(t0, tn),
+            r0=lead,
+        )
 
 
-def gap_report(s, c: Constants, delta_bar=None, r0: int | None = None) -> GapReport:
-    """Evaluate a printed string with its first symbol treated as free.
+def gap_report(s, c: Constants, r0: int | None = None) -> GapReport:
+    """Evaluate a printed string on its exact products, its first symbol free.
 
-    All three legal leading faces r0 != s[1] are tried; the report carries
-    the minimum Hausdorff gap (ties broken by smallest r0) and the minimum
-    norm metrics across the three.  Passing r0 pins the leading face
-    instead (it must still differ from the second symbol).
+    All three legal leading faces r0 != s[1] are tried; passing r0 pins one.
     """
     s = tuple(s)
     if len(s) < 2:
         raise ValueError("gap_report needs a string of length >= 2")
     ctx = c.ctx
-    candidates = bary.three_leading_matrices(s[1:])
-    if r0 is not None:
-        if r0 not in candidates:
-            raise ValueError(f"leading face {r0} collides with the second symbol")
-        candidates = {r0: candidates[r0]}
-    with ctx.work():
-        t0 = invisible_t0(c)
-        best = None
-        norms, maxnorms = [], []
-        for r0, K in sorted(candidates.items()):
-            gap, norm2, normmax, disc = _metrics_for_matrix(K, t0, ctx)
-            norms.append(norm2)
-            maxnorms.append(normmax)
-            if best is None or gap < best[0]:
-                best = (gap, r0, disc)
-        gap, r0, disc = best
-        return GapReport(
-            gap=gap,
-            norm_gap=min(norms),
-            maxnorm_gap=min(maxnorms),
-            discrete_gap=disc,
-            r0=r0,
-            delta_bar=delta_bar,
-        )
+    matrices = {
+        lead: (K.to_mpf(ctx), bary.matrix_minus_identity_mpf(K, ctx))
+        for lead, K in bary.three_leading_matrices(s[1:]).items()
+    }
+    return lead_minimized_report(matrices, c, r0)
 
 
 @dataclass(frozen=True)

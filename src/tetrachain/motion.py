@@ -23,15 +23,24 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .bary import BaryMatrix
+from .bary import MAX_EXACT_LENGTH, BaryMatrix, reflection_matrix
 from .geometry import (
     RealizedChain,
     Tetrahedron,
+    _cross,
     apply_bary,
     helix_vertex,
     invisible_t0,
 )
-from .metrics import hausdorff_tetra, maxnorm, spectral_norm
+from .metrics import (
+    GapReport,
+    gap_report,
+    hausdorff_tetra,
+    lead_minimized_report,
+    maxnorm,
+    minus_identity,
+    spectral_norm,
+)
 from .precision import (
     Constants,
     PrecisionError,
@@ -39,6 +48,7 @@ from .precision import (
     make_constants,
     reduce_theta_multiple,
 )
+from .strings import quadrahelix_string
 
 # --- closed-form coefficient tables ------------------------------------------
 
@@ -127,9 +137,8 @@ class ClosedFormGap:
     norm_gap: mpf  # ||K - I||_2, an upper bound for gap
 
 
-def closed_form_gap(L: int, ctx: RealCtx, c: Constants | None = None) -> ClosedFormGap:
-    """Gap of QH_L via the closed form; works for L of any size."""
-    c = c or make_constants(ctx)
+def _closed_form_matrix(L: int, ctx: RealCtx):
+    """delta_bar, k and the closed-form K(L), refusing an end too far out to resolve."""
     delta_bar, k = reduce_theta_multiple(int(L) + 1, ctx)
     K = k_formula(L, ctx, delta_bar=delta_bar)
     with ctx.work():
@@ -143,12 +152,38 @@ def closed_form_gap(L: int, ctx: RealCtx, c: Constants | None = None) -> ClosedF
                 f"chain end lies ~1e{int(mp.log10(scale))} seed-edges away; "
                 f"resolving the gap needs digits >= {need}, have {ctx.digits}"
             )
+    return delta_bar, k, K
+
+
+def closed_form_gap(L: int, ctx: RealCtx, c: Constants | None = None) -> ClosedFormGap:
+    """Gap of QH_L via the closed form; works for L of any size."""
+    c = c or make_constants(ctx)
+    delta_bar, k, K = _closed_form_matrix(L, ctx)
+    with ctx.work():
         t0 = invisible_t0(c)
-        tn = apply_bary(t0, K)
-        gap = hausdorff_tetra(t0, tn)
-        diff = [[K[i][j] - (1 if i == j else 0) for j in range(4)] for i in range(4)]
-        norm2 = spectral_norm(diff, ctx)
+        gap = hausdorff_tetra(t0, apply_bary(t0, K))
+        norm2 = spectral_norm(minus_identity(K), ctx)
     return ClosedFormGap(L=int(L), k=k, delta_bar=delta_bar, gap=gap, norm_gap=norm2)
+
+
+def quadrahelix_gap_report(L: int, c: Constants, r0: int | None = None) -> GapReport:
+    """Gap report of QH_L, minimized over the free leading face like gap_report.
+
+    While the 4L+2 letters fit MAX_EXACT_LENGTH this is gap_report on the
+    exact products; beyond, the closed form gives K for the printed lead 1,
+    and since reflections are involutions lead r0 has M_{r0} M_1 K.
+    """
+    if 4 * int(L) + 2 <= MAX_EXACT_LENGTH:
+        return gap_report(quadrahelix_string(L), c, r0=r0)
+    ctx = c.ctx
+    _, _, K = _closed_form_matrix(L, ctx)
+    with ctx.work():
+        matrices = {1: K}
+        for lead in (3, 4):  # every QH_L starts 1, 2
+            P = (reflection_matrix(lead) @ reflection_matrix(1)).to_mpf(ctx)
+            matrices[lead] = _mat_mul(P, K)
+        matrices = {lead: (M, minus_identity(M)) for lead, M in matrices.items()}
+    return lead_minimized_report(matrices, c, r0)
 
 
 # --- rigid-motion decomposition ----------------------------------------------
@@ -191,14 +226,6 @@ def _inv(M):
     return [row[n:] for row in A]
 
 
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
 def _norm(v):
     return mp.sqrt(sum(x * x for x in v))
 
@@ -225,7 +252,7 @@ def decompose_motion(K, t0: Tetrahedron, ctx: RealCtx) -> RigidMotion:
         RR = _mat_mul(_mat_mul(T, [list(r) for r in K]), _inv(T))
         R = tuple(tuple(RR[i][:3]) for i in range(3))
         t = tuple(RR[i][3] for i in range(3))
-        RmI = [[R[i][j] - (1 if i == j else 0) for j in range(3)] for i in range(3)]
+        RmI = minus_identity(R)
         if maxnorm(RmI) < mpf(10) ** (-ctx.digits // 2):
             return RigidMotion(R=R, t=t, w=None, u=None, angle=mpf(0))
         colnorms = [_norm([RmI[i][j] for i in range(3)]) for j in range(3)]
@@ -265,9 +292,7 @@ def motion_residuals(m: RigidMotion, ctx: RealCtx) -> dict:
             [sum(R[k][i] * R[k][j] for k in range(3)) for j in range(3)]
             for i in range(3)
         ]
-        orth = max(
-            abs(rtr[i][j] - (1 if i == j else 0)) for i in range(3) for j in range(3)
-        )
+        orth = maxnorm(minus_identity(rtr))
         det = (
             R[0][0] * (R[1][1] * R[2][2] - R[1][2] * R[2][1])
             - R[0][1] * (R[1][0] * R[2][2] - R[1][2] * R[2][0])
@@ -292,7 +317,7 @@ def motion_eigenvalues(K, ctx: RealCtx):
 
 def rank_of_k_minus_i(K, ctx: RealCtx, tol=None) -> int:
     with ctx.work():
-        diff = [[K[i][j] - (1 if i == j else 0) for j in range(4)] for i in range(4)]
+        diff = minus_identity(K)
         mtm = mp.matrix(4)
         for i in range(4):
             for j in range(4):
@@ -306,15 +331,10 @@ def rank_of_k_minus_i(K, ctx: RealCtx, tol=None) -> int:
 def left_kernel_residuals(K, w, t0: Tetrahedron, ctx: RealCtx) -> dict:
     """Residuals of the two expected left-null rows of K - I."""
     with ctx.work():
-        ones = max(
-            abs(sum(K[i][j] - (1 if i == j else 0) for i in range(4)))
-            for j in range(4)
-        )
+        diff = minus_identity(K)
+        ones = max(abs(sum(diff[i][j] for i in range(4))) for j in range(4))
         wt0 = [sum(w[i] * t0.vertices[j][i] for i in range(3)) for j in range(4)]
-        wrow = max(
-            abs(sum(wt0[i] * (K[i][j] - (1 if i == j else 0)) for i in range(4)))
-            for j in range(4)
-        )
+        wrow = max(abs(sum(wt0[i] * diff[i][j] for i in range(4))) for j in range(4))
         return {"ones_row": ones, "w_t0_row": wrow}
 
 
@@ -345,10 +365,7 @@ def corollary_angle_checks(L: int, c: Constants) -> dict:
         rho0 = mp.acos(sin_rho)
         K = k_formula(L, ctx, delta_bar=delta_bar)
         motion = decompose_motion(K, invisible_t0(c), ctx)
-        RmI = [
-            [motion.R[i][j] - (1 if i == j else 0) for j in range(3)] for i in range(3)
-        ]
-        r_norm = spectral_norm(RmI, ctx)
+        r_norm = spectral_norm(minus_identity(motion.R), ctx)
         return {
             "rho0": rho0,
             "sin_rho": sin_rho,
@@ -406,13 +423,18 @@ def gap_bound_oh(L: int, ctx: RealCtx, target: str | None = None) -> OhGapBound:
         )
 
 
-def asymptotic_ratio(L: int, ctx: RealCtx):
-    """||K - I||_2 / (L * delta_bar^2); approaches (8/25)*sqrt(3) for convergent L."""
+def ratio_terms(L: int, ctx: RealCtx) -> tuple:
+    """(delta_bar, ||K - I||_2, ||K - I||_2 / (L * delta_bar^2)) of QH_L, closed form."""
     delta_bar, _ = reduce_theta_multiple(int(L) + 1, ctx)
     K = k_formula(L, ctx, delta_bar=delta_bar)
     with ctx.work():
-        diff = [[K[i][j] - (1 if i == j else 0) for j in range(4)] for i in range(4)]
-        return spectral_norm(diff, ctx) / (mpf(int(L)) * delta_bar**2)
+        norm = spectral_norm(minus_identity(K), ctx)
+        return delta_bar, norm, norm / (mpf(int(L)) * delta_bar**2)
+
+
+def asymptotic_ratio(L: int, ctx: RealCtx):
+    """||K - I||_2 / (L * delta_bar^2); approaches (8/25)*sqrt(3) for convergent L."""
+    return ratio_terms(L, ctx)[2]
 
 
 def limit_matrix_norm(ctx: RealCtx):

@@ -88,6 +88,14 @@ def continued_fraction_convergents(
         return out
 
 
+def convergent_lengths(c: Constants, L_max: int) -> list[int]:
+    """The chain parameters L = q - 1 in 1..L_max over the convergent denominators q."""
+    count = 25
+    while (convs := continued_fraction_convergents(c, count))[-1].L <= L_max:
+        count += 15
+    return sorted({conv.L for conv in convs if 1 <= conv.L <= L_max})
+
+
 def kronecker_bound_check(x: int, y: int, alpha, beta, gamma) -> bool:
     """Whether |x*alpha + y*beta - gamma| < 3|beta/x|."""
     if x == 0:
@@ -165,7 +173,10 @@ def babai_lll_search(
         b = int(mp.nint(s * beta))
         c0 = int(mp.nint(-s * gamma))
         if a == 0 and b == 0:
-            raise ValueError("degenerate scaled basis (alpha and beta both ~ 0)")
+            raise ValueError(
+                f"X = {mp.nstr(X, 6)} is too small: the scaled basis degenerates "
+                "(alpha and beta both round to 0)"
+            )
         B1, B2 = _lll_2d((a, 1, 0), (b, 0, 1))
         g1 = [Fraction(v) for v in B1]
         mu21 = Fraction(_dot(B2, B1), _dot(B1, B1))

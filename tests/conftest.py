@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from tetrachain.geometry import Tetrahedron, invisible_t0
 from tetrachain.precision import RealCtx, make_constants
 
 settings.register_profile(
@@ -52,3 +53,29 @@ def random_valid_string(rng: random.Random, n: int) -> tuple:
     while len(s) < n:
         s.append((s[-1] - 1 + rng.randrange(1, 4)) % 4 + 1)
     return tuple(s)
+
+
+def reference_fold(s, c) -> list:
+    """The tetrahedra T_1.. of the chain s by Cartesian Householder reflections.
+
+    A test-local path independent of the barycentric products that
+    realize_chain reads: each step reflects the vertex in the symbol's slot
+    across the plane through the other three.
+    """
+    with c.ctx.work():
+        vs = list(invisible_t0(c).vertices)
+        out = []
+        for sym in s:
+            p = vs[sym - 1]
+            a, b, d = (vs[k] for k in range(4) if k != sym - 1)
+            u = [b[k] - a[k] for k in range(3)]
+            v = [d[k] - a[k] for k in range(3)]
+            n = [
+                u[1] * v[2] - u[2] * v[1],
+                u[2] * v[0] - u[0] * v[2],
+                u[0] * v[1] - u[1] * v[0],
+            ]
+            t = 2 * sum((p[k] - a[k]) * n[k] for k in range(3)) / sum(x * x for x in n)
+            vs[sym - 1] = tuple(p[k] - t * n[k] for k in range(3))
+            out.append(Tetrahedron(tuple(vs)))
+        return out

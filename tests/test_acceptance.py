@@ -15,6 +15,7 @@ from mpmath import mp, mpf
 
 import pytest
 
+from conftest import reference_fold
 from tetrachain import bary
 from tetrachain.embedding import quadplane_determinant, verify_embedded
 from tetrachain.geometry import (
@@ -71,7 +72,7 @@ DESK_ROWS = [
 # value the paths agree on.  The printed value stays in DESK_ROWS so the
 # discrepancy stays visible; criterion 03 checks an erratum row against both
 # values, so an entry fails as soon as the printed value is reproduced.
-#   L=2: exact products, the closed form and Householder realization give
+#   L=2: exact products, the closed form and a Householder reflection fold give
 #   0.35526391199886911115... for QH_2 = 1231232132
 #   (test_qh2_gap_agrees_across_paths), and no embedded length-10 chain has
 #   a gap within 0.01 of 0.32 (test_length10_gap_minima).
@@ -245,7 +246,7 @@ def test_qh2_gap_agrees_across_paths():
         closed = closed_form_gap(2, ctx, c).gap
         with ctx.work():
             realized = _hausdorff_by_projection(
-                invisible_t0(c), realize_printed(s, c).tetrahedra[-1]
+                invisible_t0(c), reference_fold(s, c)[-1]
             )
             agree = mpf(10) ** -(digits - 10)
             assert abs(closed - rep.gap) < agree, digits

@@ -1,10 +1,14 @@
 """End-to-end checks of the command-line interface (run in-process)."""
 
+import io
 import json
 import math
 import os
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -106,6 +110,26 @@ def test_gap_pinned_lead_collision_is_config_error(capsys):
     assert "collides" in capsys.readouterr().err
 
 
+def test_gap_long_quadrahelix_goes_through_closed_form(capsys):
+    # 4L+2 = 48,078 letters is past the exact-product limit
+    payload = _run_json(
+        capsys, ["gap", "--kind", "quadrahelix", "--L", "12019"], schema="gap.schema.json"
+    )
+    rep = payload["gap_report"]
+    assert payload["length"] == 48078 and rep["r0"] == 1 and rep["delta_bar"] is None
+    assert main(["table1", "--L-max", "12019"]) == 0
+    row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+    assert row[0] == "12019" and row[3] == "0.0001604563"
+    assert f"{rep['gap']:.7e}" == f"{float(row[3]):.7e}"  # the row's 8 digits
+    assert rep["gap"] <= rep["discrete_gap"] and rep["gap"] <= rep["norm_gap"]
+    # the other two leads are far from closing, and --r0 still pins
+    pinned = _run_json(capsys, ["gap", "--kind", "quadrahelix", "--L", "12019", "--r0", "3"])
+    assert pinned["gap_report"]["r0"] == 3 and pinned["gap_report"]["gap"] > 0.8
+    assert main(["gap", "--kind", "quadrahelix", "--L", "12019", "--r0", "2"]) == 2
+    assert "collides" in capsys.readouterr().err
+    assert main(["gap", "--kind", "quadrahelix", "--L", "6000"]) == 0
+
+
 def test_gap_loop_payload(capsys):
     payload = _run_json(
         capsys,
@@ -174,6 +198,33 @@ def test_search_lll_known_row(capsys):
     assert (payload["x"], payload["y"]) == (4, -1)
     assert payload["kronecker_ok"] is True
     assert payload["log10_err"] == pytest.approx(-1.80, abs=0.05)
+
+
+@pytest.mark.parametrize(
+    "argv, rc, message",
+    [
+        # 40 digits: the error moves when the digits double (3.29e-28 at 80)
+        (["--X", "1e15", "--digits", "40"], 3, "precision failure: search-lll gives"),
+        (["--X", "10"], 2, "error: X = 10 is too small: the search finds only x = 0"),
+        (["--X", "1"], 2, "error: X = 1.0 is too small: the scaled basis degenerates"),
+    ],
+)
+def test_search_lll_refuses_uncertified_answers(argv, rc, message, capsys):
+    assert main(["search-lll", *argv]) == rc
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(message)
+
+
+def test_search_lll_certified_at_sixty_digits(capsys):
+    payload = _run_json(
+        capsys,
+        ["search-lll", "--X", "1e15", "--digits", "60"],
+        schema="lll-solution.schema.json",
+    )
+    assert payload["err"] == 3.290539343004587e-28
+    assert payload["kronecker_ok"] is True
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
@@ -274,3 +325,46 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# --- the exit contract ---------------------------------------------------------------
+
+
+def _assert_exit_contract(argv):
+    """Exit 0, 2, 3 or 4, with at most one line on stderr and no traceback."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3, 4), (argv, rc)
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+
+
+@settings(max_examples=30)
+@given(
+    command=st.sampled_from(
+        [["gap"], ["verify-embed"], ["motion"], ["build", "--format", "json"]]
+    ),
+    string=st.none() | st.text("0123456 x", max_size=6),
+    kind=st.none() | st.sampled_from(["tetrahelix", "quadrahelix", "octahelix"]),
+    L=st.none() | st.integers(-2, 3),
+)
+def test_chain_commands_keep_exit_contract(command, string, kind, L):
+    argv = list(command)
+    for flag, value in (("--string", string), ("--kind", kind), ("--L", L)):
+        if value is not None:
+            argv += [flag, str(value)]
+    _assert_exit_contract(argv)
+
+
+@settings(max_examples=20)
+@given(
+    argv=st.one_of(
+        st.integers(-3, 30).map(lambda n: ["search-cf", "--count", str(n)]),
+        st.one_of(
+            st.sampled_from(["0", "-5", "-0.5", "nan", "inf", "abc", ""]),
+            st.floats(-1, 40).map(lambda e: f"{10**e:.6g}"),
+        ).map(lambda X: ["search-lll", "--X", X]),
+    )
+)
+def test_search_commands_keep_exit_contract(argv):
+    _assert_exit_contract(argv)

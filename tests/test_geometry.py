@@ -1,23 +1,21 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from conftest import valid_strings
-from tetrachain.bary import chain_matrix
+from conftest import reference_fold, valid_strings
 from tetrachain.geometry import (
-    apply_bary,
     bary_coefficients,
     edge_lengths,
     helix_vertex,
     invisible_t0,
     realize_chain,
     realize_printed,
-    reflect_tetra,
     tetra_array,
     tetra_volume,
     tetrahelix_bary_point,
 )
+from tetrachain.strings import quadrahelix_string
 
 
 def _dist(a, b):
@@ -51,21 +49,20 @@ def test_seed_tetrahedron_regular(c40):
 
 
 def test_reflect_tetra_moves_one_vertex(c40):
-    t0 = invisible_t0(c40)
+    s = (2, 1, 3, 4, 2, 3, 1)
+    chain = realize_chain(s[1:], s[0], c40)
+    prev = invisible_t0(c40)
     with c40.ctx.work():  # geometry primitives compute at ambient precision
-        t1 = reflect_tetra(t0, 2)
-        for p in range(4):
-            d = _dist(t0.vertices[p], t1.vertices[p])
-            if p == 1:  # vertex 2 is opposite face 2 and must move
-                assert d > mpf("0.5")
-            else:
-                assert d < mpf(10) ** -45
-        # volume is preserved, orientation flips do not change |det|/6
-        assert abs(tetra_volume(t1) - tetra_volume(t0)) < mpf(10) ** -45
-        t0_again = reflect_tetra(t1, 2)
-        assert max(
-            _dist(a, b) for a, b in zip(t0.vertices, t0_again.vertices)
-        ) < mpf(10) ** -45
+        vol0 = tetra_volume(prev)
+        for sym, cur in zip(s, chain.tetrahedra):
+            for p in range(4):
+                if p == sym - 1:  # the vertex opposite the reflected face moves
+                    assert _dist(prev.vertices[p], cur.vertices[p]) > mpf("0.5")
+                else:  # the shared face is copied bit for bit
+                    assert cur.vertices[p] == prev.vertices[p]
+            # volume is preserved, orientation flips do not change |det|/6
+            assert abs(tetra_volume(cur) - vol0) < mpf(10) ** -45
+            prev = cur
 
 
 def test_realize_printed_counts(c40):
@@ -80,17 +77,19 @@ def test_realize_rejects_colliding_lead(c40):
         realize_chain((2, 3), r0=2, c=c40)
 
 
-def test_realization_matches_barycentric_product(c40):
-    # reflect step by step in Cartesian space, then compare against the
-    # single barycentric product applied to the seed
-    s = (1, 2, 3, 4, 1, 3, 2, 1)
+@given(valid_strings(max_size=40))
+@example(quadrahelix_string(60))
+def test_realization_matches_barycentric_product(c40, s):
+    # the prefix-product realization against step-by-step Cartesian
+    # reflections, on every tetrahedron of the chain
     chain = realize_printed(s, c40)
-    t0 = invisible_t0(c40)
-    K = chain_matrix(s).to_mpf(c40.ctx)
+    fold = reference_fold(s, c40)
     with c40.ctx.work():
-        t_alg = apply_bary(t0, K)
-        t_geo = chain.tetrahedra[-1]
-        err = max(_dist(a, b) for a, b in zip(t_alg.vertices, t_geo.vertices))
+        err = max(
+            _dist(a, b)
+            for t_bary, t_geo in zip(chain.tetrahedra, fold)
+            for a, b in zip(t_bary.vertices, t_geo.vertices)
+        )
         assert err < mpf(10) ** -44
 
 

@@ -5,7 +5,7 @@ from mpmath import mp, mpf
 import pytest
 from hypothesis import given, strategies as st
 
-from tetrachain import bary
+from tetrachain import bary, motion
 from tetrachain.geometry import invisible_t0, realize_printed
 from tetrachain.metrics import gap_report, spectral_norm
 from tetrachain.motion import (
@@ -25,6 +25,7 @@ from tetrachain.motion import (
     limiting_rhombus,
     motion_eigenvalues,
     motion_residuals,
+    quadrahelix_gap_report,
     rank_of_k_minus_i,
     t0_operator_norm,
 )
@@ -79,6 +80,18 @@ def test_closed_form_gap_far_beyond_exact_range(ctx40):
     cf = closed_form_gap(601944, ctx40)
     with ctx40.work():
         assert abs(cf.gap - mpf("1.3174462e-7")) < mpf(10) ** -13
+
+
+@pytest.mark.parametrize("r0", [None, 1, 3, 4])
+def test_quadrahelix_gap_report_paths_agree(r0, c40, monkeypatch):
+    # the exact products against the closed form with its leads M_r0 M_1 K
+    exact = quadrahelix_gap_report(10, c40, r0=r0)
+    monkeypatch.setattr(motion, "MAX_EXACT_LENGTH", 0)
+    closed = quadrahelix_gap_report(10, c40, r0=r0)
+    assert closed.r0 == exact.r0 == (r0 or 1)
+    with c40.ctx.work():
+        for field in ("gap", "norm_gap", "maxnorm_gap", "discrete_gap"):
+            assert abs(getattr(closed, field) - getattr(exact, field)) < mpf(10) ** -35
 
 
 def test_closed_form_gap_refuses_unresolvable_scale(ctx40):
