@@ -11,7 +11,7 @@ import argparse
 from mpmath import mp
 
 from tetrachain.motion import gap_bound_qh, quadrahelix_gap_report
-from tetrachain.precision import RealCtx, make_constants, reduce_theta_multiple
+from tetrachain.precision import RealCtx, make_constants
 from tetrachain.search import convergent_lengths
 
 
@@ -27,8 +27,8 @@ def main():
     with ctx.work():
         for L in convergent_lengths(c, args.L_max):
             gap = quadrahelix_gap_report(L, c).gap
-            delta, _ = reduce_theta_multiple(L + 1, ctx)
-            bound = gap_bound_qh(L, ctx).bound
+            qb = gap_bound_qh(L, ctx)
+            delta, bound = qb.delta_bar, qb.bound
             ratio = bound / gap if gap > 0 else mp.inf
             print(
                 f"{L:>9}  {mp.nstr(delta, 6):>13}  {mp.nstr(gap, 6):>13}"

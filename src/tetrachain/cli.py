@@ -227,8 +227,7 @@ def cmd_search_lll(args) -> int:
     payload = _lll_payload(args, args.digits)
     if payload["x"] == 0:
         raise ValueError(f"X = {args.X} is too small: the search finds only x = 0")
-    # as in continued_fraction_convergents, an answer that moves when the
-    # working digits double is not certified
+    # an answer that moves when the working digits double is not certified
     check = _lll_payload(args, 2 * args.digits)
     x, y, err = (payload[k] for k in ("x", "y", "err"))
     if (x, y) != (check["x"], check["y"]) or abs(err - check["err"]) > 1e-12 * check["err"]:

@@ -2,9 +2,10 @@
 
 Everything numeric in this package runs through an explicit :class:`RealCtx`
 so that a caller can dial the working precision up or down without touching
-global state for longer than a single operation.  The helix constants are
-recomputed per call (cheap: a handful of Newton steps) rather than cached,
-which keeps the module free of hidden precision coupling.
+global state for longer than a single operation.  This module is the one home
+of the angles: :func:`theta` and :func:`target_angle` define them once, and
+constants, reductions and the continued fraction each evaluate them at their
+own working precision rather than caching a value.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ class RealCtx:
         """Context manager setting mpmath's decimal precision to digits+guard."""
         return mp.workdps(self.workdps)
 
-    def tol(self, slack: int = 0):
-        """10^(-digits + slack) as an mpf at current precision."""
-        return mpf(10) ** (-self.digits + slack)
-
 
 @dataclass(frozen=True)
 class Constants:
@@ -65,44 +62,40 @@ class Constants:
     gamma_minus: mpf = field(repr=False)
 
 
-def _theta_newton(target: mpf) -> mpf:
-    """Solve cos(x) = target by Newton iteration from a crude seed."""
-    x = mpf(2.3)
-    for _ in range(mp.prec):
-        f = mp.cos(x) - target
-        if f == 0:
-            break
-        step = f / mp.sin(x)
-        x += step
-        if abs(step) < mpf(2) ** (-mp.prec + 4):
-            break
-    return x
+def theta() -> mpf:
+    """The helix turn angle arccos(-2/3) at mpmath's current precision."""
+    return mp.acos(mpf(-2) / 3)
+
+
+def target_angle(name: str) -> mpf:
+    """The octahelix target angle arccos((-3 +- 5*sqrt(3))/12), "gamma_plus" or "gamma_minus"."""
+    signs = {"gamma_plus": 1, "gamma_minus": -1}
+    if name not in signs:
+        raise ValueError(f"unknown offset {name!r}")
+    return mp.acos((-3 + signs[name] * 5 * mp.sqrt(3)) / 12)
 
 
 def make_constants(ctx: RealCtx) -> Constants:
     """Compute the helix constants at ctx precision.
 
-    theta is computed two independent ways -- Newton's method on
-    cos(x) + 2/3 = 0 and the closed form pi - arctan(sqrt(5)/2) -- and the
-    two must agree to ctx.digits; a disagreement indicates a precision bug
+    A residual |cos(theta) + 2/3| above 10^-digits indicates a precision bug
     somewhere below us and raises :class:`PrecisionError`.
     """
     with ctx.work():
-        theta = _theta_newton(mpf(-2) / 3)
-        theta_alt = mp.pi - mp.atan(mp.sqrt(5) / 2)
-        if abs(theta - theta_alt) > mpf(10) ** (-ctx.digits):
+        t = theta()
+        if (residual := abs(mp.cos(t) + mpf(2) / 3)) > mpf(10) ** (-ctx.digits):
             raise PrecisionError(
-                f"theta cross-check failed: |{theta} - {theta_alt}| > 1e-{ctx.digits}"
+                f"theta residual |cos(theta) + 2/3| = {mp.nstr(residual, 3)} > 1e-{ctx.digits}"
             )
         return Constants(
             ctx=ctx,
-            theta=theta,
+            theta=t,
             two_pi=2 * mp.pi,
             r=3 * mp.sqrt(3) / 10,
             h=1 / mp.sqrt(10),
             eta=mp.sqrt(17) / 5,
-            gamma_plus=mp.acos((-3 + 5 * mp.sqrt(3)) / 12),
-            gamma_minus=mp.acos((-3 - 5 * mp.sqrt(3)) / 12),
+            gamma_plus=target_angle("gamma_plus"),
+            gamma_minus=target_angle("gamma_minus"),
         )
 
 
@@ -130,30 +123,30 @@ def reduce_angle(alpha, ctx: RealCtx):
         return out
 
 
+def _decimal_digits(n: int) -> int:
+    """len(str(abs(n))) from bit_length, free of str's 4,300-digit limit."""
+    # 0.3010299956 < log10(2): d is the count or one below it for n < 10^(10^9)
+    d = max(1, (abs(n).bit_length() - 1) * 3010299956 // 10**10 + 1)
+    return d + (abs(n) >= 10**d)
+
+
 def reduce_theta_multiple(mult: int, ctx: RealCtx, offset: str | None = None):
     """Reduce mult*theta (minus an optional target angle) to [-pi, pi).
 
-    `mult` may be astronomically large (hundreds of digits): theta and pi are
-    evaluated with enough extra precision to cover len(str(mult)), and the
-    nearest multiple of 2*pi is subtracted as one exact big-integer step, so
-    no error accumulates in a loop.
+    `mult` may have any number of digits: theta and pi carry one extra decimal
+    per digit of mult, and the nearest multiple of 2*pi is subtracted as one
+    exact big-integer step, so no error accumulates in a loop.
 
     offset: None, "gamma_plus", or "gamma_minus".
 
     Returns (reduced angle as mpf carrying ctx.digits significant digits,
     nearest-multiple integer k).
     """
-    extra = len(str(abs(int(mult))))
-    work = ctx.digits + ctx.guard + extra
-    with mp.workdps(work):
-        theta = _theta_newton(mpf(-2) / 3)
-        t = mpf(int(mult)) * theta
-        if offset == "gamma_plus":
-            t -= mp.acos((-3 + 5 * mp.sqrt(3)) / 12)
-        elif offset == "gamma_minus":
-            t -= mp.acos((-3 - 5 * mp.sqrt(3)) / 12)
-        elif offset is not None:
-            raise ValueError(f"unknown offset {offset!r}")
+    mult = int(mult)
+    with mp.workdps(ctx.workdps + _decimal_digits(mult)):
+        t = mpf(mult) * theta()
+        if offset is not None:
+            t -= target_angle(offset)
         k = int(mp.nint(t / (2 * mp.pi)))
         dbar = t - 2 * mp.pi * mpf(k)
         if dbar >= mp.pi:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .precision import Constants, PrecisionError, RealCtx, make_constants
+from .precision import Constants, PrecisionError, RealCtx, theta
 
 
 @dataclass(frozen=True)
@@ -38,62 +38,69 @@ class DioSolution:
     target: str  # gamma_plus | gamma_minus
 
 
-def _cf_denominators(x, count: int) -> list[tuple[int, int]]:
-    """First `count` convergents (k, q) of the continued fraction of x."""
-    out = []
-    h0, h1 = 1, int(mp.floor(x))
-    k0, k1 = 0, 1
-    frac = x - h1
-    out.append((h1, k1))
-    while len(out) < count:
-        if frac == 0:
-            break
-        x = 1 / frac
-        a = int(mp.floor(x))
-        frac = x - a
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
-        out.append((h1, k1))
-    return out
+def _turn_enclosure(ctx: RealCtx) -> tuple[int, int, int]:
+    """(lo, hi, p) with lo/2^p < theta/(2*pi) < hi/2^p, from one evaluation.
+
+    At p bits (2*digits + guard decimals) acos, pi and the quotient each round
+    within an ulp, 2^-(p+1) on [1/4, 1/2): the truncated mid/2^p lies within
+    2.5 * 2^-p of theta/(2*pi), and a slack of 4 on either side encloses it.
+    """
+    with mp.workdps(2 * ctx.digits + ctx.guard):
+        p = mp.prec
+        mid = int(mp.ldexp(theta() / (2 * mp.pi), p))
+    return mid - 4, mid + 4, p
 
 
-def continued_fraction_convergents(
-    c: Constants, count: int, ctx: RealCtx | None = None
-) -> list[Convergent]:
-    """Convergents k/q of theta/(2*pi), verified stable under precision doubling.
+def _shared_convergents(lo: int, hi: int, p: int):
+    """Yield the convergents (k, q) shared by every point of [lo, hi] / 2^p.
 
-    The continued-fraction expansion is recomputed with twice the working
-    digits; any disagreement in the first `count` terms means the requested
-    precision cannot support that many convergents, and raises
-    :class:`PrecisionError` rather than returning junk.
+    Euclid runs on both ends at once until their partial quotients differ;
+    the points sharing a prefix of them form an interval, so theta/(2*pi),
+    inside the enclosure, has each k/q as a convergent.
+    """
+    a_lo, b_lo, a_hi, b_hi = lo, 1 << p, hi, 1 << p
+    k, k_prev, q, q_prev = 1, 0, 0, 1
+    while b_lo and b_hi and a_lo // b_lo == a_hi // b_hi:
+        a = a_lo // b_lo
+        a_lo, b_lo, a_hi, b_hi = b_lo, a_lo - a * b_lo, b_hi, a_hi - a * b_hi
+        k, k_prev, q, q_prev = a * k + k_prev, k, a * q + q_prev, q
+        yield k, q
+
+
+def _unsupported(ctx: RealCtx, n: int) -> PrecisionError:
+    return PrecisionError(
+        f"continued fraction unstable: {ctx.digits} digits support only {n} reliable convergents"
+    )
+
+
+def continued_fraction_convergents(c: Constants, count: int) -> list[Convergent]:
+    """The first `count` convergents k/q of theta/(2*pi), each one certified.
+
+    The whole exact enclosure of theta/(2*pi) must share k/q and give the same
+    float64 err; a count past that raises :class:`PrecisionError`, not junk.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    ctx = ctx or c.ctx
-    with ctx.work():
-        first = _cf_denominators(c.theta / c.two_pi, count)
-    check_ctx = RealCtx(digits=2 * ctx.digits, guard=ctx.guard)
-    c2 = make_constants(check_ctx)
-    with check_ctx.work():
-        second = _cf_denominators(c2.theta / c2.two_pi, count)
-        if first != second[: len(first)] or len(first) < count:
-            raise PrecisionError(
-                f"continued fraction unstable: {ctx.digits} digits support only "
-                f"{sum(a == b for a, b in zip(first, second))} reliable convergents"
-            )
-        out = []
-        for k, q in first:
-            err = abs(c2.theta / c2.two_pi - mpf(k) / q)
-            out.append(Convergent(k=k, q=q, err=float(err)))
-        return out
+    lo, hi, p = _turn_enclosure(c.ctx)
+    out = []
+    for k, q in _shared_convergents(lo, hi, p):
+        # int / int true division rounds correctly, and |x - k/q| is monotone
+        # in x over the enclosure, so equal ends certify the float
+        err = abs(lo * q - (k << p)) / (q << p)
+        if len(out) == count or err != abs(hi * q - (k << p)) / (q << p):
+            break
+        out.append(Convergent(k=k, q=q, err=err))
+    if len(out) < count:
+        raise _unsupported(c.ctx, len(out))
+    return out
 
 
 def convergent_lengths(c: Constants, L_max: int) -> list[int]:
     """The chain parameters L = q - 1 in 1..L_max over the convergent denominators q."""
-    count = 25
-    while (convs := continued_fraction_convergents(c, count))[-1].L <= L_max:
-        count += 15
-    return sorted({conv.L for conv in convs if 1 <= conv.L <= L_max})
+    lengths = [q - 1 for _, q in _shared_convergents(*_turn_enclosure(c.ctx))]
+    if lengths[-1] <= L_max:
+        raise _unsupported(c.ctx, len(lengths))
+    return [L for L in lengths if 1 <= L <= L_max]
 
 
 def kronecker_bound_check(x: int, y: int, alpha, beta, gamma) -> bool:

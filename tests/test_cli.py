@@ -359,7 +359,9 @@ def test_chain_commands_keep_exit_contract(command, string, kind, L):
 @settings(max_examples=20)
 @given(
     argv=st.one_of(
-        st.integers(-3, 30).map(lambda n: ["search-cf", "--count", str(n)]),
+        st.tuples(st.integers(-3, 200), st.integers(30, 80)).map(
+            lambda nd: ["search-cf", "--count", str(nd[0]), "--digits", str(nd[1])]
+        ),
         st.one_of(
             st.sampled_from(["0", "-5", "-0.5", "nan", "inf", "abc", ""]),
             st.floats(-1, 40).map(lambda e: f"{10**e:.6g}"),

@@ -29,7 +29,14 @@ from tetrachain.motion import (
     rank_of_k_minus_i,
     t0_operator_norm,
 )
-from tetrachain.precision import PrecisionError, reduce_angle, reduce_theta_multiple
+from tetrachain.precision import (
+    PrecisionError,
+    RealCtx,
+    make_constants,
+    reduce_angle,
+    reduce_theta_multiple,
+)
+from tetrachain.search import convergent_lengths
 from tetrachain.strings import octahelix_string, quadrahelix_string
 
 
@@ -80,6 +87,18 @@ def test_closed_form_gap_far_beyond_exact_range(ctx40):
     cf = closed_form_gap(601944, ctx40)
     with ctx40.work():
         assert abs(cf.gap - mpf("1.3174462e-7")) < mpf(10) ** -13
+
+
+def test_closed_form_gap_beyond_str_limit():
+    # the first convergent L past 4,300 digits (the int -> str limit); its
+    # gap ~ 1/L needs about as many working digits as L has
+    c = make_constants(RealCtx(digits=4340))
+    floor = 10**4300
+    L = min(L for L in convergent_lengths(c, 10 * floor) if L >= floor)
+    cf = closed_form_gap(L, c.ctx, c)
+    with c.ctx.work():
+        assert 0 < cf.gap <= gap_bound_qh(L, c.ctx).bound
+        assert cf.gap < mpf(10) ** -4299
 
 
 @pytest.mark.parametrize("r0", [None, 1, 3, 4])

@@ -6,6 +6,7 @@ from mpmath import mp, mpf
 from tetrachain.precision import (
     PrecisionError,
     RealCtx,
+    _decimal_digits,
     make_constants,
     reduce_angle,
     reduce_theta_multiple,
@@ -22,7 +23,7 @@ def test_ctx_rejects_low_digits():
 def test_turn_angle_value(c40):
     with c40.ctx.work():
         assert abs(c40.theta - mp.acos(mpf(-2) / 3)) < mpf(10) ** -50
-        # independent form used as the internal cross-check
+        # an independent closed form, cross-checking the acos definition
         assert abs(c40.theta - (mp.pi - mp.atan(mp.sqrt(5) / 2))) < mpf(10) ** -50
         assert mp.nstr(c40.theta, 12) == "2.30052398302"
 
@@ -100,6 +101,24 @@ def test_reduce_theta_multiple_huge(ctx40):
     assert len(str(k)) == len(str(L))
     with ctx40.work():
         assert abs(d) < mpf(10) ** -99
+
+
+def test_decimal_digits_matches_str():
+    for e in range(0, 400, 7):
+        for n in (10**e - 1, 10**e, 10**e + 1, 2**e, 3**e):
+            assert _decimal_digits(n) == _decimal_digits(-n) == len(str(n))
+    assert _decimal_digits(10**5000) == 5001
+
+
+def test_reduce_theta_multiple_beyond_str_limit(ctx40):
+    # 4,401 digits: past the 4,300-digit limit of int -> str conversion
+    mult = 10**4400 + 8
+    d, k = reduce_theta_multiple(mult, ctx40)
+    with mp.workdps(4600):
+        t = mult * (mp.pi - mp.atan(mp.sqrt(5) / 2))
+        k_ref = int(mp.nint(t / (2 * mp.pi)))
+        assert k == k_ref
+        assert abs(d - (t - 2 * mp.pi * k_ref)) < mpf(10) ** -40
 
 
 def test_reduce_theta_multiple_offsets(c40):

@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
+from tetrachain.precision import PrecisionError, RealCtx, make_constants
 from tetrachain.search import (
     DioSolution,
     _lll_2d,
@@ -30,13 +32,27 @@ def test_convergent_list(c60):
     assert [conv.q - 1 for conv in convs] == KNOWN_L
 
 
-def test_convergents_have_small_errors(c60):
-    with c60.ctx.work():
-        x = c60.theta / c60.two_pi
-        for conv in continued_fraction_convergents(c60, 21)[1:]:
-            exact = abs(x - mpf(conv.k) / conv.q)
-            # err is stored as a float snapshot of the high-precision value
-            assert abs(conv.err - exact) <= abs(exact) * mpf(10) ** -12
+# counts certified by the former check, which compared the expansion at d and
+# 2d digits; the exact enclosure must certify at least as many
+DOUBLING_COUNTS = {30: 52, 40: 56, 60: 78, 80: 94}
+
+
+@pytest.mark.parametrize("digits", sorted(DOUBLING_COUNTS))
+def test_convergents_have_small_errors(digits):
+    c = make_constants(RealCtx(digits=digits))
+    with pytest.raises(PrecisionError) as exc:
+        continued_fraction_convergents(c, 10**4)
+    n = int(re.search(r"support only (\d+) ", str(exc.value)).group(1))
+    assert n >= DOUBLING_COUNTS[digits]
+    convs = continued_fraction_convergents(c, n)
+    assert len(convs) == n
+    for prev, conv in zip(convs, convs[1:]):
+        assert abs(conv.k * prev.q - prev.k * conv.q) == 1
+    with mp.workdps(4 * digits):
+        x = (mp.pi - mp.atan(mp.sqrt(5) / 2)) / (2 * mp.pi)
+        for conv in convs:
+            # err is the float64 nearest the exact |x - k/q|
+            assert conv.err == float(abs(x - mpf(conv.k) / conv.q))
             assert conv.err < 1 / mpf(conv.q) ** 2
 
 
