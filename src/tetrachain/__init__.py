@@ -16,12 +16,10 @@ from .precision import (
     PrecisionError,
 )
 from .strings import (
-    ChainSpec,
     tetrahelix_string,
     quadrahelix_string,
     octahelix_string,
     preset_540_string,
-    make_chain,
 )
 from .bary import BaryMatrix, reflection_matrix, chain_matrix, divisibility_witness
 from .geometry import Tetrahedron, RealizedChain, helix_vertex, invisible_t0, realize_chain
@@ -46,12 +44,10 @@ __all__ = [
     "reduce_angle",
     "reduce_theta_multiple",
     "PrecisionError",
-    "ChainSpec",
     "tetrahelix_string",
     "quadrahelix_string",
     "octahelix_string",
     "preset_540_string",
-    "make_chain",
     "BaryMatrix",
     "reflection_matrix",
     "chain_matrix",

@@ -38,12 +38,17 @@ class BaryMatrix:
         return [[Fraction(x, d) for x in row] for row in self.num]
 
     def __matmul__(self, other: "BaryMatrix") -> "BaryMatrix":
+        """The product in lowest terms: common factors of 3 are divided out."""
         a, b = self.num, other.num
         rows = tuple(
             tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
             for i in range(4)
         )
-        return BaryMatrix(rows, self.power + other.power)
+        power = self.power + other.power
+        while power > 0 and all(x % 3 == 0 for row in rows for x in row):
+            rows = tuple(tuple(x // 3 for x in row) for row in rows)
+            power -= 1
+        return BaryMatrix(rows, power)
 
     def to_mpf(self, ctx: RealCtx) -> list[list[mpf]]:
         """Entries as mpf at ctx working precision."""
@@ -85,7 +90,7 @@ IDENTITY = BaryMatrix(
     ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), 0
 )
 
-MAX_EXACT_LENGTH = 20_000  # beyond this, use the closed-form evaluation path
+MAX_EXACT_LENGTH = 20_000  # letters; exact products and realization stop here
 
 
 def reflection_matrix(i: int) -> BaryMatrix:
@@ -107,8 +112,12 @@ def prefix_products(s: Sequence[int]) -> Iterator[_Rows]:
     2*(sum of the other columns) - 3*(column i), and the other columns are
     multiplied by 3.  Column j of the k-th product holds the barycentric
     coordinates over T_0 of vertex j of tetrahedron T_{k+1}.  The caller
-    validates s.
+    validates s; a string past MAX_EXACT_LENGTH is refused.
     """
+    if len(s) > MAX_EXACT_LENGTH:
+        raise ValueError(
+            f"string length {len(s)} exceeds the exact-product limit {MAX_EXACT_LENGTH}"
+        )
     cols = IDENTITY.num  # the identity is its own transpose
     for sym in s:
         i = sym - 1
@@ -125,30 +134,37 @@ def chain_matrix(s: Sequence[int]) -> BaryMatrix:
     """Exact product M_{s[0]} M_{s[1]} ... in string order."""
     if not is_valid(s):
         raise ValueError(f"invalid reflection string {s!r}")
-    if len(s) > MAX_EXACT_LENGTH:
-        raise ValueError(
-            f"string length {len(s)} exceeds the exact-product limit "
-            f"{MAX_EXACT_LENGTH}; evaluate via motion.k_formula instead"
-        )
     for cols in prefix_products(s):
         pass
     return BaryMatrix(tuple(zip(*cols)), len(s))
 
 
-def three_leading_matrices(tail: Sequence[int]) -> dict[int, BaryMatrix]:
-    """Chain products r0 + tail for the three legal leading faces r0.
+def lead_matrices(K, s0: int, s1: int) -> dict:
+    """Chain matrix of every legal lead r != s1, for K the product of a string s0, s1, ...
 
-    tail is a chain's string without its first symbol; the shared suffix
-    product is computed once and each candidate M_{r0} is prepended.
+    An open chain's first tetrahedron may be reflected in any face but the
+    one the second letter uses.  Reflections are involutions, so lead r has
+    M_r M_s0 K, which is K itself for r = s0.  K is a BaryMatrix, or mpf
+    rows multiplied at the current working precision.
     """
-    if len(tail) == 0:
-        return {r0: reflection_matrix(r0) for r0 in (1, 2, 3, 4)}
-    if not is_valid(tail):
-        raise ValueError(f"invalid tail {tail!r}")
-    suffix = chain_matrix(tail)
-    return {
-        r0: reflection_matrix(r0) @ suffix for r0 in (1, 2, 3, 4) if r0 != tail[0]
-    }
+    leads = {s0: K}
+    for r in (1, 2, 3, 4):
+        if r in (s0, s1):
+            continue
+        P = reflection_matrix(r) @ reflection_matrix(s0)  # over 3^2
+        if isinstance(K, BaryMatrix):
+            leads[r] = P @ K
+        else:
+            leads[r] = mat_mul([[mpf(x) / 9 for x in row] for row in P.num], K)
+    return dict(sorted(leads.items()))
+
+
+def mat_mul(A, B):
+    """Product of two matrices given as rows."""
+    return [
+        [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
+        for i in range(len(A))
+    ]
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,14 @@ from .search import (
     fixup_negative_x,
     lattice_table,
 )
-from .strings import format_string, make_chain, parse_string
+from .strings import (
+    format_string,
+    octahelix_string,
+    parse_string,
+    preset_540_string,
+    quadrahelix_string,
+    tetrahelix_string,
+)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -70,14 +77,24 @@ def _nstr(x, digits: int) -> str:
         return mp.nstr(mpf(x), digits, strip_zeros=True)
 
 
-def _chain_spec(args):
-    if getattr(args, "string", None):
-        s = parse_string(args.string)
-        return None, s
+_GENERATORS = {
+    "tetrahelix": tetrahelix_string,
+    "quadrahelix": quadrahelix_string,
+    "octahelix": octahelix_string,
+}
+
+
+def _chain(args):
+    """(kind, param, string) of the chain named by --string, or --kind and --L."""
+    if args.string:
+        return "string", None, parse_string(args.string)
+    if args.kind == "preset540":
+        return "preset540", None, preset_540_string()
     if not args.kind:
         raise ValueError("either --string or --kind is required")
-    spec = make_chain(args.kind, args.L)
-    return spec, spec.string
+    if args.L is None:
+        raise ValueError(f"--kind {args.kind} needs --L")
+    return args.kind, args.L, _GENERATORS[args.kind](args.L)
 
 
 # --- build --------------------------------------------------------------------
@@ -99,25 +116,21 @@ def _obj_mesh(chain) -> str:
 def cmd_build(args) -> int:
     ctx = RealCtx(digits=args.digits)
     c = make_constants(ctx)
-    spec, s = _chain_spec(args)
-    summary = {
-        "kind": spec.kind if spec else "string",
-        "param": spec.param if spec else None,
-        "string": format_string(s),
-        "length": len(s),
-    }
-    # the gap first: a string past the exact-product limit fails before the
-    # realization, whose exact arithmetic grows with the square of its length
-    if spec and spec.kind == "preset540":
+    kind, param, s = _chain(args)
+    summary = {"kind": kind, "param": param, "length": len(s)}
+    # the gap first: past the exact-product limit it fails before the string is
+    # formatted, which costs several times the memory of the spelled letters
+    if kind == "preset540":
         loop = loop_gap_report(s, c)
         summary["gap_report"] = loop.best.to_json_dict()
         summary["loop"] = loop.to_json_dict()
     else:
         summary["gap_report"] = gap_report(s, c).to_json_dict()
+    summary["string"] = format_string(s)
     chain = realize_printed(s, c)
     summary["tetrahedra"] = len(chain.tetrahedra)
     if args.format == "obj":
-        out = args.out or f"{summary['kind']}_{summary['param'] or len(s)}.obj"
+        out = args.out or f"{kind}_{param or len(s)}.obj"
         _write_atomic(out, _obj_mesh(chain))
         summary["mesh"] = out
         sys.stdout.write(_json_text(summary))
@@ -132,14 +145,14 @@ def cmd_build(args) -> int:
 def cmd_gap(args) -> int:
     ctx = RealCtx(digits=args.digits)
     c = make_constants(ctx)
-    spec, s = _chain_spec(args)
+    kind, param, s = _chain(args)
     if args.loop:
         loop = loop_gap_report(s, c)
         payload = {"string": format_string(s), "length": len(s), "loop": loop.to_json_dict()}
         _emit(_json_text(payload), args.out)
         return 0
-    if spec and spec.kind == "quadrahelix":
-        rep = quadrahelix_gap_report(spec.param, c, r0=args.r0)
+    if kind == "quadrahelix":
+        rep = quadrahelix_gap_report(param, c, r0=args.r0)
     else:
         rep = gap_report(s, c, r0=args.r0)
     if args.format == "csv":
@@ -245,7 +258,7 @@ def cmd_search_lll(args) -> int:
 def cmd_verify_embed(args) -> int:
     ctx = RealCtx(digits=args.digits)
     c = make_constants(ctx)
-    spec, s = _chain_spec(args)
+    _, _, s = _chain(args)
     chain = realize_printed(s, c)
     verdict = verify_embedded(chain)
     payload = {"string": format_string(s), "length": len(s)}
@@ -267,9 +280,9 @@ def cmd_scan_ratio(args) -> int:
 def cmd_motion(args) -> int:
     ctx = RealCtx(digits=args.digits)
     c = make_constants(ctx)
-    spec, s = _chain_spec(args)
-    if spec and spec.kind == "quadrahelix":
-        K = k_formula(spec.param, ctx)
+    kind, param, s = _chain(args)
+    if kind == "quadrahelix":
+        K = k_formula(param, ctx)
     else:
         K = chain_matrix(s).to_mpf(ctx)
     with ctx.work():
@@ -285,7 +298,7 @@ def cmd_motion(args) -> int:
             "angle": _nstr(motion.angle, d),
             "residuals": {k: float(v) for k, v in res.items()},
         }
-        if spec and spec.kind in ("quadrahelix", "octahelix") and len(s) <= 5000:
+        if kind in ("quadrahelix", "octahelix") and len(s) <= 5000:
             chain = realize_printed(s, c)
             payload["leg_axis_cosines"] = [
                 _nstr(x, 12) for x in leg_axis_cosines(chain, c)

@@ -109,14 +109,9 @@ def realize_chain(tail: Sequence[int], r0: int, c: Constants) -> RealizedChain:
     column of the k-th prefix product, exact until the one rounding to the
     working precision.
     """
-    if r0 not in (1, 2, 3, 4):
-        raise ValueError(f"r0 must be 1..4, got {r0}")
-    if len(tail) > 0:
-        if not is_valid(tail):
-            raise ValueError(f"invalid tail {tail!r}")
-        if tail[0] == r0:
-            raise ValueError(f"r0={r0} doubles back into tail start {tail[0]}")
     s = (r0, *tail)
+    if not is_valid(s):
+        raise ValueError(f"invalid reflection string {s!r}")
     with c.ctx.work():
         t0 = invisible_t0(c)
         ints, low = dyadic_ints(x for v in t0.vertices for x in v)

@@ -227,7 +227,7 @@ def gap_report(s, c: Constants, r0: int | None = None) -> GapReport:
     ctx = c.ctx
     matrices = {
         lead: (K.to_mpf(ctx), bary.matrix_minus_identity_mpf(K, ctx))
-        for lead, K in bary.three_leading_matrices(s[1:]).items()
+        for lead, K in bary.lead_matrices(bary.chain_matrix(s), s[0], s[1]).items()
     }
     return lead_minimized_report(matrices, c, r0)
 
@@ -250,20 +250,13 @@ class LoopGapReport:
         }
 
 
-def _strip_common_power(num, power):
-    while power > 0 and all(x % 3 == 0 for row in num for x in row):
-        num = tuple(tuple(x // 3 for x in row) for row in num)
-        power -= 1
-    return num, power
-
-
 def loop_gap_report(s, c: Constants) -> LoopGapReport:
     """Minimize the gap of a cyclic string over all rotations of its cut point.
 
     A closed loop has no distinguished first tetrahedron, so each rotation is
-    a legitimate reading of the same loop.  The suffix products are updated
-    incrementally: rotating the cut by one conjugates the tail product by a
-    single reflection on each side (reflections are involutions).
+    a legitimate reading of the same loop.  The product of each cut is
+    updated incrementally: moving the cut past letter i conjugates it by the
+    involution M_i.
     """
     s = tuple(s)
     n = len(s)
@@ -272,27 +265,13 @@ def loop_gap_report(s, c: Constants) -> LoopGapReport:
     ctx = c.ctx
     with ctx.work():
         t0 = invisible_t0(c)
-        tail = bary.chain_matrix(s[1:])
+        K = bary.chain_matrix(s)
         gaps = []
         for cut in range(n):
-            best = None
-            for r0 in (1, 2, 3, 4):
-                if r0 == s[(cut + 1) % n]:
-                    continue
-                K = bary.reflection_matrix(r0) @ tail
-                tn = apply_bary(t0, K.to_mpf(ctx))
-                gap = hausdorff_tetra(t0, tn)
-                if best is None or gap < best:
-                    best = gap
-            gaps.append(best)
-            # advance the cut: tail(cut+1) = M_{s[cut+1]} tail(cut) M_{s[cut]}
-            nxt = (
-                bary.reflection_matrix(s[(cut + 1) % n])
-                @ tail
-                @ bary.reflection_matrix(s[cut])
-            )
-            num, power = _strip_common_power(nxt.num, nxt.power)
-            tail = bary.BaryMatrix(num, power)
+            leads = bary.lead_matrices(K, s[cut], s[(cut + 1) % n]).values()
+            gaps.append(min(hausdorff_tetra(t0, apply_bary(t0, Kr.to_mpf(ctx))) for Kr in leads))
+            M = bary.reflection_matrix(s[cut])
+            K = M @ K @ M
         best_cut = min(range(n), key=lambda i: (gaps[i], i))
         printed = gap_report(s, c)
         return LoopGapReport(

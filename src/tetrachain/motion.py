@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .bary import MAX_EXACT_LENGTH, BaryMatrix, reflection_matrix
+from .bary import MAX_EXACT_LENGTH, BaryMatrix, lead_matrices, mat_mul
 from .geometry import (
     RealizedChain,
     Tetrahedron,
@@ -170,19 +170,16 @@ def quadrahelix_gap_report(L: int, c: Constants, r0: int | None = None) -> GapRe
     """Gap report of QH_L, minimized over the free leading face like gap_report.
 
     While the 4L+2 letters fit MAX_EXACT_LENGTH this is gap_report on the
-    exact products; beyond, the closed form gives K for the printed lead 1,
-    and since reflections are involutions lead r0 has M_{r0} M_1 K.
+    exact products; beyond, the closed form gives K of the printed string
+    and bary.lead_matrices the other leads.
     """
     if 4 * int(L) + 2 <= MAX_EXACT_LENGTH:
         return gap_report(quadrahelix_string(L), c, r0=r0)
     ctx = c.ctx
     _, _, K = _closed_form_matrix(L, ctx)
     with ctx.work():
-        matrices = {1: K}
-        for lead in (3, 4):  # every QH_L starts 1, 2
-            P = (reflection_matrix(lead) @ reflection_matrix(1)).to_mpf(ctx)
-            matrices[lead] = _mat_mul(P, K)
-        matrices = {lead: (M, minus_identity(M)) for lead, M in matrices.items()}
+        leads = lead_matrices(K, 1, 2)  # every QH_L starts 1, 2
+        matrices = {lead: (M, minus_identity(M)) for lead, M in leads.items()}
     return lead_minimized_report(matrices, c, r0)
 
 
@@ -202,13 +199,6 @@ class RigidMotion:
     w: tuple | None
     u: tuple | None
     angle: mpf
-
-
-def _mat_mul(A, B):
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
-        for i in range(len(A))
-    ]
 
 
 def _inv(M):
@@ -249,7 +239,7 @@ def decompose_motion(K, t0: Tetrahedron, ctx: RealCtx) -> RigidMotion:
         K = K.to_mpf(ctx)
     with ctx.work():
         T = homogeneous_t0(t0)
-        RR = _mat_mul(_mat_mul(T, [list(r) for r in K]), _inv(T))
+        RR = mat_mul(mat_mul(T, [list(r) for r in K]), _inv(T))
         R = tuple(tuple(RR[i][:3]) for i in range(3))
         t = tuple(RR[i][3] for i in range(3))
         RmI = minus_identity(R)

@@ -10,7 +10,6 @@ four-legged quadrahelix QH_L, the eight-legged octahelix OH_L, and a fixed
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 Symbol = int
@@ -38,20 +37,13 @@ def format_string(s: Iterable[int]) -> str:
     return "".join(str(x) for x in s)
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    """A named chain: kind, its size parameter, and the reflection string."""
+MAX_SPELLED_LENGTH = 10**7  # letters; a spelled chain costs about 90 bytes a letter
 
-    kind: str  # tetrahelix | quadrahelix | octahelix | preset540
-    param: int | None
-    string: String
 
-    def __post_init__(self):
-        if not is_valid(self.string):
-            raise ValueError("ChainSpec string fails validity")
-
-    def __len__(self) -> int:
-        return len(self.string)
+def _check_spelled_length(name: str, n: int) -> None:
+    """Refuse to spell a named chain of n letters, before allocating it."""
+    if n > MAX_SPELLED_LENGTH:
+        raise ValueError(f"{name} would spell {n} letters; the limit is {MAX_SPELLED_LENGTH}")
 
 
 def tetrahelix_string(m: int, start: int = 1) -> String:
@@ -60,6 +52,7 @@ def tetrahelix_string(m: int, start: int = 1) -> String:
         raise ValueError("m must be >= 1")
     if start not in (1, 2, 3, 4):
         raise ValueError("start must be in 1..4")
+    _check_spelled_length("the tetrahelix", m)
     return tuple((start - 1 + i) % 4 + 1 for i in range(m))
 
 
@@ -77,6 +70,7 @@ def quadrahelix_string(L: int) -> String:
     """The 4L+2 symbol string of the four-legged near-loop QH_L."""
     if L < 1:
         raise ValueError("L must be >= 1")
+    _check_spelled_length(f"QH_{L}", 4 * L + 2)
     sigma = _sigma(2 * L)
     j = 3 if L % 2 == 0 else 1
     out = (1,) + sigma + (j,) + sigma[::-1]
@@ -100,6 +94,7 @@ def octahelix_string(L: int) -> String:
     """
     if L < 1:
         raise ValueError("L must be >= 1")
+    _check_spelled_length(f"OH_{L}", 8 * L + 4)
     s_up = tetrahelix_string(L + 1, start=1)
     s_down = tetrahelix_string(L, start=1)[::-1]
     part = s_up + s_down + _relabel(s_up) + _relabel(s_down)
@@ -157,22 +152,3 @@ def rotate(s: Sequence[int], i: int) -> String:
     """Cyclic left rotation by i (used to scan cut points of closed loops)."""
     i %= len(s)
     return tuple(s[i:]) + tuple(s[:i])
-
-
-def make_chain(kind: str, param: int | None = None) -> ChainSpec:
-    """Build a ChainSpec by kind name; param is m for tetrahelix, else L."""
-    if kind == "tetrahelix":
-        if param is None:
-            raise ValueError("tetrahelix needs a length m")
-        return ChainSpec(kind, param, tetrahelix_string(param))
-    if kind == "quadrahelix":
-        if param is None:
-            raise ValueError("quadrahelix needs L")
-        return ChainSpec(kind, param, quadrahelix_string(param))
-    if kind == "octahelix":
-        if param is None:
-            raise ValueError("octahelix needs L")
-        return ChainSpec(kind, param, octahelix_string(param))
-    if kind == "preset540":
-        return ChainSpec(kind, None, preset_540_string())
-    raise ValueError(f"unknown chain kind {kind!r}")

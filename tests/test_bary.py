@@ -13,8 +13,9 @@ from tetrachain.bary import (
     chain_matrix,
     reflection_matrix,
     divisibility_witness,
-    three_leading_matrices,
+    lead_matrices,
 )
+from tetrachain.geometry import realize_printed
 
 
 def test_reflection_matrix_entries():
@@ -32,6 +33,7 @@ def test_reflection_is_involution():
         assert (M @ M).is_permutation()
         sq = M @ M
         assert all(sq.entry(a, b) == (a == b) for a in range(4) for b in range(4))
+        assert sq == IDENTITY and sq.power == 0  # products come in lowest terms
 
 
 def test_product_fixture_entries():
@@ -68,6 +70,10 @@ def test_product_is_concatenation(a, b):
     if a[-1] == b[0]:  # concatenation would repeat a letter; still a product
         ab = chain_matrix(a) @ chain_matrix(b)
         assert all(x == 1 for x in ab.column_sums())
+        # the repeated reflection cancels, and lowest terms make the equality exact
+        head = chain_matrix(a[:-1]) if len(a) > 1 else IDENTITY
+        rest = chain_matrix(b[1:]) if len(b) > 1 else IDENTITY
+        assert ab == head @ rest
         return
     assert (chain_matrix(a) @ chain_matrix(b)).entries() == chain_matrix(
         a + b
@@ -103,19 +109,37 @@ def test_divisibility_witness_random(s):
     assert w.numerator_mod3 != 0
 
 
-def test_three_leading_matrices():
-    d = three_leading_matrices((2, 3, 4))
-    assert sorted(d) == [1, 3, 4]  # any letter but the tail head
-    for r0, K in d.items():
-        assert K.entries() == chain_matrix((r0, 2, 3, 4)).entries()
-    # empty tail: all four single reflections
-    assert sorted(three_leading_matrices(())) == [1, 2, 3, 4]
+@given(valid_strings(min_size=2, max_size=30))
+def test_three_leading_matrices(ctx40, s):
+    K = chain_matrix(s)
+    leads = lead_matrices(K, s[0], s[1])
+    assert sorted(leads) == [r for r in (1, 2, 3, 4) if r != s[1]]
+    for r, M in leads.items():
+        expected = chain_matrix((r,) + s[1:])
+        assert (M.num, M.power) == (expected.num, expected.power)
+    # the same rule on mpf rows, as the closed form passes them
+    with ctx40.work():
+        rows = lead_matrices(K.to_mpf(ctx40), s[0], s[1])
+        assert sorted(rows) == sorted(leads)
+        for r, M in rows.items():
+            exact = leads[r].to_mpf(ctx40)
+            err = max(abs(M[i][j] - exact[i][j]) for i in range(4) for j in range(4))
+            assert err < 1e-40
 
 
-def test_exact_length_guard():
+def test_exact_length_guard(c40):
     s = tuple((i % 2) + 1 for i in range(MAX_EXACT_LENGTH + 2))
-    with pytest.raises(ValueError):
+    message = (
+        f"string length {MAX_EXACT_LENGTH + 2} exceeds the exact-product limit "
+        f"{MAX_EXACT_LENGTH}"
+    )
+    with pytest.raises(ValueError) as exc:
         chain_matrix(s)
+    assert str(exc.value) == message
+    # realization reads the same exact prefix products, so it stops at the same limit
+    with pytest.raises(ValueError) as exc:
+        realize_printed(s, c40)
+    assert str(exc.value) == message
 
 
 def test_to_mpf_matches_fractions(ctx40):

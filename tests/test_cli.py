@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface (run in-process)."""
 
+import hashlib
 import io
 import json
 import math
@@ -327,6 +328,68 @@ def test_version_flag():
     assert exc.value.code == 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gap", "--kind", "quadrahelix"], "error: --kind quadrahelix needs --L"),
+        (["gap"], "error: either --string or --kind is required"),
+        (
+            ["gap", "--kind", "quadrahelix", "--L", str(10**12)],
+            "error: QH_1000000000000 would spell 4000000000002 letters; "
+            "the limit is 10000000",
+        ),
+        (
+            ["gap", "--kind", "octahelix", "--L", "2500"],
+            "error: string length 20004 exceeds the exact-product limit 20000",
+        ),
+    ],
+)
+def test_named_chain_refusals(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
+# --- payload bytes -----------------------------------------------------------------
+
+# sha256 of stdout, recorded before the free leading face and the named chains
+# each moved behind one function; any change to these payloads is deliberate
+PAYLOAD_SHA256 = {
+    "gap --kind quadrahelix --L 10": (
+        "5a9f9befd2fa3ccd8be22d4a4d04197d6508ff01d9c07d459107d5e30b56b472"
+    ),
+    "gap --kind quadrahelix --L 12019 --r0 3": (
+        "2ab85c38f03d8572f258895540f07aeebdee6bac31b9e37b7b017e2dbd8b0e25"
+    ),
+    "gap --kind quadrahelix --L 12019 --format csv": (
+        "ef52ae633a4feb4a3eae4a50af0ca139547b2efa923b3368130d5d5dc6565400"
+    ),
+    "gap --string 1213131323 --r0 4": (
+        "2380c99a4c5b72ab7959c11274aafa29002f7beb4eec793813fd7afb01afd789"
+    ),
+    "gap --string 123412 --loop": (
+        "81e50d309a61d231c5d8c75bab951705fba35ba75e8baf1b7afcc12c9018c9bf"
+    ),
+    "gap --kind octahelix --L 36": (
+        "9dd575ae3eb645f61f4839c6cfd8a83ed6b65f1f0927b3b1d7cbeba0d6e310b0"
+    ),
+    "build --kind quadrahelix --L 3 --format json": (
+        "04396b7ecd08f42be4f22a44daaf98fa7046930c14bf87e0d5ab7b5ce52cb12c"
+    ),
+    "table1 --L-max 20000": (
+        "3d71b03492c7a86257cc6268d658fd76db56c51b7692fe43a75f9ea41466e5e1"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PAYLOAD_SHA256))
+def test_payload_bytes_are_pinned(command, capsys):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PAYLOAD_SHA256[command]
+
+
 # --- the exit contract ---------------------------------------------------------------
 
 
@@ -346,7 +409,8 @@ def _assert_exit_contract(argv):
     ),
     string=st.none() | st.text("0123456 x", max_size=6),
     kind=st.none() | st.sampled_from(["tetrahelix", "quadrahelix", "octahelix"]),
-    L=st.none() | st.integers(-2, 3),
+    # past MAX_SPELLED_LENGTH letters a named chain is refused before it is spelled
+    L=st.none() | st.integers(-2, 3) | st.sampled_from([10**7, 10**12, 10**40]),
 )
 def test_chain_commands_keep_exit_contract(command, string, kind, L):
     argv = list(command)

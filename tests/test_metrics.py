@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
 from mpmath import mp, mpf
 
+from conftest import valid_strings
 from tetrachain.geometry import Tetrahedron, invisible_t0, realize_printed
 from tetrachain.metrics import (
     directed_hausdorff,
@@ -13,7 +15,7 @@ from tetrachain.metrics import (
     point_to_triangle,
     spectral_norm,
 )
-from tetrachain.strings import preset_540_string, quadrahelix_string
+from tetrachain.strings import preset_540_string, quadrahelix_string, rotate
 
 TRI = ((mpf(0),) * 3, (mpf(1), mpf(0), mpf(0)), (mpf(0), mpf(1), mpf(0)))
 
@@ -121,6 +123,18 @@ def test_loop_gap_preset_540(c40):
     assert loop.best_cut == 68
     assert loop.n_cuts_below_printed >= 18
     assert loop.best.gap <= loop.printed.gap
+
+
+@settings(max_examples=10)
+@given(valid_strings(min_size=3, max_size=10).filter(lambda s: s[0] != s[-1]))
+def test_loop_walk_matches_gap_report_of_every_cut(c40, s):
+    # the incremental walk against a fresh gap_report of each rotation
+    loop = loop_gap_report(s, c40)
+    gaps = [gap_report(rotate(s, cut), c40).gap for cut in range(len(s))]
+    best_cut = min(range(len(s)), key=lambda i: (gaps[i], i))
+    assert loop.best_cut == best_cut
+    assert loop.best.gap == gaps[best_cut]
+    assert loop.n_cuts_below_printed == sum(1 for g in gaps if g < gaps[0])
 
 
 def test_loop_gap_rejects_open_strings(c40):

@@ -3,11 +3,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import valid_strings
+from tetrachain import strings
 from tetrachain.strings import (
-    ChainSpec,
+    MAX_SPELLED_LENGTH,
     format_string,
     is_valid,
-    make_chain,
     octahelix_literal_check,
     octahelix_string,
     parse_string,
@@ -96,18 +96,23 @@ def test_parse_rejects_invalid(bad):
         parse_string(bad)
 
 
-def test_make_chain_dispatch():
-    spec = make_chain("quadrahelix", 4)
-    assert isinstance(spec, ChainSpec)
-    assert spec.param == 4 and len(spec) == 18
-    assert make_chain("preset540").param is None
-    assert len(make_chain("tetrahelix", 16).string) == 16
+def test_named_chains_refuse_to_spell_past_the_cap(monkeypatch):
+    # refused from the length alone, long before the letters would be allocated
+    message = r"^QH_2500000 would spell 10000002 letters; the limit is 10000000$"
+    with pytest.raises(ValueError, match=message):
+        quadrahelix_string(2_500_000)
+    with pytest.raises(ValueError, match=r"^OH_1250000 would spell"):
+        octahelix_string(1_250_000)
+    with pytest.raises(ValueError, match=r"^the tetrahelix would spell"):
+        tetrahelix_string(MAX_SPELLED_LENGTH + 1)
+    # the cap is inclusive: a chain of exactly MAX_SPELLED_LENGTH letters is spelled
+    monkeypatch.setattr(strings, "MAX_SPELLED_LENGTH", 42)
+    assert len(quadrahelix_string(10)) == 42
     with pytest.raises(ValueError):
-        make_chain("quadrahelix")
+        quadrahelix_string(11)
+    assert len(octahelix_string(4)) == 36
     with pytest.raises(ValueError):
-        make_chain("dodecahelix", 3)
-
-
-def test_chainspec_validates():
+        octahelix_string(5)
+    assert len(tetrahelix_string(42)) == 42
     with pytest.raises(ValueError):
-        ChainSpec("quadrahelix", 1, (1, 1))
+        tetrahelix_string(43)
