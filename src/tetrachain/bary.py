@@ -105,6 +105,12 @@ def reflection_matrix(i: int) -> BaryMatrix:
     return BaryMatrix(tuple(rows), 1)
 
 
+def check_exact_length(n: int) -> None:
+    """Refuse a string of n letters past MAX_EXACT_LENGTH, before anything reads it."""
+    if n > MAX_EXACT_LENGTH:
+        raise ValueError(f"string length {n} exceeds the exact-product limit {MAX_EXACT_LENGTH}")
+
+
 def prefix_products(s: Sequence[int]) -> Iterator[_Rows]:
     """Numerator columns of each prefix product M_{s[0]} ... M_{s[k]}, over 3^(k+1).
 
@@ -114,10 +120,7 @@ def prefix_products(s: Sequence[int]) -> Iterator[_Rows]:
     coordinates over T_0 of vertex j of tetrahedron T_{k+1}.  The caller
     validates s; a string past MAX_EXACT_LENGTH is refused.
     """
-    if len(s) > MAX_EXACT_LENGTH:
-        raise ValueError(
-            f"string length {len(s)} exceeds the exact-product limit {MAX_EXACT_LENGTH}"
-        )
+    check_exact_length(len(s))
     cols = IDENTITY.num  # the identity is its own transpose
     for sym in s:
         i = sym - 1
@@ -132,6 +135,7 @@ def prefix_products(s: Sequence[int]) -> Iterator[_Rows]:
 
 def chain_matrix(s: Sequence[int]) -> BaryMatrix:
     """Exact product M_{s[0]} M_{s[1]} ... in string order."""
+    check_exact_length(len(s))
     if not is_valid(s):
         raise ValueError(f"invalid reflection string {s!r}")
     for cols in prefix_products(s):

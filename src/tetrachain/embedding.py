@@ -1,33 +1,32 @@
 """Embeddedness certification for realized chains.
 
-Two convex polytopes have disjoint interiors iff a separating plane exists
-among the face normals and pairwise edge cross products (separating axis
-theorem).  Non-adjacent pairs of a chain are pruned with axis-aligned
-bounding boxes.  A float64 SAT screen then picks, for each surviving pair,
-the axis that separates best and the margin to report; it decides nothing.
-The verdict is exact: every vertex of T_k has integer barycentric
-coordinates over T_0 with denominator 3^k, and a separating plane survives
-any affine map, so SAT runs on Python ints once both tetrahedra of a pair
-are brought to one power of 3.  The screen's axis is tried first, the other
-43 only if it does not separate, and a pair that touches separates by
-exactly 0.  No tolerance enters the verdict.  Adjacent pairs must share a
-face bit-for-bit and are exempt from the interior test.
+Two convex polytopes have disjoint interiors iff a face normal or a cross
+product of two edges is a separating axis (separating axis theorem, SAT).
+Non-adjacent pairs of a chain are pruned with axis-aligned bounding boxes.
+SAT on the float vertices of each surviving pair picks the axis that
+separates best and the margin to report; it decides nothing.  The verdict
+is the same SAT code on Python ints: every vertex of T_k has integer
+barycentric coordinates over T_0 with denominator 3^k, and a separating
+plane survives any affine map.  The screen's axis is tried first, the
+other 43 only if it does not separate, and a pair that touches separates
+by exactly 0.  No tolerance enters the verdict.  Adjacent pairs must share
+a face bit-for-bit and are exempt from the interior test.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-import numpy as np
 from mpmath import mp, mpf
 
 from .bary import prefix_products
-from .geometry import RealizedChain, Tetrahedron, _cross, _sub, dyadic_ints, tetra_array
+from .geometry import RealizedChain, Tetrahedron, _cross, _sub, dyadic_ints
 from .precision import Constants
 
 _FACE_IDX = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-_EDGE_I, _EDGE_J = zip(*itertools.combinations(range(4), 2))
+_EDGES = tuple(itertools.combinations(range(4), 2))
 _BOX_SLACK = 1e-9  # bounding boxes this close still count as overlapping
 
 
@@ -64,51 +63,43 @@ def quadplane_determinant_direct(q: int, c: Constants):
         return 20 * mp.sqrt(10) * det
 
 
-def _sat_axes(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """All 44 candidate separating axes for tetra pair (A, B), unnormalized.
+def _axis(A, B, k: int):
+    """Candidate separating axis k, unnormalized, of a pair of float or integer points.
 
     Faces of A are axes 0-3, faces of B axes 4-7, and the cross product of
     edge p of A with edge q of B is axis 8 + 6p + q.
     """
-    faces = [
-        np.cross(V[j] - V[i], V[k] - V[i])
-        for V in (A, B)
-        for (i, j, k) in _FACE_IDX
-    ]
-    ea = A[list(_EDGE_J)] - A[list(_EDGE_I)]
-    eb = B[list(_EDGE_J)] - B[list(_EDGE_I)]
-    cross = np.cross(ea[:, None, :], eb[None, :, :]).reshape(-1, 3)
-    return np.vstack([faces, cross])
-
-
-def _sat_screen(A: np.ndarray, B: np.ndarray) -> tuple[float, int]:
-    """Float64 SAT: the best normalized separation and the axis that gives it.
-
-    The margin (>= 0 means no overlap, up to rounding) is only reported; the
-    axis is where the exact test looks first.
-    """
-    axes = _sat_axes(A, B)
-    norms = np.linalg.norm(axes, axis=1)
-    kept = np.flatnonzero(norms > 1e-14)
-    axes, norms = axes[kept], norms[kept]
-    pa = axes @ A.T
-    pb = axes @ B.T
-    sep = np.maximum(pb.min(axis=1) - pa.max(axis=1), pa.min(axis=1) - pb.max(axis=1))
-    margins = sep / norms
-    best = int(margins.argmax())
-    return float(margins[best]), int(kept[best])
-
-
-def _exact_axis(A, B, k: int):
-    """Axis k of _sat_axes, on points with exact integer coordinates."""
     if k < 8:
         V = A if k < 4 else B
         i, j, l = _FACE_IDX[k % 4]
         return _cross(_sub(V[j], V[i]), _sub(V[l], V[i]))
     p, q = divmod(k - 8, 6)
-    return _cross(
-        _sub(A[_EDGE_J[p]], A[_EDGE_I[p]]), _sub(B[_EDGE_J[q]], B[_EDGE_I[q]])
-    )
+    (a, b), (c, d) = _EDGES[p], _EDGES[q]
+    return _cross(_sub(A[b], A[a]), _sub(B[d], B[c]))
+
+
+def _separation(A, B, ax):
+    """Gap between the projections of A and B on ax; negative where they overlap."""
+    pa = [ax[0] * v[0] + ax[1] * v[1] + ax[2] * v[2] for v in A]
+    pb = [ax[0] * v[0] + ax[1] * v[1] + ax[2] * v[2] for v in B]
+    return max(min(pb) - max(pa), min(pa) - max(pb))
+
+
+def _screen(A, B) -> tuple[float, int]:
+    """Float SAT: the best normalized separation and the axis that gives it.
+
+    A and B are float points.  The margin (>= 0 means no overlap, up to
+    rounding) is only reported; the axis is where the exact test looks first.
+    """
+    best, first = -math.inf, 0
+    for k in range(44):
+        ax = _axis(A, B, k)
+        norm = math.sqrt(ax[0] * ax[0] + ax[1] * ax[1] + ax[2] * ax[2])
+        if norm > 1e-14:  # parallel edges give no axis
+            margin = _separation(A, B, ax) / norm
+            if margin > best:
+                best, first = margin, k
+    return best, first
 
 
 def _exact_separation(A, B, first: int) -> int | None:
@@ -120,12 +111,10 @@ def _exact_separation(A, B, first: int) -> int | None:
     means no axis separates, so the interiors overlap.
     """
     for k in (first, *(k for k in range(44) if k != first)):
-        ax = _exact_axis(A, B, k)
+        ax = _axis(A, B, k)
         if ax == (0, 0, 0):
             continue
-        pa = [ax[0] * v[0] + ax[1] * v[1] + ax[2] * v[2] for v in A]
-        pb = [ax[0] * v[0] + ax[1] * v[1] + ax[2] * v[2] for v in B]
-        sep = max(min(pb) - max(pa), min(pa) - max(pb))
+        sep = _separation(A, B, ax)
         if sep >= 0:
             return sep
     return None
@@ -153,10 +142,9 @@ def tetra_interiors_disjoint(a: Tetrahedron, b: Tetrahedron) -> bool:
 
     Decided exactly on the mpf vertices read as dyadic rationals.
     """
-    _, axis = _sat_screen(tetra_array(a), tetra_array(b))
     ints, _ = dyadic_ints(x for t in (a, b) for v in t.vertices for x in v)
     points = [tuple(ints[n : n + 3]) for n in range(0, 24, 3)]
-    return _exact_separation(points[:4], points[4:], axis) is not None
+    return _exact_separation(points[:4], points[4:], 0) is not None
 
 
 @dataclass(frozen=True)
@@ -185,6 +173,31 @@ def _adjacent_share_face(a: Tetrahedron, b: Tetrahedron) -> bool:
     return differing == 1
 
 
+def _box_pairs(points: list) -> list:
+    """Sorted non-adjacent pairs (i, j), i < j, whose boxes overlap within _BOX_SLACK.
+
+    Sort and sweep on the axis s along which the low ends spread furthest; in
+    that order a box meets only later boxes whose low s <= its high s + slack.
+    """
+    boxes = [(tuple(map(min, *t)), tuple(map(max, *t))) for t in points]
+    lows = [[lo[d] for lo, _ in boxes] for d in range(3)]
+    s = max(range(3), key=lambda d: max(lows[d], default=0.0) - min(lows[d], default=0.0))
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0][s])
+    pairs = []
+    for a, i in enumerate(order):
+        lo_i, hi_i = boxes[i]
+        for j in itertools.islice(order, a + 1, None):
+            lo_j, hi_j = boxes[j]
+            if lo_j[s] > hi_i[s] + _BOX_SLACK:
+                break
+            if abs(i - j) > 1 and all(
+                lo_i[d] <= hi_j[d] + _BOX_SLACK and lo_j[d] <= hi_i[d] + _BOX_SLACK
+                for d in range(3)
+            ):
+                pairs.append((min(i, j), max(i, j)))
+    return sorted(pairs)
+
+
 def verify_embedded(chain: RealizedChain) -> EmbeddingVerdict:
     """Certify pairwise interior-disjointness of the visible tetrahedra.
 
@@ -197,39 +210,25 @@ def verify_embedded(chain: RealizedChain) -> EmbeddingVerdict:
     among the visible tetrahedra.
     """
     tets = chain.tetrahedra
-    n = len(tets)
-    adjacency_ok = all(
-        _adjacent_share_face(tets[i], tets[i + 1]) for i in range(n - 1)
-    )
-    arrays = np.stack([tetra_array(t) for t in tets]) if n else np.zeros((0, 4, 3))
-    lo = arrays.min(axis=1)  # (n, 3)
-    hi = arrays.max(axis=1)
+    adjacency_ok = all(map(_adjacent_share_face, tets, tets[1:]))
+    points = [tuple(tuple(map(float, v)) for v in t.vertices) for t in tets]
     exact = _exact_points(chain.string)
+    pairs = _box_pairs(points)
     violations = []
     margins = []
-    pairs_tested = 0
-    for i in range(n):
-        # bounding-box overlap against all j > i+1 at once
-        j0 = i + 2
-        if j0 >= n:
-            break
-        overlap = np.all(
-            (lo[i] <= hi[j0:] + _BOX_SLACK) & (lo[j0:] <= hi[i] + _BOX_SLACK), axis=1
-        )
-        for j in (np.nonzero(overlap)[0] + j0).tolist():
-            pairs_tested += 1
-            margin, axis = _sat_screen(arrays[i], arrays[j])
-            sep = _pair_separation(exact, i, j, axis)
-            if sep is None:
-                violations.append((i + 1, j + 1))
-                margins.append(min(margin, 0.0))
-            else:
-                margins.append(max(margin, 0.0) if sep else 0.0)
+    for i, j in pairs:
+        margin, axis = _screen(points[i], points[j])
+        sep = _pair_separation(exact, i, j, axis)
+        if sep is None:
+            violations.append((i + 1, j + 1))
+            margins.append(min(margin, 0.0))
+        else:
+            margins.append(max(margin, 0.0) if sep else 0.0)
     embedded = adjacency_ok and not violations
     return EmbeddingVerdict(
         embedded=embedded,
         first_violation=min(violations) if violations else None,
         min_separation_margin=min(margins) if margins else None,
-        pairs_tested=pairs_tested,
+        pairs_tested=len(pairs),
         adjacency_ok=adjacency_ok,
     )

@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Sequence
 
-import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .bary import prefix_products
+from .bary import check_exact_length, prefix_products
 from .precision import Constants, RealCtx
 from .strings import is_valid
 
@@ -109,6 +108,7 @@ def realize_chain(tail: Sequence[int], r0: int, c: Constants) -> RealizedChain:
     column of the k-th prefix product, exact until the one rounding to the
     working precision.
     """
+    check_exact_length(len(tail) + 1)
     s = (r0, *tail)
     if not is_valid(s):
         raise ValueError(f"invalid reflection string {s!r}")
@@ -135,6 +135,7 @@ def realize_chain(tail: Sequence[int], r0: int, c: Constants) -> RealizedChain:
 
 def realize_printed(s: Sequence[int], c: Constants) -> RealizedChain:
     """Realize a full printed string, taking its first symbol as the lead."""
+    check_exact_length(len(s))
     return realize_chain(tuple(s[1:]), s[0], c)
 
 
@@ -198,7 +199,3 @@ def edge_lengths(t: Tetrahedron) -> list:
             out.append(mp.sqrt(sum((vs[i][k] - vs[j][k]) ** 2 for k in range(3))))
     return out
 
-
-def tetra_array(t: Tetrahedron) -> np.ndarray:
-    """Vertices as a float64 (4, 3) array (fast-path geometry tests)."""
-    return np.array([[float(x) for x in v] for v in t.vertices], dtype=float)

@@ -23,7 +23,6 @@ from tetrachain.geometry import (
     edge_lengths,
     invisible_t0,
     realize_printed,
-    tetra_array,
 )
 from tetrachain.metrics import gap_report, hausdorff_tetra, loop_gap_report
 from tetrachain.motion import (
@@ -300,7 +299,7 @@ def test_length10_gap_minima(c40, ctx40):
     # float screen: dist(p, T_0) >= max_f (n_f . p - b_f) over T_0's outward
     # unit face normals n_f, so the largest such value over the vertices of
     # the last tetrahedron bounds the gap from below
-    V = tetra_array(seed).T  # (3, 4): vertex j in column j
+    V = np.array([[float(x) for x in v] for v in seed.vertices]).T  # (3, 4): vertex j in column j
     refl = np.stack(
         [np.array(bary.reflection_matrix(i).num, dtype=float) / 3 for i in (1, 2, 3, 4)]
     )
@@ -516,6 +515,11 @@ def test_criterion_11_loop_preset(c40):
     with c40.ctx.work():
         assert loop.best.gap < mpf(10) ** -17
         assert mpf("3.5e-18") <= loop.best.gap <= mpf("1.4e-17")
+        assert abs(loop.printed.gap - mpf("2.4026e-17")) < mpf("1e-20")
+        assert abs(loop.best.gap - mpf("5.5853e-18")) < mpf("1e-21")
+    assert loop.best_cut == 68
+    assert loop.n_cuts_below_printed >= 18
+    assert loop.best.gap <= loop.printed.gap
     dt = time.perf_counter() - t0
     assert dt < 60
     print(

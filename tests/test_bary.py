@@ -15,7 +15,7 @@ from tetrachain.bary import (
     divisibility_witness,
     lead_matrices,
 )
-from tetrachain.geometry import realize_printed
+from tetrachain.geometry import realize_chain, realize_printed
 
 
 def test_reflection_matrix_entries():
@@ -140,6 +140,25 @@ def test_exact_length_guard(c40):
     with pytest.raises(ValueError) as exc:
         realize_printed(s, c40)
     assert str(exc.value) == message
+
+
+def test_length_refused_before_validation(c40):
+    # an invalid string past the limit is refused for its length, before any
+    # pass over its letters
+    s = (1, 1) + tuple((i % 2) + 1 for i in range(MAX_EXACT_LENGTH - 1))
+    message = (
+        f"string length {MAX_EXACT_LENGTH + 1} exceeds the exact-product limit "
+        f"{MAX_EXACT_LENGTH}"
+    )
+    refusers = (
+        chain_matrix,
+        lambda s: realize_printed(s, c40),
+        lambda s: realize_chain(s[1:], s[0], c40),
+    )
+    for refuse in refusers:
+        with pytest.raises(ValueError) as exc:
+            refuse(s)
+        assert str(exc.value) == message
 
 
 def test_to_mpf_matches_fractions(ctx40):

@@ -1,10 +1,12 @@
-"""End-to-end checks of the command-line interface (run in-process)."""
+"""End-to-end checks of the command-line interface (run in-process, but for the import check)."""
 
 import hashlib
 import io
 import json
 import math
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -434,3 +436,17 @@ def test_chain_commands_keep_exit_contract(command, string, kind, L):
 )
 def test_search_commands_keep_exit_contract(argv):
     _assert_exit_contract(argv)
+
+
+def test_cli_does_not_load_numpy():
+    # numpy is a test dependency only; a fresh CLI process must not import it
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = "import tetrachain.cli, sys; assert 'numpy' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

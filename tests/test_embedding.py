@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,17 +9,19 @@ from mpmath import mp, mpf
 
 from conftest import valid_strings
 from tetrachain.embedding import (
+    _BOX_SLACK,
+    _box_pairs,
     _exact_points,
     _pair_separation,
-    _sat_screen,
+    _screen,
     quadplane_determinant,
     quadplane_determinant_direct,
     tetra_interiors_disjoint,
     verify_embedded,
 )
-from tetrachain.geometry import Tetrahedron, invisible_t0, realize_printed, tetra_array
+from tetrachain.geometry import Tetrahedron, invisible_t0, realize_printed
 from tetrachain.precision import RealCtx, make_constants
-from tetrachain.strings import octahelix_string, quadrahelix_string
+from tetrachain.strings import octahelix_string, quadrahelix_string, tetrahelix_string
 
 
 @given(st.integers(3, 200))
@@ -86,7 +90,7 @@ def test_octahelix_4_not_embedded(c40):
     verdict = verify_embedded(chain)
     assert not verdict.embedded
     assert verdict.first_violation == (13, 31)
-    assert verdict.min_separation_margin == -0.396489381480742
+    assert verdict.min_separation_margin == -0.39648938148074203
 
 
 def test_octahelix_1_not_embedded(c40):
@@ -94,7 +98,7 @@ def test_octahelix_1_not_embedded(c40):
     verdict = verify_embedded(chain)
     assert not verdict.embedded
     assert verdict.first_violation == (4, 10)
-    assert verdict.min_separation_margin == -0.6719131406833958
+    assert verdict.min_separation_margin == -0.6719131406833959
 
 
 def test_octahelix_5_embedded(c40):
@@ -115,8 +119,8 @@ def ctx80():
     return RealCtx(digits=80)
 
 
-def _reference_margin(a, b, ctx):
-    """Best normalized SAT separation over the 44 axes, in mpf (the reference)."""
+def _reference_axes(va, vb):
+    """The 44 SAT axes of two tetrahedra given as vertex lists, in any number type."""
 
     def sub(u, v):
         return [x - y for x, y in zip(u, v)]
@@ -126,14 +130,17 @@ def _reference_margin(a, b, ctx):
 
     faces = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
     edges = list(itertools.combinations(range(4), 2))
+    axes = [cross(sub(V[j], V[i]), sub(V[k], V[i])) for V in (va, vb) for i, j, k in faces]
+    axes += [cross(sub(va[j], va[i]), sub(vb[l], vb[k])) for i, j in edges for k, l in edges]
+    return axes
+
+
+def _reference_margin(a, b, ctx):
+    """Best normalized SAT separation over the 44 axes, in mpf (the reference)."""
     with ctx.work():
         va, vb = a.vertices, b.vertices
-        axes = [cross(sub(V[j], V[i]), sub(V[k], V[i])) for V in (va, vb) for i, j, k in faces]
-        axes += [
-            cross(sub(va[j], va[i]), sub(vb[l], vb[k])) for i, j in edges for k, l in edges
-        ]
         best = None
-        for ax in axes:
+        for ax in _reference_axes(va, vb):
             n2 = sum(x * x for x in ax)
             if n2 < mpf(10) ** -100:
                 continue
@@ -154,7 +161,7 @@ def test_exact_verdicts_agree_with_mpf_sat(ctx80, s):
     for i, j in itertools.combinations(range(len(tets)), 2):
         if j == i + 1:
             continue
-        _, axis = _sat_screen(tetra_array(tets[i]), tetra_array(tets[j]))
+        _, axis = _screen(_float_points(tets[i]), _float_points(tets[j]))
         sep = _pair_separation(exact, i, j, axis)
         margin = _reference_margin(tets[i], tets[j], ctx80)
         if abs(margin) > mpf(10) ** -30:
@@ -166,3 +173,82 @@ def test_exact_verdicts_agree_with_mpf_sat(ctx80, s):
     verdict = verify_embedded(chain)
     assert verdict.embedded == (not overlaps)
     assert verdict.first_violation == (min(overlaps) if overlaps else None)
+
+
+def _float_points(t):
+    return tuple(tuple(float(x) for x in v) for v in t.vertices)
+
+
+@pytest.mark.parametrize(
+    "kind,L,pairs",
+    [("quadrahelix", 60, 515), ("octahelix", 36, 661), ("quadrahelix", 200, 1695)],
+)
+def test_pairs_tested_pinned(c40, kind, L, pairs):
+    # recorded with the former numpy broadcast prune
+    s = quadrahelix_string(L) if kind == "quadrahelix" else octahelix_string(L)
+    verdict = verify_embedded(realize_printed(s, c40))
+    assert verdict.embedded and verdict.pairs_tested == pairs
+
+
+@given(valid_strings(min_size=3, max_size=40))
+def test_box_sweep_matches_brute_force(c40, s):
+    chain = realize_printed(s, c40)
+    points = [_float_points(t) for t in chain.tetrahedra]
+    lo = [[min(c) for c in zip(*p)] for p in points]
+    hi = [[max(c) for c in zip(*p)] for p in points]
+    brute = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(points)), 2)
+        if j > i + 1
+        and all(
+            lo[i][d] <= hi[j][d] + _BOX_SLACK and lo[j][d] <= hi[i][d] + _BOX_SLACK
+            for d in range(3)
+        )
+    ]
+    assert _box_pairs(points) == brute
+    assert verify_embedded(chain).pairs_tested == len(brute)
+
+
+def _exact_margin_bounds(A, B, bits=200):
+    """Bounds on the best normalized 44-axis separation of float points, exactly.
+
+    Every product and sum is a Fraction of the float inputs; each axis norm
+    lies between two integer square roots 2^-bits apart.  Axes the screen
+    drops (norm <= 1e-14) are dropped here too.
+    """
+    va = [[Fraction(x) for x in v] for v in A]
+    vb = [[Fraction(x) for x in v] for v in B]
+    lows, highs = [], []
+    for ax in _reference_axes(va, vb):
+        n2 = sum(x * x for x in ax)
+        if n2 <= Fraction(1e-14) ** 2:
+            continue
+        pa = [sum(x * y for x, y in zip(ax, v)) for v in va]
+        pb = [sum(x * y for x, y in zip(ax, v)) for v in vb]
+        sep = max(min(pb) - max(pa), min(pa) - max(pb))
+        root = math.isqrt(math.floor(n2 * 4**bits))  # 2^bits * |ax|, rounded down
+        norms = (Fraction(root, 2**bits), Fraction(root + 1, 2**bits))
+        ends = sorted(sep / n for n in norms)
+        lows.append(ends[0])
+        highs.append(ends[1])
+    return max(lows), max(highs)
+
+
+@pytest.mark.parametrize(
+    "L,pair,exact",
+    [
+        (1, (5, 10), "-0.67191314068339577168"),
+        (4, (14, 31), "-0.39648938148074198691"),
+    ],
+)
+def test_screen_margin_within_two_ulps(c40, L, pair, exact):
+    # the minimum-margin pair of OH_1 and of OH_4, 1-based
+    chain = realize_printed(octahelix_string(L), c40)
+    A, B = (_float_points(chain.tetrahedra[k - 1]) for k in pair)
+    margin, _ = _screen(A, B)
+    assert margin == verify_embedded(chain).min_separation_margin
+    low, high = _exact_margin_bounds(A, B)
+    ulp = Fraction(math.ulp(margin))
+    assert low <= high and high - low < ulp / 2**100
+    assert abs(Fraction(margin) - low) <= 2 * ulp and abs(Fraction(margin) - high) <= 2 * ulp
+    assert round(low, 20) == round(high, 20) == Fraction(exact)

@@ -11,7 +11,6 @@ from tetrachain.geometry import (
     invisible_t0,
     realize_chain,
     realize_printed,
-    tetra_array,
     tetra_volume,
     tetrahelix_bary_point,
 )
@@ -122,8 +121,3 @@ def test_bary_coefficients_sum_to_one(q):
     c = make_constants(RealCtx(digits=40))
     with c.ctx.work():
         assert abs(sum(bary_coefficients(q, c)) - 1) < mpf(10) ** -42
-
-
-def test_tetra_array_shape(c40):
-    a = tetra_array(invisible_t0(c40))
-    assert a.shape == (4, 3) and a.dtype.kind == "f"

@@ -15,7 +15,7 @@ from tetrachain.metrics import (
     point_to_triangle,
     spectral_norm,
 )
-from tetrachain.strings import preset_540_string, quadrahelix_string, rotate
+from tetrachain.strings import quadrahelix_string, rotate
 
 TRI = ((mpf(0),) * 3, (mpf(1), mpf(0), mpf(0)), (mpf(0), mpf(1), mpf(0)))
 
@@ -113,16 +113,6 @@ def test_json_and_csv_round(c40):
     assert set(d) == {"gap", "norm_gap", "maxnorm_gap", "discrete_gap", "r0", "delta_bar"}
     row = rep.to_csv_row()
     assert len(row.split(",")) == len(rep.CSV_HEADER.split(","))
-
-
-def test_loop_gap_preset_540(c40):
-    loop = loop_gap_report(preset_540_string(), c40)
-    with c40.ctx.work():
-        assert abs(loop.printed.gap - mpf("2.4026e-17")) < mpf("1e-20")
-        assert abs(loop.best.gap - mpf("5.5853e-18")) < mpf("1e-21")
-    assert loop.best_cut == 68
-    assert loop.n_cuts_below_printed >= 18
-    assert loop.best.gap <= loop.printed.gap
 
 
 @settings(max_examples=10)
