@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .precision import RealCtx
 from .strings import is_valid
@@ -55,6 +55,12 @@ class BaryMatrix:
         with ctx.work():
             d = mpf(3) ** self.power
             return [[mpf(x) / d for x in row] for row in self.num]
+
+    def minus_identity(self) -> "BaryMatrix":
+        """K - I, exactly, over the same power of 3."""
+        one = 3**self.power
+        rows = (tuple(x - one * (i == j) for j, x in enumerate(r)) for i, r in enumerate(self.num))
+        return BaryMatrix(tuple(rows), self.power)
 
     def column_sums(self) -> list[Fraction]:
         d = 3**self.power
@@ -202,14 +208,3 @@ def divisibility_witness(s: Sequence[int]) -> DivisibilityWitness:
         power=K.power,
         numerator_mod3=numerator % 3,
     )
-
-
-def matrix_minus_identity_mpf(K: BaryMatrix, ctx: RealCtx) -> list[list[mpf]]:
-    """K - I as mpf rows (convenience for norm computations)."""
-    with ctx.work():
-        d = mpf(3) ** K.power
-        one = 3**K.power
-        return [
-            [mpf(K.num[i][j] - (one if i == j else 0)) / d for j in range(4)]
-            for i in range(4)
-        ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from . import bary
-from .geometry import Tetrahedron, _sub, apply_bary, invisible_t0
+from .geometry import Tetrahedron, _cross, _sub, apply_bary, dyadic_ints, invisible_t0
 from .precision import Constants, RealCtx
 from .strings import rotate
 
@@ -126,6 +126,47 @@ def discrete_hausdorff(a: Tetrahedron, b: Tetrahedron):
     return max(one_way(a.vertices, b.vertices), one_way(b.vertices, a.vertices))
 
 
+# gap_bounds' float64 error stays below 1e-13 of its upper bound; an absolute
+# 2^(16 - prec) covers the rounding of the mpf gap it stands in for.
+SCREEN_SLACK = 1e-9
+
+
+def gap_bounds(t0: Tetrahedron, D) -> tuple[float, float]:
+    """Float lower and upper bound on hausdorff_tetra(t0, apply_bary(t0, K)), for D = K - I.
+
+    D is a BaryMatrix or mpf rows, taken exactly.  Vertex j moves by
+    d_j = T_0 D_j: the gap is at most max |d_j| and at least the half-space
+    distance of a moved vertex from a face of t0 through it, or of a vertex
+    of t0 from a face of t0 K.  D is scaled by a power of two before it is
+    rounded to float; where the bounds would leave the normal float range
+    they are (0, inf).
+    """
+    if isinstance(D, bary.BaryMatrix):
+        num, den = [x for row in D.num for x in row], 3**D.power
+    else:
+        num, low = dyadic_ints(x for row in D for x in row)
+        num, den = (num, 1 << -low) if low < 0 else ([x << low for x in num], 1)
+    top = max(abs(x) for x in num)
+    scale = den.bit_length() - top.bit_length()  # 2^scale D has entries below 2
+    if abs(scale) > 1000:
+        return 0.0, float("inf")
+    x = [(v << scale) / den if scale >= 0 else v / (den << -scale) for v in num]
+    V = [tuple(map(float, v)) for v in t0.vertices]
+    d = [tuple(sum(a * b for a, b in zip(axis, x[j::4])) for axis in zip(*V)) for j in range(4)]
+    unit = 2.0**-scale
+    moved = [tuple(a + unit * b for a, b in zip(v, dj)) for v, dj in zip(V, d)]
+    lower = 0.0
+    for W, e in ((V, d), (moved, [tuple(-a for a in dj) for dj in d])):
+        for f in range(4):  # outward normal n of face f, through every vertex j != f
+            a, b, c = (W[k] for k in range(4) if k != f)
+            n = _cross(_sub(b, a), _sub(c, a))
+            size = _dot(n, n) ** 0.5 * (-1 if _dot(n, _sub(W[f], a)) > 0 else 1)
+            lower = max(lower, *(_dot(n, e[j]) / size for j in range(4) if j != f))
+    upper = max(_dot(dj, dj) for dj in d) ** 0.5
+    floor = 2.0 ** max(16 - mp.prec, -1000)
+    return unit * (lower - SCREEN_SLACK * upper) - floor, unit * upper * (1 + SCREEN_SLACK) + floor
+
+
 def minus_identity(M) -> list:
     """M - I for a square matrix given as rows."""
     return [
@@ -189,6 +230,7 @@ def lead_minimized_report(matrices: dict, c: Constants, r0: int | None = None) -
 
     The report carries the minimum Hausdorff gap (ties broken by smallest
     face) and the minimum norms; passing r0 pins the leading face instead.
+    Leads that gap_bounds rules out get no mpf gap.
     """
     if r0 is not None:
         if r0 not in matrices:
@@ -197,15 +239,18 @@ def lead_minimized_report(matrices: dict, c: Constants, r0: int | None = None) -
     ctx = c.ctx
     with ctx.work():
         t0 = invisible_t0(c)
+        bounds = {lead: gap_bounds(t0, diff) for lead, (_, diff) in matrices.items()}
+        least_upper = min(hi for _, hi in bounds.values())
         best = None
         norms, maxnorms = [], []
         for lead, (K, diff) in sorted(matrices.items()):
-            tn = apply_bary(t0, K)
-            gap = hausdorff_tetra(t0, tn)
             norms.append(spectral_norm(diff, ctx))
             maxnorms.append(maxnorm(diff))
-            if best is None or gap < best[0]:
-                best = (gap, lead, tn)
+            if bounds[lead][0] <= least_upper:
+                tn = apply_bary(t0, K)
+                gap = hausdorff_tetra(t0, tn)
+                if best is None or gap < best[0]:
+                    best = (gap, lead, tn)
         gap, lead, tn = best
         return GapReport(
             gap=gap,
@@ -226,7 +271,7 @@ def gap_report(s, c: Constants, r0: int | None = None) -> GapReport:
         raise ValueError("gap_report needs a string of length >= 2")
     ctx = c.ctx
     matrices = {
-        lead: (K.to_mpf(ctx), bary.matrix_minus_identity_mpf(K, ctx))
+        lead: (K.to_mpf(ctx), K.minus_identity().to_mpf(ctx))
         for lead, K in bary.lead_matrices(bary.chain_matrix(s), s[0], s[1]).items()
     }
     return lead_minimized_report(matrices, c, r0)
@@ -256,27 +301,47 @@ def loop_gap_report(s, c: Constants) -> LoopGapReport:
     A closed loop has no distinguished first tetrahedron, so each rotation is
     a legitimate reading of the same loop.  The product of each cut is
     updated incrementally: moving the cut past letter i conjugates it by the
-    involution M_i.
+    involution M_i.  A first walk keeps only each lead's gap_bounds; the second
+    decides in mpf the gap of each cut that can hold the least gap or whose
+    bounds straddle the printed gap, over the leads that can hold it.
     """
     s = tuple(s)
     n = len(s)
     if n < 3 or s[0] == s[-1]:
         raise ValueError("loop strings must be cyclically valid")
-    ctx = c.ctx
-    with ctx.work():
-        t0 = invisible_t0(c)
+
+    def cuts():
         K = bary.chain_matrix(s)
-        gaps = []
         for cut in range(n):
-            leads = bary.lead_matrices(K, s[cut], s[(cut + 1) % n]).values()
-            gaps.append(min(hausdorff_tetra(t0, apply_bary(t0, Kr.to_mpf(ctx))) for Kr in leads))
+            yield cut, K
             M = bary.reflection_matrix(s[cut])
             K = M @ K @ M
-        best_cut = min(range(n), key=lambda i: (gaps[i], i))
-        printed = gap_report(s, c)
+
+    def leads(cut, K):
+        return bary.lead_matrices(K, s[cut], s[(cut + 1) % n]).items()
+
+    printed = gap_report(s, c)
+    with c.ctx.work():
+        t0 = invisible_t0(c)
+        bounds = [{r: gap_bounds(t0, L.minus_identity()) for r, L in leads(*cut)} for cut in cuts()]
+        least_upper = min(hi for b in bounds for _, hi in b.values())
+        below, best = 0, None
+        for cut, K in cuts():
+            lower, upper = map(min, zip(*bounds[cut].values()))
+            if lower > least_upper and not lower <= printed.gap <= upper:
+                below += upper < printed.gap
+                continue
+            gap = min(
+                hausdorff_tetra(t0, apply_bary(t0, L.to_mpf(c.ctx)))
+                for r, L in leads(cut, K)
+                if bounds[cut][r][0] <= upper
+            )
+            below += gap < printed.gap
+            if best is None or gap < best[0]:
+                best = (gap, cut)
         return LoopGapReport(
             printed=printed,
-            best=gap_report(rotate(s, best_cut), c),
-            best_cut=best_cut,
-            n_cuts_below_printed=sum(1 for g in gaps if g < printed.gap),
+            best=gap_report(rotate(s, best[1]), c),
+            best_cut=best[1],
+            n_cuts_below_printed=below,
         )

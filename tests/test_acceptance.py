@@ -518,7 +518,7 @@ def test_criterion_11_loop_preset(c40):
         assert abs(loop.printed.gap - mpf("2.4026e-17")) < mpf("1e-20")
         assert abs(loop.best.gap - mpf("5.5853e-18")) < mpf("1e-21")
     assert loop.best_cut == 68
-    assert loop.n_cuts_below_printed >= 18
+    assert loop.n_cuts_below_printed == 246
     assert loop.best.gap <= loop.printed.gap
     dt = time.perf_counter() - t0
     assert dt < 60

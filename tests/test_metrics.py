@@ -1,12 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from mpmath import mp, mpf
 
 from conftest import valid_strings
-from tetrachain.geometry import Tetrahedron, invisible_t0, realize_printed
+from tetrachain import bary, metrics
+from tetrachain.geometry import Tetrahedron, apply_bary, invisible_t0, realize_printed
 from tetrachain.metrics import (
     directed_hausdorff,
     discrete_hausdorff,
+    gap_bounds,
     gap_report,
     hausdorff_tetra,
     loop_gap_report,
@@ -15,7 +19,7 @@ from tetrachain.metrics import (
     point_to_triangle,
     spectral_norm,
 )
-from tetrachain.strings import quadrahelix_string, rotate
+from tetrachain.strings import preset_540_string, quadrahelix_string, rotate
 
 TRI = ((mpf(0),) * 3, (mpf(1), mpf(0), mpf(0)), (mpf(0), mpf(1), mpf(0)))
 
@@ -130,3 +134,68 @@ def test_loop_walk_matches_gap_report_of_every_cut(c40, s):
 def test_loop_gap_rejects_open_strings(c40):
     with pytest.raises(ValueError):
         loop_gap_report((1, 2, 1), c40)  # first == last: not cyclically valid
+
+
+def test_periodic_loop_takes_the_first_tied_cut(c40):
+    # rotating (1234)x3 by four letters gives the same string, so the cuts
+    # tie in threes; the scan must agree with a full per-cut gap_report
+    s = (1, 2, 3, 4) * 3
+    loop = loop_gap_report(s, c40)
+    gaps = [gap_report(rotate(s, cut), c40).gap for cut in range(len(s))]
+    tied = [cut for cut, g in enumerate(gaps) if g == min(gaps)]
+    assert len(tied) >= 3
+    assert loop.best_cut == tied[0]
+    assert loop.best.gap == gaps[tied[0]]
+    assert loop.n_cuts_below_printed == sum(1 for g in gaps if g < gaps[0])
+
+
+def _counting_hausdorff(monkeypatch):
+    calls = []
+    real = metrics.hausdorff_tetra
+
+    def counted(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(metrics, "hausdorff_tetra", counted)
+    return calls
+
+
+def test_loop_scan_decides_few_leads_in_mpf(c40, monkeypatch):
+    # a full scan of the 540-loop makes 1,626 mpf Hausdorff calls (540 cuts x
+    # 3 leads, and 3 leads in each of the two closing reports)
+    calls = _counting_hausdorff(monkeypatch)
+    loop = loop_gap_report(preset_540_string(), c40)
+    assert (loop.best_cut, loop.n_cuts_below_printed) == (68, 246)
+    assert len(calls) <= 100
+
+
+@pytest.mark.parametrize("L", [2, 10, 29, 70, 1960])
+def test_lead_screen_leaves_one_lead_of_a_near_loop(L, c40, monkeypatch):
+    # the other two leads of QH_L sit about 0.87 away
+    calls = _counting_hausdorff(monkeypatch)
+    gap_report(quadrahelix_string(L), c40)
+    assert len(calls) == 1
+
+
+def _assert_bounds_enclose_every_lead(s, c):
+    t0 = invisible_t0(c)
+    with c.ctx.work():
+        for K in bary.lead_matrices(bary.chain_matrix(s), s[0], s[1]).values():
+            gap = hausdorff_tetra(t0, apply_bary(t0, K.to_mpf(c.ctx)))
+            diff = K.minus_identity()
+            for D in (diff, diff.to_mpf(c.ctx)):  # exact and mpf rows
+                lo, hi = gap_bounds(t0, D)
+                assert lo <= gap <= hi, (s, lo, gap, hi)
+
+
+@given(valid_strings(min_size=2, max_size=40))
+def test_gap_bounds_enclose_the_gap(c40, s):
+    _assert_bounds_enclose_every_lead(s, c40)
+
+
+def test_gap_bounds_enclose_540_loop_cuts(c40):
+    # near-closures: K - I and the gaps are about 1e-17
+    s = preset_540_string()
+    for cut in random.Random(540).sample(range(len(s)), 20):
+        _assert_bounds_enclose_every_lead(rotate(s, cut), c40)

@@ -1,13 +1,21 @@
 """Tests for the closed-form chain matrix and its rigid-motion decomposition."""
 
+from math import inf
+
 from mpmath import mp, mpf
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tetrachain import bary, motion
-from tetrachain.geometry import invisible_t0, realize_printed
-from tetrachain.metrics import gap_report, spectral_norm
+from tetrachain.geometry import apply_bary, invisible_t0, realize_printed
+from tetrachain.metrics import (
+    gap_bounds,
+    gap_report,
+    hausdorff_tetra,
+    minus_identity,
+    spectral_norm,
+)
 from tetrachain.motion import (
     _H1_SIN_REJECTED,
     asymptotic_ratio,
@@ -99,6 +107,27 @@ def test_closed_form_gap_beyond_str_limit():
     with c.ctx.work():
         assert 0 < cf.gap <= gap_bound_qh(L, c.ctx).bound
         assert cf.gap < mpf(10) ** -4299
+
+
+def test_quadrahelix_gap_report_below_float_range():
+    # the first convergent L past 10^320: the K - I of its printed lead and
+    # its gap lie below 1e-308, where no float64 bound can be formed, so that
+    # lead gets (0, inf) and every lead reaches the mpf decision; compare
+    # against the unscreened all-lead minimum
+    c = make_constants(RealCtx(digits=400))
+    floor = 10**320
+    L = min(L for L in convergent_lengths(c, 10 * floor) if L >= floor)
+    rep = quadrahelix_gap_report(L, c)
+    _, _, K = motion._closed_form_matrix(L, c.ctx)
+    t0 = invisible_t0(c)
+    with c.ctx.work():
+        leads = bary.lead_matrices(K, 1, 2)
+        gaps = {r: hausdorff_tetra(t0, apply_bary(t0, M)) for r, M in leads.items()}
+        assert gap_bounds(t0, minus_identity(leads[1])) == (0.0, inf)
+        r0 = min(gaps, key=lambda r: (gaps[r], r))
+        assert rep.r0 == r0
+        assert rep.gap == gaps[r0]
+        assert 0 < rep.gap < mpf(10) ** -308
 
 
 @pytest.mark.parametrize("r0", [None, 1, 3, 4])
