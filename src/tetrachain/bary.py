@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from mpmath import mpf
@@ -111,6 +112,24 @@ def reflection_matrix(i: int) -> BaryMatrix:
     return BaryMatrix(tuple(rows), 1)
 
 
+def conjugate(K: BaryMatrix, i: int) -> BaryMatrix:
+    """M_i K M_i over the power of 3 of K, for K the product of a string i, ...
+
+    M_i K M_i is then the product of the string rotated by one letter, over
+    the same power of 3, so the division by 9 is exact.  On the left, row
+    r != i becomes 3 row_r + 2 row_i and row i becomes -3 row_i; on the
+    right, column i becomes 2 (row sum) - 5 column_i and the others triple.
+    """
+    N, i = K.num, i - 1
+    rows = [[-3 * y for y in N[i]] if r == i else [3 * x + 2 * y for x, y in zip(row, N[i])]
+            for r, row in enumerate(N)]
+    out = []
+    for row in rows:
+        t = 2 * sum(row) - 5 * row[i]
+        out.append(tuple((t if j == i else 3 * x) // 9 for j, x in enumerate(row)))
+    return BaryMatrix(tuple(out), K.power)
+
+
 def check_exact_length(n: int) -> None:
     """Refuse a string of n letters past MAX_EXACT_LENGTH, before anything reads it."""
     if n > MAX_EXACT_LENGTH:
@@ -149,6 +168,11 @@ def chain_matrix(s: Sequence[int]) -> BaryMatrix:
     return BaryMatrix(tuple(zip(*cols)), len(s))
 
 
+@lru_cache(maxsize=None)
+def _pair(r: int, s: int) -> BaryMatrix:
+    return reflection_matrix(r) @ reflection_matrix(s)
+
+
 def lead_matrices(K, s0: int, s1: int) -> dict:
     """Chain matrix of every legal lead r != s1, for K the product of a string s0, s1, ...
 
@@ -161,7 +185,7 @@ def lead_matrices(K, s0: int, s1: int) -> dict:
     for r in (1, 2, 3, 4):
         if r in (s0, s1):
             continue
-        P = reflection_matrix(r) @ reflection_matrix(s0)  # over 3^2
+        P = _pair(r, s0)  # over 3^2
         if isinstance(K, BaryMatrix):
             leads[r] = P @ K
         else:

@@ -27,6 +27,7 @@ from .motion import (
     k_formula,
     leg_axis_cosines,
     motion_residuals,
+    quadrahelix_gap,
     quadrahelix_gap_report,
     ratio_terms,
 )
@@ -84,6 +85,22 @@ _GENERATORS = {
 }
 
 
+def _chain_parameter(text: str) -> int:
+    """The integer --L names, of any length: int() refuses past 4,300 digits."""
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if len(digits) > 4000 and digits.isascii() and digits.isdigit():
+        n = 0
+        for i in range(0, len(digits), 4000):
+            n = n * 10 ** len(digits[i : i + 4000]) + int(digits[i : i + 4000])
+        return -n if body[0] == "-" else n
+    try:
+        return int(text)
+    except ValueError:
+        shown = text if len(text) <= 24 else text[:24] + "..."
+        raise ValueError(f"--L must be an integer, got {shown!r}") from None
+
+
 def _chain(args):
     """(kind, param, string) of the chain named by --string, or --kind and --L."""
     if args.string:
@@ -94,7 +111,8 @@ def _chain(args):
         raise ValueError("either --string or --kind is required")
     if args.L is None:
         raise ValueError(f"--kind {args.kind} needs --L")
-    return args.kind, args.L, _GENERATORS[args.kind](args.L)
+    L = _chain_parameter(args.L)
+    return args.kind, L, _GENERATORS[args.kind](L)
 
 
 # --- build --------------------------------------------------------------------
@@ -173,7 +191,7 @@ def cmd_table1(args) -> int:
     lines = ["L,k,delta_bar,gap"]
     for L in convergent_lengths(c, args.L_max):
         delta_bar, k = reduce_theta_multiple(L + 1, ctx)
-        gap = quadrahelix_gap_report(L, c).gap
+        gap = quadrahelix_gap(L, c)
         lines.append(f"{L},{k},{_nstr(delta_bar, 8)},{_nstr(gap, 8)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -319,7 +337,8 @@ def _add_common(p: argparse.ArgumentParser, chain: bool = False) -> None:
             choices=["tetrahelix", "quadrahelix", "octahelix", "preset540"],
             default=None,
         )
-        p.add_argument("--L", type=int, default=None, help="chain parameter (m for tetrahelix)")
+        # read by _chain_parameter: argparse's int() stops at 4,300 digits and echoes the text
+        p.add_argument("--L", default=None, help="chain parameter (m for tetrahelix)")
         p.add_argument("--string", default=None, help="explicit digit string, e.g. 1234")
 
 

@@ -139,19 +139,6 @@ def realize_printed(s: Sequence[int], c: Constants) -> RealizedChain:
     return realize_chain(tuple(s[1:]), s[0], c)
 
 
-def apply_bary(t0: Tetrahedron, K: Sequence[Sequence[mpf]]) -> Tetrahedron:
-    """The tetrahedron T_0 K: column j of K gives vertex j barycentrically."""
-    cols = []
-    for j in range(4):
-        cols.append(
-            tuple(
-                sum(t0.vertices[k][axis] * K[k][j] for k in range(4))
-                for axis in range(3)
-            )
-        )
-    return Tetrahedron(tuple(cols))
-
-
 # Coefficients of the barycentric tetrahelix point formula: the coordinates
 # of V_q in the base {V_-1, V_0, V_1, V_2} are
 #   C(q) = c_const + c_lin*q + c_cos*cos(q*theta) + c_sin*sin(q*theta)

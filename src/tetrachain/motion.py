@@ -23,22 +23,16 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .bary import MAX_EXACT_LENGTH, BaryMatrix, lead_matrices, mat_mul
-from .geometry import (
-    RealizedChain,
-    Tetrahedron,
-    _cross,
-    apply_bary,
-    helix_vertex,
-    invisible_t0,
-)
+from .bary import MAX_EXACT_LENGTH, BaryMatrix, chain_matrix, lead_matrices, mat_mul
+from .geometry import RealizedChain, Tetrahedron, _cross, helix_vertex, invisible_t0
 from .metrics import (
     GapReport,
-    gap_report,
-    hausdorff_tetra,
+    gap2,
     lead_minimized_report,
+    least_gap,
     maxnorm,
     minus_identity,
+    root,
     spectral_norm,
 )
 from .precision import (
@@ -160,27 +154,35 @@ def closed_form_gap(L: int, ctx: RealCtx, c: Constants | None = None) -> ClosedF
     c = c or make_constants(ctx)
     delta_bar, k, K = _closed_form_matrix(L, ctx)
     with ctx.work():
-        t0 = invisible_t0(c)
-        gap = hausdorff_tetra(t0, apply_bary(t0, K))
+        gap = root(gap2(K))
         norm2 = spectral_norm(minus_identity(K), ctx)
     return ClosedFormGap(L=int(L), k=k, delta_bar=delta_bar, gap=gap, norm_gap=norm2)
 
 
-def quadrahelix_gap_report(L: int, c: Constants, r0: int | None = None) -> GapReport:
-    """Gap report of QH_L, minimized over the free leading face like gap_report.
+def _quadrahelix_leads(L: int, c: Constants) -> dict:
+    """The chain matrix of every legal lead of QH_L (which starts 1, 2).
 
-    While the 4L+2 letters fit MAX_EXACT_LENGTH this is gap_report on the
-    exact products; beyond, the closed form gives K of the printed string
-    and bary.lead_matrices the other leads.
+    While the 4L+2 letters fit MAX_EXACT_LENGTH these are exact products;
+    beyond, the closed form gives K of the printed string in mpf.
     """
     if 4 * int(L) + 2 <= MAX_EXACT_LENGTH:
-        return gap_report(quadrahelix_string(L), c, r0=r0)
-    ctx = c.ctx
-    _, _, K = _closed_form_matrix(L, ctx)
-    with ctx.work():
-        leads = lead_matrices(K, 1, 2)  # every QH_L starts 1, 2
-        matrices = {lead: (M, minus_identity(M)) for lead, M in leads.items()}
-    return lead_minimized_report(matrices, c, r0)
+        K = chain_matrix(quadrahelix_string(L))
+    else:
+        _, _, K = _closed_form_matrix(L, c.ctx)
+    with c.ctx.work():
+        return lead_matrices(K, 1, 2)
+
+
+def quadrahelix_gap_report(L: int, c: Constants, r0: int | None = None) -> GapReport:
+    """Gap report of QH_L, minimized over the free leading face like gap_report."""
+    return lead_minimized_report(_quadrahelix_leads(L, c), c, r0)
+
+
+def quadrahelix_gap(L: int, c: Constants) -> mpf:
+    """The least gap of QH_L over the free leading face, and nothing else of its report."""
+    leads = _quadrahelix_leads(L, c)
+    with c.ctx.work():
+        return root(least_gap(leads)[0])
 
 
 # --- rigid-motion decomposition ----------------------------------------------
@@ -469,6 +471,22 @@ def _string_runs(s):
     return out
 
 
+def _solve3(M, rhs):
+    """Solve a 3x3 system by Gaussian elimination with partial pivoting."""
+    A = [list(M[i]) + [rhs[i]] for i in range(3)]
+    for col in range(3):
+        piv = max(range(col, 3), key=lambda r: abs(A[r][col]))
+        if A[piv][col] == 0:
+            raise ZeroDivisionError("singular tetrahedron frame")
+        A[col], A[piv] = A[piv], A[col]
+        for r in range(3):
+            if r != col:
+                f = A[r][col] / A[col][col]
+                for k in range(col, 4):
+                    A[r][k] -= f * A[col][k]
+    return [A[i][3] / A[i][i] for i in range(3)]
+
+
 def leg_axes(chain: RealizedChain, c: Constants, min_steps: int = 3) -> list:
     """Axis directions of the straight helical legs of a realized chain.
 
@@ -477,8 +495,6 @@ def leg_axes(chain: RealizedChain, c: Constants, min_steps: int = 3) -> list:
     helix points, so the axis direction solves (W_{i+1} - W_i) . u = h for
     three consecutive differences; the orientation points along growth.
     """
-    from .metrics import _solve3
-
     s = chain.string
     axes = []
     with c.ctx.work():

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .precision import _decimal_digits
+
 Symbol = int
 String = tuple[Symbol, ...]
 
@@ -40,10 +42,16 @@ def format_string(s: Iterable[int]) -> str:
 MAX_SPELLED_LENGTH = 10**7  # letters; a spelled chain costs about 90 bytes a letter
 
 
-def _check_spelled_length(name: str, n: int) -> None:
-    """Refuse to spell a named chain of n letters, before allocating it."""
+def _shown(n: int) -> str:
+    """n in decimal, or its digit count where str() would refuse or flood a message."""
+    return str(n) if n.bit_length() <= 256 else f"<{_decimal_digits(n)}-digit number>"
+
+
+def _check_spelled_length(name: str, n: int, L: int | None = None) -> None:
+    """Refuse to spell the named chain name_L of n letters, before allocating it."""
     if n > MAX_SPELLED_LENGTH:
-        raise ValueError(f"{name} would spell {n} letters; the limit is {MAX_SPELLED_LENGTH}")
+        label = name if L is None else f"{name}_{_shown(L)}"
+        raise ValueError(f"{label} would spell {_shown(n)} letters; the limit is {MAX_SPELLED_LENGTH}")
 
 
 def tetrahelix_string(m: int, start: int = 1) -> String:
@@ -70,7 +78,7 @@ def quadrahelix_string(L: int) -> String:
     """The 4L+2 symbol string of the four-legged near-loop QH_L."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    _check_spelled_length(f"QH_{L}", 4 * L + 2)
+    _check_spelled_length("QH", 4 * L + 2, L)
     sigma = _sigma(2 * L)
     j = 3 if L % 2 == 0 else 1
     out = (1,) + sigma + (j,) + sigma[::-1]
@@ -94,7 +102,7 @@ def octahelix_string(L: int) -> String:
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    _check_spelled_length(f"OH_{L}", 8 * L + 4)
+    _check_spelled_length("OH", 8 * L + 4, L)
     s_up = tetrahelix_string(L + 1, start=1)
     s_down = tetrahelix_string(L, start=1)[::-1]
     part = s_up + s_down + _relabel(s_up) + _relabel(s_down)

@@ -1,0 +1,104 @@
+"""Reference closure gaps by Cartesian geometry, for checking the exact kernel.
+
+The package measures a gap on barycentric numerators (``metrics.gap2``);
+these functions measure the same Hausdorff distances on the realized mpf
+vertices, by a Voronoi-region walk over the faces of each solid
+tetrahedron.  Point-to-convex-set distance is convex in the point, so the
+directed distance between convex bodies is attained at a vertex of the
+source: a max over four vertices is exact.
+"""
+
+from mpmath import mp, mpf
+
+from tetrachain.geometry import Tetrahedron
+
+
+def _sub(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _dist(a, b):
+    d = _sub(a, b)
+    return mp.sqrt(_dot(d, d))
+
+
+def apply_bary(t0: Tetrahedron, K) -> Tetrahedron:
+    """The tetrahedron T_0 K: column j of K gives vertex j barycentrically."""
+    return Tetrahedron(
+        tuple(
+            tuple(sum(t0.vertices[k][axis] * K[k][j] for k in range(4)) for axis in range(3))
+            for j in range(4)
+        )
+    )
+
+
+def point_to_triangle(p, a, b, c):
+    """Distance from p to the solid triangle abc (Voronoi-region walk)."""
+    ab = _sub(b, a)
+    ac = _sub(c, a)
+    ap = _sub(p, a)
+    d1 = _dot(ab, ap)
+    d2 = _dot(ac, ap)
+    if d1 <= 0 and d2 <= 0:
+        return _dist(p, a)
+    bp = _sub(p, b)
+    d3 = _dot(ab, bp)
+    d4 = _dot(ac, bp)
+    if d3 >= 0 and d4 <= d3:
+        return _dist(p, b)
+    vc = d1 * d4 - d3 * d2
+    if vc <= 0 and d1 >= 0 and d3 <= 0:
+        v = d1 / (d1 - d3)
+        return _dist(p, tuple(a[k] + v * ab[k] for k in range(3)))
+    cp = _sub(p, c)
+    d5 = _dot(ab, cp)
+    d6 = _dot(ac, cp)
+    if d6 >= 0 and d5 <= d6:
+        return _dist(p, c)
+    vb = d5 * d2 - d1 * d6
+    if vb <= 0 and d2 >= 0 and d6 <= 0:
+        w = d2 / (d2 - d6)
+        return _dist(p, tuple(a[k] + w * ac[k] for k in range(3)))
+    va = d3 * d6 - d4 * d5
+    if va <= 0 and (d4 - d3) >= 0 and (d5 - d6) >= 0:
+        w = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+        bc = _sub(c, b)
+        return _dist(p, tuple(b[k] + w * bc[k] for k in range(3)))
+    denom = va + vb + vc
+    v = vb / denom
+    w = vc / denom
+    return _dist(p, tuple(a[k] + ab[k] * v + ac[k] * w for k in range(3)))
+
+
+def point_to_tetra(p, t: Tetrahedron):
+    """Distance from p to the solid tetrahedron (0 when p is inside)."""
+    v0, v1, v2, v3 = t.vertices
+    edges = [_sub(v, v0) for v in (v1, v2, v3)]
+    frame = mp.matrix([[e[i] for e in edges] for i in range(3)])
+    lam = mp.lu_solve(frame, mp.matrix(_sub(p, v0)))
+    if min(lam) >= 0 and sum(lam) <= 1:
+        return mpf(0)
+    faces = ((v1, v2, v3), (v0, v2, v3), (v0, v1, v3), (v0, v1, v2))
+    return min(point_to_triangle(p, *f) for f in faces)
+
+
+def directed_hausdorff(a: Tetrahedron, b: Tetrahedron):
+    return max(point_to_tetra(v, b) for v in a.vertices)
+
+
+def hausdorff_tetra(a: Tetrahedron, b: Tetrahedron):
+    """Hausdorff distance between two solid tetrahedra."""
+    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
+
+
+def discrete_hausdorff(a: Tetrahedron, b: Tetrahedron):
+    """Vertex-set Hausdorff distance: an upper bound for the solid one."""
+
+    def one_way(xs, ys):
+        return max(min(_dist(x, y) for y in ys) for x in xs)
+
+    return max(one_way(a.vertices, b.vertices), one_way(b.vertices, a.vertices))

@@ -353,6 +353,28 @@ def test_named_chain_refusals(argv, message, capsys):
     assert captured.err.splitlines() == [message]
 
 
+@pytest.mark.parametrize(
+    "L, message",
+    [
+        # past int()'s 4,300-digit limit: read whole, refused as too long to spell
+        (
+            "1" + "0" * 4399,
+            "error: QH_<4400-digit number> would spell <4400-digit number> letters; "
+            "the limit is 10000000",
+        ),
+        ("7" * 5000 + "x", "error: --L must be an integer, got '777777777777777777777777...'"),
+        ("1.5", "error: --L must be an integer, got '1.5'"),
+    ],
+    ids=["4400-digits", "5001-characters", "decimal"],
+)
+def test_long_or_malformed_L_is_one_line(L, message):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = main(["gap", "--kind", "quadrahelix", "--L", L])
+    assert rc in (0, 2, 3)
+    assert err.getvalue().splitlines() == [message]
+
+
 # --- payload bytes -----------------------------------------------------------------
 
 # sha256 of stdout, recorded before the free leading face and the named chains

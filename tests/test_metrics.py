@@ -1,24 +1,33 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from conftest import valid_strings
-from tetrachain import bary, metrics
-from tetrachain.geometry import Tetrahedron, apply_bary, invisible_t0, realize_printed
-from tetrachain.metrics import (
+from conftest import random_valid_string, valid_strings
+from reference_gap import (
+    apply_bary,
     directed_hausdorff,
     discrete_hausdorff,
-    gap_bounds,
-    gap_report,
     hausdorff_tetra,
-    loop_gap_report,
-    maxnorm,
     point_to_tetra,
     point_to_triangle,
+)
+from tetrachain import bary
+from tetrachain.geometry import Tetrahedron, invisible_t0, realize_printed
+from tetrachain.metrics import (
+    discrete_gap2,
+    gap2,
+    gap_report,
+    inverse,
+    loop_gap_report,
+    maxnorm,
+    root,
     spectral_norm,
 )
+from tetrachain.precision import RealCtx, make_constants
 from tetrachain.strings import preset_540_string, quadrahelix_string, rotate
 
 TRI = ((mpf(0),) * 3, (mpf(1), mpf(0), mpf(0)), (mpf(0), mpf(1), mpf(0)))
@@ -149,53 +158,91 @@ def test_periodic_loop_takes_the_first_tied_cut(c40):
     assert loop.n_cuts_below_printed == sum(1 for g in gaps if g < gaps[0])
 
 
-def _counting_hausdorff(monkeypatch):
-    calls = []
-    real = metrics.hausdorff_tetra
-
-    def counted(a, b):
-        calls.append(None)
-        return real(a, b)
-
-    monkeypatch.setattr(metrics, "hausdorff_tetra", counted)
-    return calls
+def test_lead_ties_go_to_the_smallest_face(c40):
+    # far from closure the lead often leaves the farthest vertex in place, so
+    # leads tie exactly; "12" ties all three of its leads 1, 3 and 4
+    for s in ((1, 2), (3, 1)):
+        leads = bary.lead_matrices(bary.chain_matrix(s), *s)
+        assert len({gap2(K) for K in leads.values()}) == 1
+        assert gap_report(s, c40).r0 == min(leads)
 
 
-def test_loop_scan_decides_few_leads_in_mpf(c40, monkeypatch):
-    # a full scan of the 540-loop makes 1,626 mpf Hausdorff calls (540 cuts x
-    # 3 leads, and 3 leads in each of the two closing reports)
-    calls = _counting_hausdorff(monkeypatch)
-    loop = loop_gap_report(preset_540_string(), c40)
-    assert (loop.best_cut, loop.n_cuts_below_printed) == (68, 246)
-    assert len(calls) <= 100
+def test_loop_scan_takes_cut_67_at_every_precision():
+    # six cuts of the 540-loop tie exactly at the least gap (67, 68, 247,
+    # 248, 427, 428); rounded gaps used to pick 67 or 68 by the digits, and
+    # to count 246 or 249 cuts below the printed one
+    s = preset_540_string()
+    for digits in (30, 40, 50, 60, 80):
+        loop = loop_gap_report(s, make_constants(RealCtx(digits=digits)))
+        assert (loop.best_cut, loop.n_cuts_below_printed) == (67, 246), digits
+    K = bary.chain_matrix(s)
+    gaps = []
+    for cut, sym in enumerate(s):
+        gaps.append(min(gap2(L) for L in bary.lead_matrices(K, sym, s[(cut + 1) % len(s)]).values()))
+        K = bary.conjugate(K, sym)
+    assert [cut for cut, g in enumerate(gaps) if g == min(gaps)] == [67, 68, 247, 248, 427, 428]
 
 
-@pytest.mark.parametrize("L", [2, 10, 29, 70, 1960])
-def test_lead_screen_leaves_one_lead_of_a_near_loop(L, c40, monkeypatch):
-    # the other two leads of QH_L sit about 0.87 away
-    calls = _counting_hausdorff(monkeypatch)
-    gap_report(quadrahelix_string(L), c40)
-    assert len(calls) == 1
-
-
-def _assert_bounds_enclose_every_lead(s, c):
+def _assert_gaps_match_reference(s, c, rel=mpf(10) ** -35):
+    """The exact gap of every lead of s against the Cartesian reference."""
     t0 = invisible_t0(c)
     with c.ctx.work():
         for K in bary.lead_matrices(bary.chain_matrix(s), s[0], s[1]).values():
-            gap = hausdorff_tetra(t0, apply_bary(t0, K.to_mpf(c.ctx)))
-            diff = K.minus_identity()
-            for D in (diff, diff.to_mpf(c.ctx)):  # exact and mpf rows
-                lo, hi = gap_bounds(t0, D)
-                assert lo <= gap <= hi, (s, lo, gap, hi)
+            want = hausdorff_tetra(t0, apply_bary(t0, K.to_mpf(c.ctx)))
+            assert abs(root(gap2(K)) - want) <= rel * want, s
 
 
-@given(valid_strings(min_size=2, max_size=40))
-def test_gap_bounds_enclose_the_gap(c40, s):
-    _assert_bounds_enclose_every_lead(s, c40)
+def test_exact_gap_matches_reference_hausdorff(c40):
+    rng = random.Random(200)
+    for _ in range(200):
+        _assert_gaps_match_reference(random_valid_string(rng, rng.randint(3, 60)), c40)
 
 
-def test_gap_bounds_enclose_540_loop_cuts(c40):
+@pytest.mark.parametrize("L", [2, 10, 29, 70, 1960])
+def test_exact_gap_matches_reference_on_quadrahelix(L, c40):
+    _assert_gaps_match_reference(quadrahelix_string(L), c40)
+
+
+def test_exact_gap_matches_reference_on_540_loop_cuts(c40):
     # near-closures: K - I and the gaps are about 1e-17
     s = preset_540_string()
     for cut in random.Random(540).sample(range(len(s)), 20):
-        _assert_bounds_enclose_every_lead(rotate(s, cut), c40)
+        _assert_gaps_match_reference(rotate(s, cut), c40)
+
+
+def test_discrete_gap_matches_reference_vertex_distance(c40):
+    rng = random.Random(7)
+    t0 = invisible_t0(c40)
+    strings = [random_valid_string(rng, rng.randint(2, 60)) for _ in range(100)]
+    with c40.ctx.work():
+        for s in strings + [quadrahelix_string(10)]:
+            K = bary.chain_matrix(s)
+            want = discrete_hausdorff(t0, apply_bary(t0, K.to_mpf(c40.ctx)))
+            assert abs(root(discrete_gap2(K)) - want) <= mpf(10) ** -35 * want, s
+
+
+def test_inverse_is_the_reversed_product():
+    rng = random.Random(3)
+    strings = [preset_540_string()] + [random_valid_string(rng, rng.randint(1, 60)) for _ in range(200)]
+    for s in strings:
+        K = bary.chain_matrix(s)
+        assert tuple(map(tuple, inverse(K.num, 3**K.power))) == bary.chain_matrix(s[::-1]).num
+        # leads come back in lowest terms; their inverses stay over the same power
+        if len(s) > 1:
+            for L in bary.lead_matrices(K, s[0], s[1]).values():
+                d = 3**L.power
+                inv = inverse(L.num, d)
+                assert all(
+                    sum(L.num[i][k] * inv[k][j] for k in range(4)) == d * d * (i == j)
+                    for i in range(4)
+                    for j in range(4)
+                )
+
+
+@given(p=st.integers(0, 10**60), q=st.integers(1, 10**60))
+def test_root_rounds_once(p, q):
+    with mp.workdps(55):
+        got = root(Fraction(p, q))
+        with mp.workdps(200):
+            want = mp.sqrt(mpf(p) / q)
+        assert got == +want

@@ -1,21 +1,14 @@
 """Tests for the closed-form chain matrix and its rigid-motion decomposition."""
 
-from math import inf
-
 from mpmath import mp, mpf
 
 import pytest
 from hypothesis import given, strategies as st
 
+from reference_gap import apply_bary, hausdorff_tetra
 from tetrachain import bary, motion
-from tetrachain.geometry import apply_bary, invisible_t0, realize_printed
-from tetrachain.metrics import (
-    gap_bounds,
-    gap_report,
-    hausdorff_tetra,
-    minus_identity,
-    spectral_norm,
-)
+from tetrachain.geometry import invisible_t0, realize_printed
+from tetrachain.metrics import gap2, gap_report, root
 from tetrachain.motion import (
     _H1_SIN_REJECTED,
     asymptotic_ratio,
@@ -111,9 +104,8 @@ def test_closed_form_gap_beyond_str_limit():
 
 def test_quadrahelix_gap_report_below_float_range():
     # the first convergent L past 10^320: the K - I of its printed lead and
-    # its gap lie below 1e-308, where no float64 bound can be formed, so that
-    # lead gets (0, inf) and every lead reaches the mpf decision; compare
-    # against the unscreened all-lead minimum
+    # its gap lie below 1e-308, out of float64's range; the mpf kernel's
+    # choice of lead and its gap against the Cartesian reference on every lead
     c = make_constants(RealCtx(digits=400))
     floor = 10**320
     L = min(L for L in convergent_lengths(c, 10 * floor) if L >= floor)
@@ -123,11 +115,22 @@ def test_quadrahelix_gap_report_below_float_range():
     with c.ctx.work():
         leads = bary.lead_matrices(K, 1, 2)
         gaps = {r: hausdorff_tetra(t0, apply_bary(t0, M)) for r, M in leads.items()}
-        assert gap_bounds(t0, minus_identity(leads[1])) == (0.0, inf)
         r0 = min(gaps, key=lambda r: (gaps[r], r))
         assert rep.r0 == r0
-        assert rep.gap == gaps[r0]
+        assert abs(rep.gap - gaps[r0]) < mpf(10) ** -60 * gaps[r0]
         assert 0 < rep.gap < mpf(10) ** -308
+
+
+def test_closed_form_kernel_matches_exact_kernel(ctx40):
+    # the mpf kernel on the closed form's K against the exact kernel on the
+    # exact products, on every lead of QH_10
+    exact = bary.lead_matrices(bary.chain_matrix(quadrahelix_string(10)), 1, 2)
+    with ctx40.work():
+        closed = bary.lead_matrices(k_formula(10, ctx40), 1, 2)
+        assert closed.keys() == exact.keys()
+        for r, K in exact.items():
+            want = root(gap2(K))
+            assert abs(root(gap2(closed[r])) - want) < mpf(10) ** -35 * want, r
 
 
 @pytest.mark.parametrize("r0", [None, 1, 3, 4])
