@@ -23,7 +23,7 @@ from .strings import (
 )
 from .bary import BaryMatrix, reflection_matrix, chain_matrix, divisibility_witness
 from .geometry import Tetrahedron, RealizedChain, helix_vertex, invisible_t0, realize_chain
-from .metrics import GapReport, gap_report, spectral_norm
+from .metrics import GapReport, gap_report, norm_gap
 from .embedding import EmbeddingVerdict, verify_embedded, quadplane_determinant
 from .search import Convergent, DioSolution, continued_fraction_convergents, babai_lll_search
 from .motion import (
@@ -59,7 +59,7 @@ __all__ = [
     "realize_chain",
     "GapReport",
     "gap_report",
-    "spectral_norm",
+    "norm_gap",
     "EmbeddingVerdict",
     "verify_embedded",
     "quadplane_determinant",

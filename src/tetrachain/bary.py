@@ -57,30 +57,13 @@ class BaryMatrix:
             d = mpf(3) ** self.power
             return [[mpf(x) / d for x in row] for row in self.num]
 
-    def minus_identity(self) -> "BaryMatrix":
-        """K - I, exactly, over the same power of 3."""
-        one = 3**self.power
-        rows = (tuple(x - one * (i == j) for j, x in enumerate(r)) for i, r in enumerate(self.num))
-        return BaryMatrix(tuple(rows), self.power)
-
     def column_sums(self) -> list[Fraction]:
         d = 3**self.power
         return [Fraction(sum(self.num[i][j] for i in range(4)), d) for j in range(4)]
 
     def det(self) -> Fraction:
-        """Exact determinant (cofactor expansion on the integer numerators)."""
-        m = self.num
-
-        def det3(r, c):
-            (a, b, c0), (d, e, f), (g, h, i) = (
-                tuple(m[x][y] for y in range(4) if y != c) for x in range(4) if x != r
-            )
-            return a * (e * i - f * h) - b * (d * i - f * g) + c0 * (d * h - e * g)
-
-        total = 0
-        for j in range(4):
-            total += (-1) ** j * m[0][j] * det3(0, j)
-        return Fraction(total, 3 ** (4 * self.power))
+        """Exact determinant, on the integer numerators."""
+        return Fraction(det(self.num), 3 ** (4 * self.power))
 
     def is_permutation(self) -> bool:
         """True iff the matrix is exactly a 0/1 permutation matrix."""
@@ -91,6 +74,16 @@ class BaryMatrix:
                 return False
         cols = sorted(row.index(one) for row in [list(r) for r in self.num])
         return cols == [0, 1, 2, 3]
+
+
+def det(rows):
+    """Determinant of a square matrix given as rows, by cofactors along the top row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * x * det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j, x in enumerate(rows[0])
+    )
 
 
 IDENTITY = BaryMatrix(

@@ -165,6 +165,10 @@ def cmd_gap(args) -> int:
     c = make_constants(ctx)
     kind, param, s = _chain(args)
     if args.loop:
+        if args.r0 is not None:
+            raise ValueError("--loop takes the least lead of every cut; it cannot pin --r0")
+        if args.format == "csv":
+            raise ValueError("--loop writes JSON only; it has no --format csv")
         loop = loop_gap_report(s, c)
         payload = {"string": format_string(s), "length": len(s), "loop": loop.to_json_dict()}
         _emit(_json_text(payload), args.out)

@@ -28,7 +28,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
 from . import bary
-from .precision import Constants, RealCtx
+from .precision import Constants
 from .strings import rotate
 
 
@@ -120,30 +120,46 @@ def root(x) -> mpf:
     return mp.make_mpf(from_man_exp(man, -k - 1, mp.prec, round_nearest))
 
 
-def minus_identity(M) -> list:
-    """M - I for a square matrix given as rows."""
-    return [
-        [x - (1 if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(M)
-    ]
+def minus_identity(M, one=1) -> list:
+    """M - one * I for a square matrix given as rows."""
+    return [[x - one * (i == j) for j, x in enumerate(row)] for i, row in enumerate(M)]
 
 
 def maxnorm(M) -> mpf:
     return max(abs(x) for row in M for x in row)
 
 
-def spectral_norm(M, ctx: RealCtx) -> mpf:
-    """Largest singular value via the symmetric eigenproblem on M^T M."""
-    n = len(M)
-    with ctx.work():
-        mt = mp.matrix(n)
-        for i in range(n):
-            for j in range(n):
-                mt[i, j] = sum(M[k][i] * M[k][j] for k in range(n))
-        eigs = mp.eigsy(mt, eigvals_only=True)
-        top = max(eigs)
-        if top < 0:  # eigenvalue noise around zero
-            top = mpf(0)
-        return mp.sqrt(top)
+def norm_gap(K) -> mpf:
+    """||K - I||_2 of the chain matrix K, a BaryMatrix or mpf rows, in closed form.
+
+    K - I maps R^4 into the plane sum x = 0, on which T_0 is sqrt(1/2) times
+    an isometry.  So G = (K - I)^T (K - I) has the eigenvalues 0,
+    s^2 = 3 + det K - tr K (2 - 2 cos phi for the rotation angle phi of the
+    motion) and the roots of x^2 - P x + Q, with P = tr G - s^2 and
+    Q = e2(G) - s^2 P; interlacing with G's block on the plane puts the
+    larger root on top.  tr K and det K = +-1 are exact on integer
+    numerators, where det N = +-3^(4p) = +-1 mod 4; G is formed in mpf from
+    K - I, subtracted on the numerators first.
+    """
+    N, d = _numerators(K)
+    if isinstance(K, bary.BaryMatrix):
+        sign = 2 - bary.det([[x % 4 for x in row] for row in N]) % 4
+    else:
+        sign = 1 if bary.det(N) > 0 else -1
+    den = mpf(d)
+    s2 = mpf((3 + sign) * d - sum(N[i][i] for i in range(4))) / den
+    D = [[mpf(x) / den for x in row] for row in minus_identity(N, d)]
+    G = [[sum(D[k][i] * D[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+    tr = sum(G[i][i] for i in range(4))
+    P = tr - s2
+    Q = (tr * tr - sum(x * x for row in G for x in row)) / 2 - s2 * P
+    return mp.sqrt((P + mp.sqrt(max(P * P - 4 * Q, 0))) / 2)
+
+
+def maxnorm_gap(K) -> mpf:
+    """max |(K - I)_ij| of the chain matrix K, taken on its numerators."""
+    N, d = _numerators(K)
+    return mpf(maxnorm(minus_identity(N, d))) / mpf(d)
 
 
 @dataclass(frozen=True)
@@ -186,20 +202,17 @@ def lead_minimized_report(leads: dict, c: Constants, r0: int | None = None) -> G
     and the minimum norms; passing r0 pins the leading face instead.
     """
     if r0 is not None:
+        if r0 not in (1, 2, 3, 4):
+            raise ValueError(f"leading face must be 1..4, got {r0}")
         if r0 not in leads:
             raise ValueError(f"leading face {r0} collides with the second symbol")
         leads = {r0: leads[r0]}
-    ctx = c.ctx
-    with ctx.work():
+    with c.ctx.work():
         gap, lead = least_gap(leads)
-        diffs = [
-            K.minus_identity().to_mpf(ctx) if isinstance(K, bary.BaryMatrix) else minus_identity(K)
-            for K in leads.values()
-        ]
         return GapReport(
             gap=root(gap),
-            norm_gap=min(spectral_norm(diff, ctx) for diff in diffs),
-            maxnorm_gap=min(maxnorm(diff) for diff in diffs),
+            norm_gap=min(norm_gap(K) for K in leads.values()),
+            maxnorm_gap=min(maxnorm_gap(K) for K in leads.values()),
             discrete_gap=root(discrete_gap2(leads[lead])),
             r0=lead,
         )

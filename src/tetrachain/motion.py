@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .bary import MAX_EXACT_LENGTH, BaryMatrix, chain_matrix, lead_matrices, mat_mul
+from .bary import MAX_EXACT_LENGTH, BaryMatrix, chain_matrix, det, lead_matrices, mat_mul
 from .geometry import RealizedChain, Tetrahedron, _cross, helix_vertex, invisible_t0
 from .metrics import (
     GapReport,
@@ -32,8 +32,8 @@ from .metrics import (
     least_gap,
     maxnorm,
     minus_identity,
+    norm_gap,
     root,
-    spectral_norm,
 )
 from .precision import (
     Constants,
@@ -155,8 +155,8 @@ def closed_form_gap(L: int, ctx: RealCtx, c: Constants | None = None) -> ClosedF
     delta_bar, k, K = _closed_form_matrix(L, ctx)
     with ctx.work():
         gap = root(gap2(K))
-        norm2 = spectral_norm(minus_identity(K), ctx)
-    return ClosedFormGap(L=int(L), k=k, delta_bar=delta_bar, gap=gap, norm_gap=norm2)
+        norm = norm_gap(K)
+    return ClosedFormGap(L=int(L), k=k, delta_bar=delta_bar, gap=gap, norm_gap=norm)
 
 
 def _quadrahelix_leads(L: int, c: Constants) -> dict:
@@ -204,6 +204,7 @@ class RigidMotion:
 
 
 def _inv(M):
+    """Inverse of a square matrix by Gauss-Jordan elimination with partial pivoting."""
     n = len(M)
     A = [list(row) + [mpf(1 if i == j else 0) for j in range(n)] for i, row in enumerate(M)]
     for col in range(n):
@@ -285,12 +286,7 @@ def motion_residuals(m: RigidMotion, ctx: RealCtx) -> dict:
             for i in range(3)
         ]
         orth = maxnorm(minus_identity(rtr))
-        det = (
-            R[0][0] * (R[1][1] * R[2][2] - R[1][2] * R[2][1])
-            - R[0][1] * (R[1][0] * R[2][2] - R[1][2] * R[2][0])
-            + R[0][2] * (R[1][0] * R[2][1] - R[1][1] * R[2][0])
-        )
-        out = {"orthogonality": orth, "det_minus_1": abs(det - 1)}
+        out = {"orthogonality": orth, "det_minus_1": abs(det(R) - 1)}
         if m.w is not None:
             wR = [sum(m.w[i] * R[i][j] for i in range(3)) for j in range(3)]
             out["axis_invariance"] = max(abs(wR[j] - m.w[j]) for j in range(3))
@@ -298,26 +294,6 @@ def motion_residuals(m: RigidMotion, ctx: RealCtx) -> dict:
             Ru = [sum(R[i][j] * m.u[j] for j in range(3)) for i in range(3)]
             out["axis_point"] = max(abs(m.u[i] - Ru[i] - t[i]) for i in range(3))
         return out
-
-
-def motion_eigenvalues(K, ctx: RealCtx):
-    """Eigenvalues of the 4x4 chain matrix (expected: z, conj(z), 1, 1)."""
-    with ctx.work():
-        E, _ = mp.eig(mp.matrix([list(r) for r in K]))
-        return sorted(E, key=lambda z: (mp.re(z), mp.im(z)))
-
-
-def rank_of_k_minus_i(K, ctx: RealCtx, tol=None) -> int:
-    with ctx.work():
-        diff = minus_identity(K)
-        mtm = mp.matrix(4)
-        for i in range(4):
-            for j in range(4):
-                mtm[i, j] = sum(diff[k][i] * diff[k][j] for k in range(4))
-        eigs = mp.eigsy(mtm, eigvals_only=True)
-        top = max(max(eigs), mpf(10) ** (-2 * ctx.digits))
-        tol = tol if tol is not None else top * mpf(10) ** (-ctx.digits // 2)
-        return sum(1 for e in eigs if e > tol)
 
 
 def left_kernel_residuals(K, w, t0: Tetrahedron, ctx: RealCtx) -> dict:
@@ -357,7 +333,8 @@ def corollary_angle_checks(L: int, c: Constants) -> dict:
         rho0 = mp.acos(sin_rho)
         K = k_formula(L, ctx, delta_bar=delta_bar)
         motion = decompose_motion(K, invisible_t0(c), ctx)
-        r_norm = spectral_norm(minus_identity(motion.R), ctx)
+        # ||R - I||_2 = sqrt(2 - 2 cos(angle)), and tr K = tr R + 1 = 2 + 2 cos(angle)
+        r_norm = mp.sqrt(4 - sum(K[i][i] for i in range(4)))
         return {
             "rho0": rho0,
             "sin_rho": sin_rho,
@@ -420,7 +397,7 @@ def ratio_terms(L: int, ctx: RealCtx) -> tuple:
     delta_bar, _ = reduce_theta_multiple(int(L) + 1, ctx)
     K = k_formula(L, ctx, delta_bar=delta_bar)
     with ctx.work():
-        norm = spectral_norm(minus_identity(K), ctx)
+        norm = norm_gap(K)
         return delta_bar, norm, norm / (mpf(int(L)) * delta_bar**2)
 
 
@@ -430,23 +407,13 @@ def asymptotic_ratio(L: int, ctx: RealCtx):
 
 
 def limit_matrix_norm(ctx: RealCtx):
-    """Spectral norm of the limiting matrix (2/25)*rows(3,3,3,3 / -1.. x3)."""
+    """Spectral norm of the limiting matrix (2/25)*rows(3,3,3,3 / -1.. x3).
+
+    The matrix has rank one, so its spectral norm is its Frobenius norm.
+    """
     with ctx.work():
         num, den = LIMIT_MATRIX_SCALE
-        M = [
-            [mpf(num) * LIMIT_MATRIX_NUM[i][j] / den for j in range(4)]
-            for i in range(4)
-        ]
-        return spectral_norm(M, ctx)
-
-
-def t0_operator_norm(c: Constants):
-    """||homogeneous T0||_2, with its radical closed form for cross-checking."""
-    ctx = c.ctx
-    with ctx.work():
-        value = spectral_norm(homogeneous_t0(invisible_t0(c)), ctx)
-        closed = mp.sqrt(117 + mp.sqrt(8689)) / (5 * mp.sqrt(2))
-        return value, closed
+        return mpf(num) / den * mp.sqrt(sum(x * x for row in LIMIT_MATRIX_NUM for x in row))
 
 
 def axis_point_norm_bound(L: int, c: Constants):
@@ -471,22 +438,6 @@ def _string_runs(s):
     return out
 
 
-def _solve3(M, rhs):
-    """Solve a 3x3 system by Gaussian elimination with partial pivoting."""
-    A = [list(M[i]) + [rhs[i]] for i in range(3)]
-    for col in range(3):
-        piv = max(range(col, 3), key=lambda r: abs(A[r][col]))
-        if A[piv][col] == 0:
-            raise ZeroDivisionError("singular tetrahedron frame")
-        A[col], A[piv] = A[piv], A[col]
-        for r in range(3):
-            if r != col:
-                f = A[r][col] / A[col][col]
-                for k in range(col, 4):
-                    A[r][k] -= f * A[col][k]
-    return [A[i][3] / A[i][i] for i in range(3)]
-
-
 def leg_axes(chain: RealizedChain, c: Constants, min_steps: int = 3) -> list:
     """Axis directions of the straight helical legs of a realized chain.
 
@@ -508,7 +459,7 @@ def leg_axes(chain: RealizedChain, c: Constants, min_steps: int = 3) -> list:
             D = [
                 [W[k + 1][axis] - W[k][axis] for axis in range(3)] for k in range(3)
             ]
-            u = _solve3(D, [c.h, c.h, c.h])
+            u = [c.h * sum(row) for row in _inv(D)]
             n = _norm(u)
             axes.append(tuple(x / n for x in u))
     return axes

@@ -16,6 +16,14 @@ settings.register_profile(
 settings.load_profile("research")
 
 
+# near-closing quadrahelices far past the exact products, for the closed form
+L_99_DIGITS = int(
+    "521269338782055651792691214128196053088348030247372007924246566932"
+    "650514801545115813925856156787510"
+)
+L_17_DIGITS = 30170783468093193
+
+
 @pytest.fixture(scope="session")
 def ctx40():
     return RealCtx(digits=40)

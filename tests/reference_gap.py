@@ -1,4 +1,4 @@
-"""Reference closure gaps by Cartesian geometry, for checking the exact kernel.
+"""Reference closure gaps and norms by general-purpose numerics, for checking the kernels.
 
 The package measures a gap on barycentric numerators (``metrics.gap2``);
 these functions measure the same Hausdorff distances on the realized mpf
@@ -6,11 +6,17 @@ vertices, by a Voronoi-region walk over the faces of each solid
 tetrahedron.  Point-to-convex-set distance is convex in the point, so the
 directed distance between convex bodies is attained at a vertex of the
 source: a max over four vertices is exact.
+
+The package takes ||K - I||_2 in closed form (``metrics.norm_gap``); the
+oracles at the end take it, and the eigenstructure of K, from mpmath's
+iterative eigensolvers.
 """
 
 from mpmath import mp, mpf
 
-from tetrachain.geometry import Tetrahedron
+from tetrachain.geometry import Tetrahedron, invisible_t0
+from tetrachain.metrics import minus_identity
+from tetrachain.motion import homogeneous_t0
 
 
 def _sub(a, b):
@@ -102,3 +108,47 @@ def discrete_hausdorff(a: Tetrahedron, b: Tetrahedron):
         return max(min(_dist(x, y) for y in ys) for x in xs)
 
     return max(one_way(a.vertices, b.vertices), one_way(b.vertices, a.vertices))
+
+
+def spectral_norm(M, ctx):
+    """Largest singular value via the symmetric eigenproblem on M^T M."""
+    n = len(M)
+    with ctx.work():
+        mt = mp.matrix(n)
+        for i in range(n):
+            for j in range(n):
+                mt[i, j] = sum(M[k][i] * M[k][j] for k in range(n))
+        eigs = mp.eigsy(mt, eigvals_only=True)
+        top = max(eigs)
+        if top < 0:  # eigenvalue noise around zero
+            top = mpf(0)
+        return mp.sqrt(top)
+
+
+def motion_eigenvalues(K, ctx):
+    """Eigenvalues of the 4x4 chain matrix (expected: z, conj(z), 1, 1)."""
+    with ctx.work():
+        E, _ = mp.eig(mp.matrix([list(r) for r in K]))
+        return sorted(E, key=lambda z: (mp.re(z), mp.im(z)))
+
+
+def rank_of_k_minus_i(K, ctx, tol=None) -> int:
+    with ctx.work():
+        diff = minus_identity(K)
+        mtm = mp.matrix(4)
+        for i in range(4):
+            for j in range(4):
+                mtm[i, j] = sum(diff[k][i] * diff[k][j] for k in range(4))
+        eigs = mp.eigsy(mtm, eigvals_only=True)
+        top = max(max(eigs), mpf(10) ** (-2 * ctx.digits))
+        tol = tol if tol is not None else top * mpf(10) ** (-ctx.digits // 2)
+        return sum(1 for e in eigs if e > tol)
+
+
+def t0_operator_norm(c):
+    """||homogeneous T0||_2, with its radical closed form for cross-checking."""
+    ctx = c.ctx
+    with ctx.work():
+        value = spectral_norm(homogeneous_t0(invisible_t0(c)), ctx)
+        closed = mp.sqrt(117 + mp.sqrt(8689)) / (5 * mp.sqrt(2))
+        return value, closed

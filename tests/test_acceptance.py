@@ -15,8 +15,8 @@ from mpmath import mp, mpf
 
 import pytest
 
-from conftest import reference_fold
-from reference_gap import apply_bary, hausdorff_tetra
+from conftest import L_17_DIGITS, L_99_DIGITS, reference_fold
+from reference_gap import apply_bary, hausdorff_tetra, motion_eigenvalues, rank_of_k_minus_i
 from tetrachain import bary
 from tetrachain.embedding import quadplane_determinant, verify_embedded
 from tetrachain.geometry import edge_lengths, invisible_t0, realize_printed
@@ -30,9 +30,7 @@ from tetrachain.motion import (
     k_formula,
     left_kernel_residuals,
     limiting_rhombus,
-    motion_eigenvalues,
     motion_residuals,
-    rank_of_k_minus_i,
 )
 from tetrachain.precision import RealCtx, make_constants, reduce_theta_multiple
 from tetrachain.search import continued_fraction_convergents, lattice_table
@@ -93,13 +91,6 @@ LATTICE_ROWS = [
     (3113400370, -1139939675, "-9.71"),
     (434337601428, -159028266709, "-10.4"),
 ]
-
-L_99_DIGITS = int(
-    "521269338782055651792691214128196053088348030247372007924246566932"
-    "650514801545115813925856156787510"
-)
-L_17_DIGITS = 30170783468093193
-
 
 def _within_display_unit(value, printed: str):
     """|value - printed| <= one unit in the last displayed decimal place."""

@@ -344,6 +344,21 @@ def test_version_flag():
             ["gap", "--kind", "octahelix", "--L", "2500"],
             "error: string length 20004 exceeds the exact-product limit 20000",
         ),
+        # a lead that is no face at all, and options a loop scan would ignore
+        (["gap", "--string", "12", "--r0", "9"], "error: leading face must be 1..4, got 9"),
+        (["gap", "--string", "12", "--r0", "0"], "error: leading face must be 1..4, got 0"),
+        (
+            ["gap", "--kind", "quadrahelix", "--L", "12", "--r0", "5"],
+            "error: leading face must be 1..4, got 5",
+        ),
+        (
+            ["gap", "--string", "1234", "--loop", "--format", "csv"],
+            "error: --loop writes JSON only; it has no --format csv",
+        ),
+        (
+            ["gap", "--string", "1234", "--loop", "--r0", "3"],
+            "error: --loop takes the least lead of every cut; it cannot pin --r0",
+        ),
     ],
 )
 def test_named_chain_refusals(argv, message, capsys):
@@ -403,6 +418,13 @@ PAYLOAD_SHA256 = {
     ),
     "table1 --L-max 20000": (
         "3d71b03492c7a86257cc6268d658fd76db56c51b7692fe43a75f9ea41466e5e1"
+    ),
+    # the closed-form norm column, and every cut of the 540-loop
+    "scan-ratio --L-max 200": (
+        "376fe5b8ade777f5dd6bd0b1622ba856dbf26460d8051a026417ec8e57c506fb"
+    ),
+    "gap --kind preset540 --loop": (
+        "f6fbebbe90b83fc43de7c7037bba5c423f2ccae3b6736bfa46563ffc8187cdec"
     ),
 }
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from conftest import random_valid_string, valid_strings
+from conftest import L_17_DIGITS, L_99_DIGITS, random_valid_string, valid_strings
 from reference_gap import (
     apply_bary,
     directed_hausdorff,
@@ -14,6 +14,7 @@ from reference_gap import (
     hausdorff_tetra,
     point_to_tetra,
     point_to_triangle,
+    spectral_norm,
 )
 from tetrachain import bary
 from tetrachain.geometry import Tetrahedron, invisible_t0, realize_printed
@@ -24,9 +25,11 @@ from tetrachain.metrics import (
     inverse,
     loop_gap_report,
     maxnorm,
+    minus_identity,
+    norm_gap,
     root,
-    spectral_norm,
 )
+from tetrachain.motion import k_formula
 from tetrachain.precision import RealCtx, make_constants
 from tetrachain.strings import preset_540_string, quadrahelix_string, rotate
 
@@ -97,6 +100,46 @@ def test_norms():
     assert maxnorm(M) == 4
 
 
+def _assert_norm_matches_eigensolver(K, ctx, rel=mpf(10) ** -35):
+    """The closed-form ||K - I||_2 against mpmath's eigensolver on K - I rounded once."""
+    N, d = (K.num, 3**K.power) if isinstance(K, bary.BaryMatrix) else (K, 1)
+    with ctx.work():
+        want = spectral_norm([[mpf(x) / d for x in row] for row in minus_identity(N, d)], ctx)
+        assert abs(norm_gap(K) - want) <= rel * want
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["proper", "improper"])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_norm_gap_matches_eigensolver_on_every_lead(ctx40, parity, data):
+    s = data.draw(valid_strings(min_size=2, max_size=400).filter(lambda s: len(s) % 2 == parity))
+    for K in bary.lead_matrices(bary.chain_matrix(s), s[0], s[1]).values():
+        _assert_norm_matches_eigensolver(K, ctx40)
+
+
+def test_norm_gap_matches_eigensolver_on_540_loop_cuts(ctx40):
+    # near-closures: K - I is about 1e-17 at the best cuts
+    s = preset_540_string()
+    K = bary.chain_matrix(s)
+    for sym in s:
+        _assert_norm_matches_eigensolver(K, ctx40)
+        K = bary.conjugate(K, sym)
+
+
+@pytest.mark.parametrize("L, digits", [(1960, 40), (12019, 40), (L_17_DIGITS, 40), (L_99_DIGITS, 230)])
+def test_norm_gap_matches_eigensolver_on_closed_form(L, digits):
+    ctx = RealCtx(digits=digits)
+    _assert_norm_matches_eigensolver(k_formula(L, ctx), ctx)
+
+
+def test_norm_gap_of_identity_and_reflections(ctx40):
+    with ctx40.work():
+        assert norm_gap(bary.IDENTITY) == 0
+        for i in (1, 2, 3, 4):
+            # K - I has the one column (2/3, 2/3, 2/3, -2) up to order: rank one, norm 4/sqrt(3)
+            assert abs(norm_gap(bary.reflection_matrix(i)) - 4 / mp.sqrt(3)) < mpf(10) ** -50
+
+
 def test_gap_report_quadrahelix_10(c40):
     rep = gap_report(quadrahelix_string(10), c40)
     assert abs(rep.gap - mpf("0.0775081010798830")) < 1e-13
@@ -111,8 +154,10 @@ def test_gap_report_pinned_lead(c40):
     pinned = gap_report(s, c40, r0=4)
     assert pinned.r0 == 4
     assert pinned.gap >= free.gap  # the free minimum can only be better
-    with pytest.raises(ValueError):
-        gap_report(s, c40, r0=2)  # collides with the second symbol
+    with pytest.raises(ValueError, match="collides with the second symbol"):
+        gap_report(s, c40, r0=2)
+    with pytest.raises(ValueError, match=r"leading face must be 1\.\.4, got 9"):
+        gap_report(s, c40, r0=9)
 
 
 def test_gap_report_too_short(c40):

@@ -5,7 +5,13 @@ from mpmath import mp, mpf
 import pytest
 from hypothesis import given, strategies as st
 
-from reference_gap import apply_bary, hausdorff_tetra
+from reference_gap import (
+    apply_bary,
+    hausdorff_tetra,
+    motion_eigenvalues,
+    rank_of_k_minus_i,
+    t0_operator_norm,
+)
 from tetrachain import bary, motion
 from tetrachain.geometry import invisible_t0, realize_printed
 from tetrachain.metrics import gap2, gap_report, root
@@ -24,11 +30,8 @@ from tetrachain.motion import (
     left_kernel_residuals,
     limit_matrix_norm,
     limiting_rhombus,
-    motion_eigenvalues,
     motion_residuals,
     quadrahelix_gap_report,
-    rank_of_k_minus_i,
-    t0_operator_norm,
 )
 from tetrachain.precision import (
     PrecisionError,
