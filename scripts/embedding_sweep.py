@@ -5,7 +5,7 @@ import argparse
 import time
 
 from tetrachain.embedding import verify_embedded
-from tetrachain.geometry import realize_printed
+from tetrachain.geometry import realize_chain
 from tetrachain.precision import RealCtx, make_constants
 from tetrachain.strings import octahelix_string, quadrahelix_string
 
@@ -35,7 +35,7 @@ def main():
 
     print("open chains:")
     for L in range(1, args.qh_max + 1):
-        chain = realize_printed(quadrahelix_string(L), c)
+        chain = realize_chain(quadrahelix_string(L), c)
         v = verify_embedded(chain)
         if not v.embedded:
             print(f"  QH {L}: OVERLAP at {v.first_violation}")
@@ -45,7 +45,7 @@ def main():
 
     print("loops:")
     for L in args.oh:
-        _verdict_line(f"OH {L}", realize_printed(octahelix_string(L), c))
+        _verdict_line(f"OH {L}", realize_chain(octahelix_string(L), c))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ never touch floating point until a caller asks for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -29,14 +28,6 @@ class BaryMatrix:
 
     num: _Rows
     power: int
-
-    def entry(self, i: int, j: int) -> Fraction:
-        """Exact entry with 0-based indices."""
-        return Fraction(self.num[i][j], 3**self.power)
-
-    def entries(self) -> list[list[Fraction]]:
-        d = 3**self.power
-        return [[Fraction(x, d) for x in row] for row in self.num]
 
     def __matmul__(self, other: "BaryMatrix") -> "BaryMatrix":
         """The product in lowest terms: common factors of 3 are divided out."""
@@ -56,14 +47,6 @@ class BaryMatrix:
         with ctx.work():
             d = mpf(3) ** self.power
             return [[mpf(x) / d for x in row] for row in self.num]
-
-    def column_sums(self) -> list[Fraction]:
-        d = 3**self.power
-        return [Fraction(sum(self.num[i][j] for i in range(4)), d) for j in range(4)]
-
-    def det(self) -> Fraction:
-        """Exact determinant, on the integer numerators."""
-        return Fraction(det(self.num), 3 ** (4 * self.power))
 
     def is_permutation(self) -> bool:
         """True iff the matrix is exactly a 0/1 permutation matrix."""
@@ -136,9 +119,8 @@ def prefix_products(s: Sequence[int]) -> Iterator[_Rows]:
     2*(sum of the other columns) - 3*(column i), and the other columns are
     multiplied by 3.  Column j of the k-th product holds the barycentric
     coordinates over T_0 of vertex j of tetrahedron T_{k+1}.  The caller
-    validates s; a string past MAX_EXACT_LENGTH is refused.
+    validates s and refuses it past MAX_EXACT_LENGTH (check_exact_length).
     """
-    check_exact_length(len(s))
     cols = IDENTITY.num  # the identity is its own transpose
     for sym in s:
         i = sym - 1

@@ -20,7 +20,7 @@ from mpmath import mp, mpf
 from . import __version__
 from .bary import chain_matrix
 from .embedding import verify_embedded
-from .geometry import invisible_t0, realize_printed
+from .geometry import invisible_t0, realize_chain
 from .metrics import gap_report, loop_gap_report
 from .motion import (
     decompose_motion,
@@ -145,7 +145,7 @@ def cmd_build(args) -> int:
     else:
         summary["gap_report"] = gap_report(s, c).to_json_dict()
     summary["string"] = format_string(s)
-    chain = realize_printed(s, c)
+    chain = realize_chain(s, c)
     summary["tetrahedra"] = len(chain.tetrahedra)
     if args.format == "obj":
         out = args.out or f"{kind}_{param or len(s)}.obj"
@@ -204,11 +204,9 @@ def cmd_table1(args) -> int:
 def cmd_table2(args) -> int:
     ctx = RealCtx(digits=args.digits)
     c = make_constants(ctx)
-    sols = lattice_table(c, ctx)
     lines = ["X,x,y,err,log10_err,kronecker_ok"]
     with ctx.work():
-        for twice_i, sol in zip(range(4, 14), sols):
-            X = mp.power(10, mpf(twice_i) / 2)
+        for X, sol in lattice_table(c, ctx):
             lines.append(
                 f"{_nstr(X, 6)},{sol.x},{sol.y},{_nstr(sol.err, 8)},"
                 f"{_nstr(mp.log10(sol.err), 6)},{sol.kronecker_ok}"
@@ -281,7 +279,7 @@ def cmd_verify_embed(args) -> int:
     ctx = RealCtx(digits=args.digits)
     c = make_constants(ctx)
     _, _, s = _chain(args)
-    chain = realize_printed(s, c)
+    chain = realize_chain(s, c)
     verdict = verify_embedded(chain)
     payload = {"string": format_string(s), "length": len(s)}
     payload.update(verdict.to_json_dict())
@@ -321,7 +319,7 @@ def cmd_motion(args) -> int:
             "residuals": {k: float(v) for k, v in res.items()},
         }
         if kind in ("quadrahelix", "octahelix") and len(s) <= 5000:
-            chain = realize_printed(s, c)
+            chain = realize_chain(s, c)
             payload["leg_axis_cosines"] = [
                 _nstr(x, 12) for x in leg_axis_cosines(chain, c)
             ]
@@ -346,8 +344,15 @@ def _add_common(p: argparse.ArgumentParser, chain: bool = False) -> None:
         p.add_argument("--string", default=None, help="explicit digit string, e.g. 1234")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one stderr line and exit 2, in every subcommand."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="tetrachain",
         description="Face-to-face tetrahedron chains: build, measure, search, verify.",
     )

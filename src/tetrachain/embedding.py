@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .bary import prefix_products
-from .geometry import RealizedChain, Tetrahedron, _cross, _sub, dyadic_ints
+from .geometry import RealizedChain, Tetrahedron, _cross, _sub
 from .precision import Constants
 
 _FACE_IDX = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
@@ -44,23 +44,6 @@ def quadplane_determinant(q: int, c: Constants):
         s5 = mp.sqrt(5)
         a = mpf(q) * c.theta
         return 6 * s5 * q - 9 * s5 - s5 * mp.cos(a) + 7 * mp.sin(a)
-
-
-def quadplane_determinant_direct(q: int, c: Constants):
-    """The same clearance from an explicit 3x3 determinant of helix points.
-
-    Rows are V_q - V_1, V_q - V_2, and V_q - (V_0 + V_3)/2, scaled by
-    20*sqrt(10); used as an independent oracle for the closed form.
-    """
-    from .geometry import helix_vertex
-
-    with c.ctx.work():
-        vq = helix_vertex(q, c)
-        v0, v1, v2, v3 = (helix_vertex(i, c) for i in range(4))
-        mid = tuple((a + b) / 2 for a, b in zip(v0, v3))
-        n = _cross(_sub(vq, v2), _sub(vq, mid))
-        det = sum(x * y for x, y in zip(_sub(vq, v1), n))
-        return 20 * mp.sqrt(10) * det
 
 
 def _axis(A, B, k: int):
@@ -135,16 +118,6 @@ def _pair_separation(exact: list, i: int, j: int, first: int) -> int | None:
     scale = 3 ** (j - i)
     A = [tuple(x * scale for x in v) for v in exact[i]]
     return _exact_separation(A, exact[j], first)
-
-
-def tetra_interiors_disjoint(a: Tetrahedron, b: Tetrahedron) -> bool:
-    """True iff the interiors of a and b are disjoint (touching counts as disjoint).
-
-    Decided exactly on the mpf vertices read as dyadic rationals.
-    """
-    ints, _ = dyadic_ints(x for t in (a, b) for v in t.vertices for x in v)
-    points = [tuple(ints[n : n + 3]) for n in range(0, 24, 3)]
-    return _exact_separation(points[:4], points[4:], 0) is not None
 
 
 @dataclass(frozen=True)

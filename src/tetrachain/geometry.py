@@ -19,7 +19,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
 from .bary import check_exact_length, prefix_products
-from .precision import Constants, RealCtx
+from .precision import Constants
 from .strings import is_valid
 
 Point3 = tuple  # 3 mpf coordinates
@@ -31,13 +31,10 @@ class Tetrahedron:
 
     vertices: tuple  # 4 Point3
 
-    def __iter__(self):
-        return iter(self.vertices)
-
 
 @dataclass
 class RealizedChain:
-    """A realized chain: T_0 (invisible), the visible tetrahedra, and metadata.
+    """A realized chain: its printed string, the visible tetrahedra, and their ages.
 
     ages[k][p] is the step index at which vertex slot p of visible
     tetrahedron k was last replaced; sorting a tetrahedron's slots by age
@@ -46,13 +43,8 @@ class RealizedChain:
     """
 
     string: tuple  # full string including the leading face choice
-    r0: int
-    invisible: Tetrahedron
     tetrahedra: list = field(default_factory=list)
     ages: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.tetrahedra)
 
 
 def helix_vertex(i: int, c: Constants) -> Point3:
@@ -100,23 +92,23 @@ def _rounded(n: int, den: int, low: int) -> mpf:
     return mp.make_mpf(from_man_exp(man, low - shift - 1, mp.prec, round_nearest))
 
 
-def realize_chain(tail: Sequence[int], r0: int, c: Constants) -> RealizedChain:
-    """Realize the chain with leading face r0 followed by the symbols of tail.
+def realize_chain(s: Sequence[int], c: Constants) -> RealizedChain:
+    """Realize a printed string, its first symbol the leading face.
 
-    The visible tetrahedra are T_1 .. T_{len(tail)+1}; T_0 stays invisible.
+    The visible tetrahedra are T_1 .. T_{len(s)}; T_0 stays invisible.
     Step k replaces the vertex in the slot of its symbol by T_0 times that
     column of the k-th prefix product, exact until the one rounding to the
     working precision.
     """
-    check_exact_length(len(tail) + 1)
-    s = (r0, *tail)
+    check_exact_length(len(s))
+    s = tuple(s)
     if not is_valid(s):
         raise ValueError(f"invalid reflection string {s!r}")
     with c.ctx.work():
         t0 = invisible_t0(c)
         ints, low = dyadic_ints(x for v in t0.vertices for x in v)
         axes = [ints[axis::3] for axis in range(3)]  # one coordinate of each vertex
-        chain = RealizedChain(string=s, r0=r0, invisible=t0)
+        chain = RealizedChain(string=s)
         verts = list(t0.vertices)
         age = [0, 1, 2, 3]
         den = 1
@@ -131,58 +123,3 @@ def realize_chain(tail: Sequence[int], r0: int, c: Constants) -> RealizedChain:
             chain.tetrahedra.append(Tetrahedron(tuple(verts)))
             chain.ages.append(tuple(age))
         return chain
-
-
-def realize_printed(s: Sequence[int], c: Constants) -> RealizedChain:
-    """Realize a full printed string, taking its first symbol as the lead."""
-    check_exact_length(len(s))
-    return realize_chain(tuple(s[1:]), s[0], c)
-
-
-# Coefficients of the barycentric tetrahelix point formula: the coordinates
-# of V_q in the base {V_-1, V_0, V_1, V_2} are
-#   C(q) = c_const + c_lin*q + c_cos*cos(q*theta) + c_sin*sin(q*theta)
-# with the vectors below; the last three sum to 0 and the first to 1.
-_C_CONST = (3, 4, 3, 0)  # over 10
-_C_LIN = (-3, -1, 1, 3)  # over 10
-_C_COS = (-1, 2, -1, 0)  # times 3/10
-_C_SIN = (-2, 1, 4, -3)  # times 3*sqrt(5)/50
-
-
-def bary_coefficients(q: int, c: Constants) -> tuple:
-    """The 4-vector C(q) of barycentric coordinates of helix point V_q."""
-    with c.ctx.work():
-        cq = mp.cos(mpf(q) * c.theta)
-        sq = mp.sin(mpf(q) * c.theta)
-        s5 = 3 * mp.sqrt(5) / 50
-        return tuple(
-            mpf(_C_CONST[i]) / 10
-            + mpf(_C_LIN[i]) / 10 * q
-            + mpf(3 * _C_COS[i]) / 10 * cq
-            + s5 * _C_SIN[i] * sq
-            for i in range(4)
-        )
-
-
-def tetrahelix_bary_point(q: int, base: Tetrahedron, c: Constants) -> Point3:
-    """Helix point V_q expressed through any base tetrahedron in helix order."""
-    coeff = bary_coefficients(q, c)
-    return tuple(
-        sum(base.vertices[k][axis] * coeff[k] for k in range(4)) for axis in range(3)
-    )
-
-
-def tetra_volume(t: Tetrahedron) -> mpf:
-    a, b, c3, d = t.vertices
-    n = _cross(_sub(c3, a), _sub(d, a))
-    return abs(sum(x * y for x, y in zip(_sub(b, a), n))) / 6
-
-
-def edge_lengths(t: Tetrahedron) -> list:
-    out = []
-    vs = t.vertices
-    for i in range(4):
-        for j in range(i + 1, 4):
-            out.append(mp.sqrt(sum((vs[i][k] - vs[j][k]) ** 2 for k in range(3))))
-    return out
-

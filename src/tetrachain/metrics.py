@@ -171,8 +171,8 @@ class GapReport:
     maxnorm_gap: mpf
     discrete_gap: mpf
     r0: int
-    delta_bar: mpf | None = None
 
+    # delta_bar stays in the frozen schema, always null (an empty CSV cell)
     def to_json_dict(self) -> dict:
         return {
             "gap": float(self.gap),
@@ -180,17 +180,16 @@ class GapReport:
             "maxnorm_gap": float(self.maxnorm_gap),
             "discrete_gap": float(self.discrete_gap),
             "r0": self.r0,
-            "delta_bar": None if self.delta_bar is None else float(self.delta_bar),
+            "delta_bar": None,
         }
 
     CSV_HEADER = "gap,norm_gap,maxnorm_gap,discrete_gap,r0,delta_bar"
 
     def to_csv_row(self) -> str:
-        d = "" if self.delta_bar is None else repr(float(self.delta_bar))
         return (
             f"{float(self.gap)!r},{float(self.norm_gap)!r},"
             f"{float(self.maxnorm_gap)!r},{float(self.discrete_gap)!r},"
-            f"{self.r0},{d}"
+            f"{self.r0},"
         )
 
 

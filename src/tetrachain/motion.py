@@ -10,11 +10,6 @@ where each H is an integer combination of 1, L, sqrt(5)*s, and
 L*sqrt(5)*s.  This is an exact identity (verified against the exact
 rational products), so chains far too long to multiply out -- parameters
 with hundreds of digits -- are evaluated through it.
-
-The H1 sin-delta block below is the variant that reproduces the exact
-rational product; a one-tenth-scaled variant of the same block is close
-enough to be mistaken for correct and is kept as _H1_SIN_REJECTED so the
-tests can assert that it is not.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .bary import MAX_EXACT_LENGTH, BaryMatrix, chain_matrix, det, lead_matrices, mat_mul
-from .geometry import RealizedChain, Tetrahedron, _cross, helix_vertex, invisible_t0
+from .geometry import RealizedChain, Tetrahedron, _cross
 from .metrics import (
     GapReport,
     gap2,
@@ -39,7 +34,6 @@ from .precision import (
     Constants,
     PrecisionError,
     RealCtx,
-    make_constants,
     reduce_theta_multiple,
 )
 from .strings import quadrahelix_string
@@ -57,12 +51,6 @@ H1_SIN = (
     (60, 260, -140, 60),
     (-80, -280, -80, 120),
     (20, 20, 220, -180),
-)
-_H1_SIN_REJECTED = (
-    (0, 0, 0, 0),
-    (6, 26, -14, 6),
-    (-8, -28, -8, 12),
-    (2, 2, 22, -18),
 )
 H1_LINSIN = ((0, 0, 0, 0), (1, 1, 1, 1), (-2, -2, -2, -2), (1, 1, 1, 1))
 
@@ -83,14 +71,13 @@ LIMIT_MATRIX_NUM = ((3, 3, 3, 3), (-1, -1, -1, -1), (-1, -1, -1, -1), (-1, -1, -
 LIMIT_MATRIX_SCALE = (2, 25)  # 2/25
 
 
-def k_formula(L: int, ctx: RealCtx, delta_bar=None, h1_sin=None):
+def k_formula(L: int, ctx: RealCtx, delta_bar=None):
     """Evaluate the closed-form chain matrix K(L) as 4x4 mpf rows.
 
     delta_bar may be passed in when the caller has already reduced
     (L+1)*theta; otherwise it is computed here with the exact big-integer
     reduction, so L may have any number of digits.
     """
-    h1_sin = H1_SIN if h1_sin is None else h1_sin
     if delta_bar is None:
         delta_bar, _ = reduce_theta_multiple(L + 1, ctx)
     with ctx.work():
@@ -107,7 +94,7 @@ def k_formula(L: int, ctx: RealCtx, delta_bar=None, h1_sin=None):
                 h1 = (
                     50 * H1_CONST[i][j]
                     + 1200 * H1_LIN[i][j] * Lm
-                    + 6 * sqrt5 * h1_sin[i][j] * s
+                    + 6 * sqrt5 * H1_SIN[i][j] * s
                     + 240 * sqrt5 * H1_LINSIN[i][j] * Lm * s
                 )
                 h2 = 240 * H2_CONST[i][j] + 480 * H2_LIN[i][j] * Lm + 144 * sqrt5 * H2_SIN[i][j] * s
@@ -149,9 +136,8 @@ def _closed_form_matrix(L: int, ctx: RealCtx):
     return delta_bar, k, K
 
 
-def closed_form_gap(L: int, ctx: RealCtx, c: Constants | None = None) -> ClosedFormGap:
+def closed_form_gap(L: int, ctx: RealCtx) -> ClosedFormGap:
     """Gap of QH_L via the closed form; works for L of any size."""
-    c = c or make_constants(ctx)
     delta_bar, k, K = _closed_form_matrix(L, ctx)
     with ctx.work():
         gap = root(gap2(K))
@@ -296,55 +282,7 @@ def motion_residuals(m: RigidMotion, ctx: RealCtx) -> dict:
         return out
 
 
-def left_kernel_residuals(K, w, t0: Tetrahedron, ctx: RealCtx) -> dict:
-    """Residuals of the two expected left-null rows of K - I."""
-    with ctx.work():
-        diff = minus_identity(K)
-        ones = max(abs(sum(diff[i][j] for i in range(4))) for j in range(4))
-        wt0 = [sum(w[i] * t0.vertices[j][i] for i in range(3)) for j in range(4)]
-        wrow = max(abs(sum(wt0[i] * diff[i][j] for i in range(4))) for j in range(4))
-        return {"ones_row": ones, "w_t0_row": wrow}
-
-
 # --- turn-angle identities and bounds ----------------------------------------
-
-ACUTE_NORMAL = "the unit normal (sqrt(10), 2*sqrt(2), 3*sqrt(3)) / (3*sqrt(5))"
-
-
-def corollary_angle_checks(L: int, c: Constants) -> dict:
-    """The screw-angle identity computed two independent ways, plus the norm bound.
-
-    sin(rho) = (2*sqrt(6)/5) * sin^2(delta_bar/2) should equal the dot
-    product of the fixed unit normal A with V_{L+3} - V_{L+1}; and the
-    rotation satisfies ||R - I||_2 <= delta_bar^2.
-    """
-    ctx = c.ctx
-    delta_bar, _ = reduce_theta_multiple(L + 1, ctx)
-    with ctx.work():
-        sin_rho = (2 * mp.sqrt(6) / 5) * mp.sin(delta_bar / 2) ** 2
-        A = (
-            mp.sqrt(10) / (3 * mp.sqrt(5)),
-            2 * mp.sqrt(2) / (3 * mp.sqrt(5)),
-            3 * mp.sqrt(3) / (3 * mp.sqrt(5)),
-        )
-        va = helix_vertex(L + 3, c)
-        vb = helix_vertex(L + 1, c)
-        dot_direct = sum(a * (x - y) for a, x, y in zip(A, va, vb))
-        rho0 = mp.acos(sin_rho)
-        K = k_formula(L, ctx, delta_bar=delta_bar)
-        motion = decompose_motion(K, invisible_t0(c), ctx)
-        # ||R - I||_2 = sqrt(2 - 2 cos(angle)), and tr K = tr R + 1 = 2 + 2 cos(angle)
-        r_norm = mp.sqrt(4 - sum(K[i][i] for i in range(4)))
-        return {
-            "rho0": rho0,
-            "sin_rho": sin_rho,
-            "dot_direct": dot_direct,
-            "agreement": abs(sin_rho - dot_direct),
-            "motion_angle": motion.angle,
-            "r_norm": r_norm,
-            "norm_bound_ok": bool(r_norm <= delta_bar**2),
-            "delta_bar": delta_bar,
-        }
 
 
 @dataclass(frozen=True)
@@ -416,12 +354,6 @@ def limit_matrix_norm(ctx: RealCtx):
         return mpf(num) / den * mp.sqrt(sum(x * x for row in LIMIT_MATRIX_NUM for x in row))
 
 
-def axis_point_norm_bound(L: int, c: Constants):
-    """The bound ||u|| <= (5/2) h (2L+1) on the axis point of QH_L."""
-    with c.ctx.work():
-        return mpf(5) / 2 * c.h * (2 * L + 1)
-
-
 # --- leg axes ----------------------------------------------------------------
 
 
@@ -438,19 +370,20 @@ def _string_runs(s):
     return out
 
 
-def leg_axes(chain: RealizedChain, c: Constants, min_steps: int = 3) -> list:
+def leg_axes(chain: RealizedChain, c: Constants) -> list:
     """Axis directions of the straight helical legs of a realized chain.
 
-    A leg is a maximal run of string symbols stepping by a constant cyclic
-    increment.  Inside a leg the vertices in ageing order are consecutive
-    helix points, so the axis direction solves (W_{i+1} - W_i) . u = h for
-    three consecutive differences; the orientation points along growth.
+    A leg is a maximal run of at least three string symbols stepping by a
+    constant cyclic increment.  Inside a leg the vertices in ageing order are
+    consecutive helix points, so the axis direction solves
+    (W_{i+1} - W_i) . u = h for three consecutive differences; the
+    orientation points along growth.
     """
     s = chain.string
     axes = []
     with c.ctx.work():
         for start, end in _string_runs(s):
-            if end - start < min_steps:
+            if end - start < 3:
                 continue
             tet = chain.tetrahedra[end]
             ages = chain.ages[end]
@@ -473,47 +406,3 @@ def leg_axis_cosines(chain: RealizedChain, c: Constants) -> list:
             sum(a * b for a, b in zip(axes[i], axes[i + 1]))
             for i in range(len(axes) - 1)
         ]
-
-
-# --- the limiting rhombus -----------------------------------------------------
-
-
-def limiting_rhombus(ctx: RealCtx) -> dict:
-    """Solve the unit-side rhombus with alternating leg-dot-products +-1/5.
-
-    Two vertices are pinned at (0,0) and (0,1); the unique solution with
-    positive x has the other two at (2*sqrt(6)/5, 4/5) and
-    (2*sqrt(6)/5, -1/5).  Returns vertices, interior angles (alternating
-    arccos(+-1/5), i.e. sec-inverse of +-5), and the short diagonal.
-    """
-    with ctx.work():
-
-        def equations(x3, y3, x4, y4):
-            a1 = (mpf(0), mpf(0))
-            a2 = (mpf(0), mpf(1))
-            a3 = (x3, y3)
-            a4 = (x4, y4)
-            legs = [
-                (a2[0] - a1[0], a2[1] - a1[1]),
-                (a3[0] - a2[0], a3[1] - a2[1]),
-                (a4[0] - a3[0], a4[1] - a3[1]),
-                (a1[0] - a4[0], a1[1] - a4[1]),
-            ]
-            eqs = [legs[i][0] ** 2 + legs[i][1] ** 2 - 1 for i in (1, 2, 3)]
-            eqs.append(legs[0][0] * legs[1][0] + legs[0][1] * legs[1][1] + mpf(1) / 5)
-            return eqs
-
-        x3, y3, x4, y4 = mp.findroot(
-            equations, (mpf(1), mpf("0.8"), mpf(1), mpf("-0.2"))
-        )
-        verts = ((mpf(0), mpf(0)), (mpf(0), mpf(1)), (x3, y3), (x4, y4))
-        angles = []
-        for i in range(4):
-            prev = verts[(i - 1) % 4]
-            cur = verts[i]
-            nxt = verts[(i + 1) % 4]
-            v1 = (prev[0] - cur[0], prev[1] - cur[1])
-            v2 = (nxt[0] - cur[0], nxt[1] - cur[1])
-            angles.append(mp.acos(v1[0] * v2[0] + v1[1] * v2[1]))
-        short_diag = mp.sqrt((verts[2][0] - verts[0][0]) ** 2 + (verts[2][1] - verts[0][1]) ** 2)
-        return {"vertices": verts, "angles": angles, "short_diagonal": short_diag}

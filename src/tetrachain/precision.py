@@ -19,25 +19,25 @@ class PrecisionError(Exception):
     """Raised when a result cannot be trusted at the requested precision."""
 
 
+GUARD = 15  # decimals carried past the requested digits
+
+
 @dataclass(frozen=True)
 class RealCtx:
-    """Working-precision carrier: `digits` significant decimals plus guard digits."""
+    """Working-precision carrier: `digits` significant decimals plus GUARD digits."""
 
     digits: int = 40
-    guard: int = 15
 
     def __post_init__(self):
         if self.digits < 30:
             raise ValueError(f"digits must be >= 30, got {self.digits}")
-        if self.guard < 1:
-            raise ValueError(f"guard must be positive, got {self.guard}")
 
     @property
     def workdps(self) -> int:
-        return self.digits + self.guard
+        return self.digits + GUARD
 
     def work(self):
-        """Context manager setting mpmath's decimal precision to digits+guard."""
+        """Context manager setting mpmath's decimal precision to digits+GUARD."""
         return mp.workdps(self.workdps)
 
 
@@ -108,7 +108,7 @@ def reduce_angle(alpha, ctx: RealCtx):
     """
     with ctx.work():
         alpha = mpf(alpha)
-        if abs(alpha) / (2 * mp.pi) > mpf(10) ** (ctx.digits - ctx.guard):
+        if abs(alpha) / (2 * mp.pi) > mpf(10) ** (ctx.digits - GUARD):
             raise PrecisionError(
                 f"|alpha| ~ 1e{mp.nstr(mp.log10(abs(alpha)), 3)} exceeds the reducible "
                 f"range at {ctx.digits} digits"

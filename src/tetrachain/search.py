@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .precision import Constants, PrecisionError, RealCtx, theta
+from .precision import GUARD, Constants, PrecisionError, RealCtx, theta
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,11 @@ class DioSolution:
 def _turn_enclosure(ctx: RealCtx) -> tuple[int, int, int]:
     """(lo, hi, p) with lo/2^p < theta/(2*pi) < hi/2^p, from one evaluation.
 
-    At p bits (2*digits + guard decimals) acos, pi and the quotient each round
+    At p bits (2*digits + GUARD decimals) acos, pi and the quotient each round
     within an ulp, 2^-(p+1) on [1/4, 1/2): the truncated mid/2^p lies within
     2.5 * 2^-p of theta/(2*pi), and a slack of 4 on either side encloses it.
     """
-    with mp.workdps(2 * ctx.digits + ctx.guard):
+    with mp.workdps(2 * ctx.digits + GUARD):
         p = mp.prec
         mid = int(mp.ldexp(theta() / (2 * mp.pi), p))
     return mid - 4, mid + 4, p
@@ -123,8 +123,8 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _lll_2d(b1, b2, delta=Fraction(3, 4)):
-    """Textbook LLL on a rank-2 integer basis; returns in termination order.
+def _lll_2d(b1, b2):
+    """Textbook LLL, delta = 3/4, on a rank-2 integer basis; returns in termination order.
 
     The output rows are not norm-sorted: the Lovász condition fixes which
     vector ends up first, and the Babai step downstream depends on that
@@ -137,17 +137,11 @@ def _lll_2d(b1, b2, delta=Fraction(3, 4)):
         if m:
             b2 = [x - m * y for x, y in zip(b2, b1)]
             mu -= m
-        if Fraction(_dot(b2, b2)) - mu * mu * _dot(b1, b1) >= (delta - mu * mu) * _dot(
-            b1, b1
-        ):
+        if Fraction(_dot(b2, b2)) - mu * mu * _dot(b1, b1) >= (
+            Fraction(3, 4) - mu * mu
+        ) * _dot(b1, b1):
             return b1, b2
         b1, b2 = b2, b1
-
-
-def lattice_basis_determinant(b1, b2, a, b) -> int:
-    """det of the change of basis from ((a,1,0),(b,0,1)) to (b1, b2); +-1."""
-    # coordinates of b1, b2 in the original basis are their last two entries
-    return b1[1] * b2[2] - b1[2] * b2[1]
 
 
 def babai_lll_search(
@@ -216,8 +210,8 @@ def fixup_negative_x(sol: DioSolution, c: Constants) -> DioSolution:
     return DioSolution(x=x, y=y, err=float(err), kronecker_ok=ok, target=new_target)
 
 
-def lattice_table(c: Constants, ctx: RealCtx | None = None) -> list[DioSolution]:
-    """The ten-row lattice-search table: X = 10^i for i = 2, 2.5, ..., 6.5.
+def lattice_table(c: Constants, ctx: RealCtx | None = None) -> list[tuple[mpf, DioSolution]]:
+    """The ten-row lattice-search table: (X, solution) for X = 10^i, i = 2, 2.5, ..., 6.5.
 
     Each slot searches against gamma_plus and applies the negative-x fixup
     when needed, so every reported row has x > 0.
@@ -232,7 +226,7 @@ def lattice_table(c: Constants, ctx: RealCtx | None = None) -> list[DioSolution]
             )
             if sol.x < 0:
                 sol = fixup_negative_x(sol, c)
-            rows.append(sol)
+            rows.append((X, sol))
     return rows
 
 

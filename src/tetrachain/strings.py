@@ -113,30 +113,6 @@ def octahelix_string(L: int) -> String:
     return out
 
 
-# the disputed 44-symbol variant of OH_4 that circulates alongside the
-# 36-symbol grammar output; kept as a fixture so the discrepancy stays visible
-OCTAHELIX_4_LITERAL = "12341432123412341432123414321234143212341432"
-
-
-def octahelix_literal_check() -> dict:
-    """Compare octahelix_string(4) against the 44-symbol literal fixture.
-
-    The two disagree (36 vs 44 symbols); this helper reports the mismatch
-    rather than silently preferring either.  The grammar string is what the
-    rest of the package uses.
-    """
-    grammar = format_string(octahelix_string(4))
-    literal = OCTAHELIX_4_LITERAL
-    return {
-        "grammar": grammar,
-        "literal": literal,
-        "grammar_length": len(grammar),
-        "literal_length": len(literal),
-        "match": grammar == literal,
-        "literal_valid": is_valid(tuple(int(c) for c in literal)),
-    }
-
-
 _PRESET_B = (1, 2, 3, 4, 1, 2, 3, 4, 3, 4, 1, 3, 2, 3, 4, 1, 2, 1, 3, 4, 1, 2)
 
 

@@ -10,26 +10,23 @@ import random
 import time
 from decimal import Decimal
 
-import numpy as np
 from mpmath import mp, mpf
 
 import pytest
 
 from conftest import L_17_DIGITS, L_99_DIGITS, reference_fold
+from paper_checks import _H1_SIN_REJECTED, edge_lengths, left_kernel_residuals, limiting_rhombus
 from reference_gap import apply_bary, hausdorff_tetra, motion_eigenvalues, rank_of_k_minus_i
-from tetrachain import bary
+from tetrachain import bary, motion
 from tetrachain.embedding import quadplane_determinant, verify_embedded
-from tetrachain.geometry import edge_lengths, invisible_t0, realize_printed
+from tetrachain.geometry import invisible_t0, realize_chain
 from tetrachain.metrics import gap2, gap_report, loop_gap_report, root
 from tetrachain.motion import (
-    _H1_SIN_REJECTED,
     asymptotic_ratio,
     closed_form_gap,
     decompose_motion,
     gap_bound_oh,
     k_formula,
-    left_kernel_residuals,
-    limiting_rhombus,
     motion_residuals,
 )
 from tetrachain.precision import RealCtx, make_constants, reduce_theta_multiple
@@ -229,7 +226,7 @@ def test_qh2_gap_agrees_across_paths():
         c = make_constants(ctx)
         rep = gap_report(s, c)
         assert rep.r0 == s[0]  # the minimizing lead is the printed one
-        closed = closed_form_gap(2, ctx, c).gap
+        closed = closed_form_gap(2, ctx).gap
         with ctx.work():
             realized = _hausdorff_by_projection(
                 invisible_t0(c), reference_fold(s, c)[-1]
@@ -247,14 +244,6 @@ def test_qh2_gap_agrees_across_paths():
         f"QH_2 gap PASS — exact products, closed form and realization agree on "
         f"{mp.nstr(gaps[40], 20)} at 40 and 80 digits ({dt:.2f}s)"
     )
-
-
-# The length-10 screen keeps every string whose float lower bound on the gap
-# is at most SCREEN_TAU (+ SCREEN_SLACK for float64 error, which is far
-# smaller for products of ten reflections); it lies above the embedded
-# minimum, so the screen cannot hide it.
-SCREEN_TAU = 0.34
-SCREEN_SLACK = 1e-9
 
 
 def test_length10_gap_minima(c40, ctx40):
@@ -283,41 +272,8 @@ def test_length10_gap_minima(c40, ctx40):
     with ctx40.work():
         assert all(abs(e - 1) < mpf(10) ** -35 for e in edge_lengths(seed))
 
-    # float screen: dist(p, T_0) >= max_f (n_f . p - b_f) over T_0's outward
-    # unit face normals n_f, so the largest such value over the vertices of
-    # the last tetrahedron bounds the gap from below
-    V = np.array([[float(x) for x in v] for v in seed.vertices]).T  # (3, 4): vertex j in column j
-    refl = np.stack(
-        [np.array(bary.reflection_matrix(i).num, dtype=float) / 3 for i in (1, 2, 3, 4)]
-    )
-    idx = np.array(reps) - 1
-    K = refl[idx[:, 0]]
-    for k in range(1, n):
-        K = K @ refl[idx[:, k]]
-    ends = V @ K  # (N, 3, 4): vertex j of the last tetrahedron in column j
-    normals, offsets = [], []
-    for f in range(4):
-        a, b, c = (V[:, k] for k in range(4) if k != f)
-        nf = np.cross(b - a, c - a)
-        nf /= np.linalg.norm(nf)
-        if nf @ (V[:, f] - a) > 0:
-            nf = -nf
-        normals.append(nf)
-        offsets.append(nf @ a)
-    lower = (
-        np.einsum("fx,nxv->nfv", np.array(normals), ends)
-        - np.array(offsets)[None, :, None]
-    ).max(axis=(1, 2))
-    kept = np.flatnonzero(lower <= SCREEN_TAU + SCREEN_SLACK)
-
-    scored = []
-    with ctx40.work():
-        for i in kept:
-            s = reps[i]
-            gap = root(gap2(bary.chain_matrix(s)))
-            assert float(lower[i]) <= gap + SCREEN_SLACK, s
-            scored.append((gap, s))
-    scored.sort()
+    # every string scored by its exact squared gap, in increasing order
+    scored = sorted((gap2(bary.chain_matrix(s)), s) for s in reps)
 
     # embedding verdicts in order of increasing gap, up to the first embedded
     # chain; swapping labels 3 and 4 fixes the prefix 12, so mirror pairs
@@ -330,7 +286,7 @@ def test_length10_gap_minima(c40, ctx40):
     for gap, s in scored:
         key = mirror_key(s)
         if key not in verdicts:
-            verdicts[key] = verify_embedded(realize_printed(key, c40))
+            verdicts[key] = verify_embedded(realize_chain(key, c40))
         if verdicts[key].embedded:
             best_embedded = (gap, s)
             break
@@ -338,26 +294,24 @@ def test_length10_gap_minima(c40, ctx40):
     gap_min, s_min = scored[0]
     gap_emb, s_emb = best_embedded
     with ctx40.work():
+        gap_min, gap_emb = root(gap_min), root(gap_emb)
         # the overall minimum, and the reduction checked end to end on it
         assert _within_display_unit(gap_min, "0.0928412046"), mp.nstr(gap_min, 12)
         for p in perms:
             moved = apply_bary(seed, bary.chain_matrix(_relabel(s_min, p)).to_mpf(ctx40))
             assert abs(hausdorff_tetra(seed, moved) - gap_min) < mpf(10) ** -30, p
-        # everything screened out lies above SCREEN_TAU, so this is the
-        # minimum over all embedded chains
-        assert gap_emb <= SCREEN_TAU
+        # every string was scored, so this is the minimum over all embedded chains
         assert _within_display_unit(gap_emb, "0.3364221582"), mp.nstr(gap_emb, 12)
         assert gap_emb > mpf("0.33")  # no embedded chain within 0.01 of 0.32
     assert not verdicts[mirror_key(s_min)].embedded
     qh2 = quadrahelix_string(2)
     assert qh2 in reps
-    assert verify_embedded(realize_printed(qh2, c40)).embedded
+    assert verify_embedded(realize_chain(qh2, c40)).embedded
     dt = time.perf_counter() - t0
     assert dt < 60
     print(
-        f"length-10 minima PASS — {len(kept)} of {len(reps)} strings survive the "
-        f"float screen; minimum gap {mp.nstr(gap_min, 10)} at "
-        f"{format_string(s_min)} (not embedded), embedded minimum "
+        f"length-10 minima PASS — {len(reps)} strings scored exactly; minimum "
+        f"gap {mp.nstr(gap_min, 10)} at {format_string(s_min)} (not embedded), embedded minimum "
         f"{mp.nstr(gap_emb, 10)} at {format_string(s_emb)}, "
         f"{len(verdicts)} embedding checks ({dt:.2f}s)"
     )
@@ -382,7 +336,7 @@ def test_criterion_04_gap_norm_inequalities(c40, ctx40):
     )
 
 
-def test_criterion_05_closed_form_identity(ctx60):
+def test_criterion_05_closed_form_identity(ctx60, monkeypatch):
     t0 = time.perf_counter()
     worst = mpf(0)
     with ctx60.work():
@@ -396,7 +350,8 @@ def test_criterion_05_closed_form_identity(ctx60):
         assert worst < mpf(10) ** -30
         # adjudication guard: the rejected coefficient table must NOT work
         exact10 = bary.chain_matrix(quadrahelix_string(10)).to_mpf(ctx60)
-        bad = k_formula(10, ctx60, h1_sin=_H1_SIN_REJECTED)
+        monkeypatch.setattr(motion, "H1_SIN", _H1_SIN_REJECTED)
+        bad = k_formula(10, ctx60)
         bad_diff = max(
             abs(bad[i][j] - exact10[i][j]) for i in range(4) for j in range(4)
         )
@@ -413,12 +368,12 @@ def test_criterion_05_closed_form_identity(ctx60):
 def test_criterion_06_embedding_verdicts(c40):
     t0 = time.perf_counter()
     for L in range(1, 61):
-        v = verify_embedded(realize_printed(quadrahelix_string(L), c40))
+        v = verify_embedded(realize_chain(quadrahelix_string(L), c40))
         assert v.embedded and v.adjacency_ok and v.first_violation is None, L
-    v4 = verify_embedded(realize_printed(octahelix_string(4), c40))
+    v4 = verify_embedded(realize_chain(octahelix_string(4), c40))
     assert not v4.embedded and v4.first_violation == (13, 31)
     for L in (5, 6, 36):
-        v = verify_embedded(realize_printed(octahelix_string(L), c40))
+        v = verify_embedded(realize_chain(octahelix_string(L), c40))
         assert v.embedded and v.adjacency_ok, L
     dt = time.perf_counter() - t0
     assert dt < 120
@@ -461,10 +416,10 @@ def test_criterion_08_convergent_denominators(c60):
 
 def test_criterion_09_lattice_table(c60, ctx60):
     t0 = time.perf_counter()
-    sols = lattice_table(c60, ctx60)
-    assert len(sols) == len(LATTICE_ROWS)
+    rows = lattice_table(c60, ctx60)
+    assert len(rows) == len(LATTICE_ROWS)
     with ctx60.work():
-        for sol, (x, y, log_printed) in zip(sols, LATTICE_ROWS):
+        for (_, sol), (x, y, log_printed) in zip(rows, LATTICE_ROWS):
             assert (sol.x, sol.y) == (x, y)
             assert abs(mp.log10(sol.err) - mpf(log_printed)) <= mpf("0.05"), (x, y)
             assert sol.err < 6 * mp.pi / x
@@ -472,7 +427,7 @@ def test_criterion_09_lattice_table(c60, ctx60):
     dt = time.perf_counter() - t0
     assert dt < 60
     print(
-        f"criterion 09 PASS — all {len(sols)} lattice rows reproduce exactly "
+        f"criterion 09 PASS — all {len(rows)} lattice rows reproduce exactly "
         f"({dt:.2f}s)"
     )
 

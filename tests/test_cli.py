@@ -312,10 +312,29 @@ def test_invalid_string_is_config_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_unknown_kind_is_argparse_error():
+def test_unknown_kind_is_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["build", "--kind", "icosahedron"])
     assert exc.value.code == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("gap --string 12 --r0 x", "tetrachain gap: error: argument --r0: invalid int value: 'x'"),
+        ("table1 --L-max 1e3", "tetrachain table1: error: argument --L-max: invalid int value: '1e3'"),
+        ("gap --kind nope", "tetrachain gap: error: argument --kind: invalid choice: 'nope'"),
+        ("", "tetrachain: error: the following arguments are required: command"),
+    ],
+)
+def test_usage_error_is_one_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith(message)
 
 
 def test_unsupported_precision_is_reported(capsys):
@@ -425,6 +444,19 @@ PAYLOAD_SHA256 = {
     ),
     "gap --kind preset540 --loop": (
         "f6fbebbe90b83fc43de7c7037bba5c423f2ccae3b6736bfa46563ffc8187cdec"
+    ),
+    # the realization (leg axes, embedding), the lattice table and the CSV row
+    "motion --kind quadrahelix --L 29": (
+        "22d12d6188c61cc3499b0b0da2e56079b58dc97a4c625ecb2fc1eab7ab428264"
+    ),
+    "verify-embed --kind quadrahelix --L 10": (
+        "2d160b7d5273e3e5d4a7435bbf7b936f062a4a03dd8dca5040217beaa67a6f1f"
+    ),
+    "table2": (
+        "3d615f823cf3bc377679cec5968e3a2957a71e47de707a9c3060183b5bf81089"
+    ),
+    "gap --string 12 --format csv": (
+        "f2fff4c202b792ca277c4567f9666bdbafa653ccb07402617a223fb5574ab482"
     ),
 }
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from conftest import valid_strings
+from paper_checks import quadplane_determinant_direct, tetra_interiors_disjoint
 from tetrachain.embedding import (
     _BOX_SLACK,
     _box_pairs,
@@ -15,11 +16,9 @@ from tetrachain.embedding import (
     _pair_separation,
     _screen,
     quadplane_determinant,
-    quadplane_determinant_direct,
-    tetra_interiors_disjoint,
     verify_embedded,
 )
-from tetrachain.geometry import Tetrahedron, invisible_t0, realize_printed
+from tetrachain.geometry import Tetrahedron, invisible_t0, realize_chain
 from tetrachain.precision import RealCtx, make_constants
 from tetrachain.strings import octahelix_string, quadrahelix_string, tetrahelix_string
 
@@ -71,14 +70,14 @@ def test_interiors_disjoint_cases(c40, ctx40):
 
 def test_adjacent_tetrahedra_disjoint(c40):
     # neighbours meet exactly in a face: interiors count as disjoint
-    chain = realize_printed((1, 2, 3), c40)
+    chain = realize_chain((1, 2, 3), c40)
     a, b = chain.tetrahedra[0], chain.tetrahedra[1]
     assert tetra_interiors_disjoint(a, b)
 
 
 @pytest.mark.parametrize("L", [1, 2, 5, 12])
 def test_quadrahelix_embedded(L, c40):
-    chain = realize_printed(quadrahelix_string(L), c40)
+    chain = realize_chain(quadrahelix_string(L), c40)
     verdict = verify_embedded(chain)
     assert verdict.embedded and verdict.adjacency_ok
     assert verdict.first_violation is None
@@ -86,7 +85,7 @@ def test_quadrahelix_embedded(L, c40):
 
 
 def test_octahelix_4_not_embedded(c40):
-    chain = realize_printed(octahelix_string(4), c40)
+    chain = realize_chain(octahelix_string(4), c40)
     verdict = verify_embedded(chain)
     assert not verdict.embedded
     assert verdict.first_violation == (13, 31)
@@ -94,7 +93,7 @@ def test_octahelix_4_not_embedded(c40):
 
 
 def test_octahelix_1_not_embedded(c40):
-    chain = realize_printed(octahelix_string(1), c40)
+    chain = realize_chain(octahelix_string(1), c40)
     verdict = verify_embedded(chain)
     assert not verdict.embedded
     assert verdict.first_violation == (4, 10)
@@ -102,13 +101,13 @@ def test_octahelix_1_not_embedded(c40):
 
 
 def test_octahelix_5_embedded(c40):
-    chain = realize_printed(octahelix_string(5), c40)
+    chain = realize_chain(octahelix_string(5), c40)
     verdict = verify_embedded(chain)
     assert verdict.embedded and verdict.adjacency_ok
 
 
 def test_verdict_json_shape(c40):
-    chain = realize_printed(quadrahelix_string(1), c40)
+    chain = realize_chain(quadrahelix_string(1), c40)
     d = verify_embedded(chain).to_json_dict()
     assert d["embedded"] is True
     assert {"embedded", "first_violation", "min_separation_margin", "pairs_tested", "adjacency_ok"} <= set(d)
@@ -154,7 +153,7 @@ def _reference_margin(a, b, ctx):
 @settings(max_examples=15)
 @given(valid_strings(min_size=3, max_size=14))
 def test_exact_verdicts_agree_with_mpf_sat(ctx80, s):
-    chain = realize_printed(s, make_constants(ctx80))
+    chain = realize_chain(s, make_constants(ctx80))
     tets = chain.tetrahedra
     exact = _exact_points(chain.string)
     overlaps = []
@@ -186,13 +185,13 @@ def _float_points(t):
 def test_pairs_tested_pinned(c40, kind, L, pairs):
     # recorded with the former numpy broadcast prune
     s = quadrahelix_string(L) if kind == "quadrahelix" else octahelix_string(L)
-    verdict = verify_embedded(realize_printed(s, c40))
+    verdict = verify_embedded(realize_chain(s, c40))
     assert verdict.embedded and verdict.pairs_tested == pairs
 
 
 @given(valid_strings(min_size=3, max_size=40))
 def test_box_sweep_matches_brute_force(c40, s):
-    chain = realize_printed(s, c40)
+    chain = realize_chain(s, c40)
     points = [_float_points(t) for t in chain.tetrahedra]
     lo = [[min(c) for c in zip(*p)] for p in points]
     hi = [[max(c) for c in zip(*p)] for p in points]
@@ -243,7 +242,7 @@ def _exact_margin_bounds(A, B, bits=200):
 )
 def test_screen_margin_within_two_ulps(c40, L, pair, exact):
     # the minimum-margin pair of OH_1 and of OH_4, 1-based
-    chain = realize_printed(octahelix_string(L), c40)
+    chain = realize_chain(octahelix_string(L), c40)
     A, B = (_float_points(chain.tetrahedra[k - 1]) for k in pair)
     margin, _ = _screen(A, B)
     assert margin == verify_embedded(chain).min_separation_margin

@@ -4,16 +4,8 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from conftest import reference_fold, valid_strings
-from tetrachain.geometry import (
-    bary_coefficients,
-    edge_lengths,
-    helix_vertex,
-    invisible_t0,
-    realize_chain,
-    realize_printed,
-    tetra_volume,
-    tetrahelix_bary_point,
-)
+from paper_checks import bary_coefficients, edge_lengths, tetra_volume, tetrahelix_bary_point
+from tetrachain.geometry import helix_vertex, invisible_t0, realize_chain
 from tetrachain.strings import quadrahelix_string
 
 
@@ -49,7 +41,7 @@ def test_seed_tetrahedron_regular(c40):
 
 def test_reflect_tetra_moves_one_vertex(c40):
     s = (2, 1, 3, 4, 2, 3, 1)
-    chain = realize_chain(s[1:], s[0], c40)
+    chain = realize_chain(s, c40)
     prev = invisible_t0(c40)
     with c40.ctx.work():  # geometry primitives compute at ambient precision
         vol0 = tetra_volume(prev)
@@ -65,15 +57,15 @@ def test_reflect_tetra_moves_one_vertex(c40):
 
 
 def test_realize_printed_counts(c40):
-    chain = realize_printed((1, 2, 3, 4), c40)
+    chain = realize_chain((1, 2, 3, 4), c40)
     assert len(chain.tetrahedra) == 4
-    assert chain.r0 == 1
+    assert chain.string[0] == 1  # the lead is the printed first letter
     assert chain.string == (1, 2, 3, 4)
 
 
 def test_realize_rejects_colliding_lead(c40):
     with pytest.raises(ValueError):
-        realize_chain((2, 3), r0=2, c=c40)
+        realize_chain((2, 2, 3), c40)
 
 
 @given(valid_strings(max_size=40))
@@ -81,7 +73,7 @@ def test_realize_rejects_colliding_lead(c40):
 def test_realization_matches_barycentric_product(c40, s):
     # the prefix-product realization against step-by-step Cartesian
     # reflections, on every tetrahedron of the chain
-    chain = realize_printed(s, c40)
+    chain = realize_chain(s, c40)
     fold = reference_fold(s, c40)
     with c40.ctx.work():
         err = max(
@@ -93,7 +85,7 @@ def test_realization_matches_barycentric_product(c40, s):
 
 
 def test_ages_track_replacements(c40):
-    chain = realize_printed((1, 3), c40)
+    chain = realize_chain((1, 3), c40)
     assert chain.ages[0] == (4, 1, 2, 3)  # slot 1 replaced by the lead step
     assert chain.ages[1] == (4, 1, 5, 3)
 

@@ -17,7 +17,7 @@ from reference_gap import (
     spectral_norm,
 )
 from tetrachain import bary
-from tetrachain.geometry import Tetrahedron, invisible_t0, realize_printed
+from tetrachain.geometry import Tetrahedron, invisible_t0, realize_chain
 from tetrachain.metrics import (
     discrete_gap2,
     gap2,
@@ -83,7 +83,7 @@ def test_hausdorff_of_translates(c40):
 
 def test_discrete_bounds_solid(c40):
     t0 = invisible_t0(c40)
-    chain = realize_printed(quadrahelix_string(4), c40)
+    chain = realize_chain(quadrahelix_string(4), c40)
     with c40.ctx.work():
         tn = chain.tetrahedra[-1]
         solid = hausdorff_tetra(t0, tn)

@@ -5,6 +5,13 @@ from mpmath import mp, mpf
 import pytest
 from hypothesis import given, strategies as st
 
+from paper_checks import (
+    _H1_SIN_REJECTED,
+    axis_point_norm_bound,
+    corollary_angle_checks,
+    left_kernel_residuals,
+    limiting_rhombus,
+)
 from reference_gap import (
     apply_bary,
     hausdorff_tetra,
@@ -13,23 +20,18 @@ from reference_gap import (
     t0_operator_norm,
 )
 from tetrachain import bary, motion
-from tetrachain.geometry import invisible_t0, realize_printed
+from tetrachain.geometry import invisible_t0, realize_chain
 from tetrachain.metrics import gap2, gap_report, root
 from tetrachain.motion import (
-    _H1_SIN_REJECTED,
     asymptotic_ratio,
-    axis_point_norm_bound,
     closed_form_gap,
-    corollary_angle_checks,
     decompose_motion,
     gap_bound_oh,
     gap_bound_qh,
     homogeneous_t0,
     k_formula,
     leg_axis_cosines,
-    left_kernel_residuals,
     limit_matrix_norm,
-    limiting_rhombus,
     motion_residuals,
     quadrahelix_gap_report,
 )
@@ -68,16 +70,17 @@ def test_k_formula_matches_exact_product_random(L, ctx40):
         assert _maxdiff(K, exact) < mpf(10) ** -40
 
 
-def test_rejected_coefficient_variant_disagrees(ctx60):
+def test_rejected_coefficient_variant_disagrees(ctx60, monkeypatch):
     # the one-tenth-scaled sin block is close but measurably wrong
     exact = bary.chain_matrix(quadrahelix_string(10)).to_mpf(ctx60)
-    K_bad = k_formula(10, ctx60, h1_sin=_H1_SIN_REJECTED)
+    monkeypatch.setattr(motion, "H1_SIN", _H1_SIN_REJECTED)
+    K_bad = k_formula(10, ctx60)
     with ctx60.work():
         assert _maxdiff(K_bad, exact) > mpf(10) ** -10
 
 
 def test_closed_form_gap_matches_direct_report(ctx40, c40):
-    cf = closed_form_gap(10, ctx40, c40)
+    cf = closed_form_gap(10, ctx40)
     direct = gap_report(quadrahelix_string(10), c40)
     assert cf.L == 10 and cf.k == 4
     with ctx40.work():
@@ -99,7 +102,7 @@ def test_closed_form_gap_beyond_str_limit():
     c = make_constants(RealCtx(digits=4340))
     floor = 10**4300
     L = min(L for L in convergent_lengths(c, 10 * floor) if L >= floor)
-    cf = closed_form_gap(L, c.ctx, c)
+    cf = closed_form_gap(L, c.ctx)
     with c.ctx.work():
         assert 0 < cf.gap <= gap_bound_qh(L, c.ctx).bound
         assert cf.gap < mpf(10) ** -4299
@@ -291,7 +294,7 @@ def test_axis_point_within_bound(qh10_motion, c40):
 
 
 def test_leg_axis_cosines_quadrahelix(c40):
-    chain = realize_printed(quadrahelix_string(4), c40)
+    chain = realize_chain(quadrahelix_string(4), c40)
     cos = leg_axis_cosines(chain, c40)
     assert len(cos) == 3
     with c40.ctx.work():
@@ -301,7 +304,7 @@ def test_leg_axis_cosines_quadrahelix(c40):
 
 
 def test_leg_axis_cosines_octahelix(c40):
-    chain = realize_printed(octahelix_string(4), c40)
+    chain = realize_chain(octahelix_string(4), c40)
     cos = leg_axis_cosines(chain, c40)
     assert len(cos) == 7
     with c40.ctx.work():

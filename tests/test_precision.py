@@ -16,8 +16,6 @@ from tetrachain.precision import (
 def test_ctx_rejects_low_digits():
     with pytest.raises(ValueError):
         RealCtx(digits=20)
-    with pytest.raises(ValueError):
-        RealCtx(digits=40, guard=0)
 
 
 def test_turn_angle_value(c40):
@@ -131,7 +129,7 @@ def test_reduce_theta_multiple_offsets(c40):
 
 
 def test_workdps_scales_with_digits():
-    ctx = RealCtx(digits=100, guard=20)
-    assert ctx.workdps == 120
+    ctx = RealCtx(digits=100)
+    assert ctx.workdps == 115
     with ctx.work():
-        assert mp.dps == 120
+        assert mp.dps == 115

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from paper_checks import lattice_basis_determinant
 from tetrachain.precision import PrecisionError, RealCtx, make_constants
 from tetrachain.search import (
     DioSolution,
@@ -13,7 +14,6 @@ from tetrachain.search import (
     continued_fraction_convergents,
     fixup_negative_x,
     kronecker_bound_check,
-    lattice_basis_determinant,
     lattice_table,
     random_kronecker_trials,
 )
@@ -112,8 +112,11 @@ def test_fixup_flips_solution(c40):
 
 
 def test_lattice_table_shape(c60):
-    sols = lattice_table(c60)
-    assert len(sols) == 10
+    rows = lattice_table(c60)
+    assert len(rows) == 10
+    with c60.ctx.work():
+        assert [X for X, _ in rows] == [mp.power(10, mpf(i) / 2) for i in range(4, 14)]
+    sols = [sol for _, sol in rows]
     assert all(s.x > 0 for s in sols)
     assert all(s.kronecker_ok for s in sols)
     assert (sols[3].x, sols[3].y) == (64708, -23692)

@@ -3,12 +3,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import valid_strings
+from paper_checks import octahelix_literal_check
 from tetrachain import strings
 from tetrachain.strings import (
     MAX_SPELLED_LENGTH,
     format_string,
     is_valid,
-    octahelix_literal_check,
     octahelix_string,
     parse_string,
     preset_540_string,

@@ -1,0 +1,54 @@
+"""The package holds what its commands and scripts run, and what it exports.
+
+A top-level name of ``src/tetrachain`` that no other statement in ``src/``
+or ``scripts/`` reads, and that ``tetrachain.__all__`` does not export, is
+code only the tests call: an oracle for a paper claim belongs in
+``tests/paper_checks.py`` instead.
+"""
+
+import ast
+from pathlib import Path
+
+import tetrachain
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "tetrachain").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+
+def _bound(stmt) -> set:
+    """Names a top-level statement defines: a function, a class or assignment targets."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
+def _read(stmt) -> set:
+    """Names a statement reads, as a bare name or as an attribute."""
+    out = set()
+    for n in ast.walk(stmt):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+    return out
+
+
+def test_every_top_level_name_is_run_or_exported():
+    statements = [
+        (path, stmt, _read(stmt))
+        for path in PACKAGE + SCRIPTS
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    unused = [
+        f"{path.name}: {name}"
+        for path, stmt, _ in statements
+        if path in PACKAGE
+        for name in _bound(stmt)
+        if not name.startswith("__") and name not in tetrachain.__all__
+        if not any(name in reads for _, other, reads in statements if other is not stmt)
+    ]
+    assert not unused, unused
