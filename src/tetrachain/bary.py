@@ -6,6 +6,10 @@ e_i, which maps to -e_i + (2/3) * (sum of the others).  A chain of n
 reflections multiplies to a matrix whose entries are integers over 3^n,
 so we store the integer numerator matrix together with the power of 3 and
 never touch floating point until a caller asks for it.
+
+A string is multiplied letter by letter (chain_matrix).  A named chain is a
+few helical runs, and a run repeats the word of its first four letters, so
+runs_matrix multiplies it by binary powering of those words instead.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Iterator, Sequence
 from mpmath import mpf
 
 from .precision import RealCtx
-from .strings import is_valid
+from .strings import Run, is_valid
 
 _Rows = tuple[tuple[int, int, int, int], ...]
 
@@ -143,9 +147,53 @@ def chain_matrix(s: Sequence[int]) -> BaryMatrix:
     return BaryMatrix(tuple(zip(*cols)), len(s))
 
 
+def _word(letters: Sequence[int]) -> BaryMatrix:
+    K = IDENTITY
+    for i in letters:
+        K = K @ reflection_matrix(i)
+    return K
+
+
+def _power(W: BaryMatrix, q: int) -> BaryMatrix:
+    """W^q by binary powering."""
+    out = IDENTITY
+    while q:
+        if q & 1:
+            out = out @ W
+        q >>= 1
+        if q:
+            W = W @ W
+    return out
+
+
+def runs_matrix(runs: Sequence[Run]) -> BaryMatrix:
+    """Exact product of the chain spelled by runs (first letter, step +-1, length).
+
+    A run of m letters a, a + step, ... is the word W of its first four
+    letters m div 4 times, then at most three reflections.  Products come in
+    lowest terms, and the product of a valid string of n letters is in
+    lowest terms over 3^n, so this equals chain_matrix of the spelled
+    string, power included.  The runs must spell a valid string, as the
+    named-chain generators of strings do.
+    """
+    check_exact_length(sum(m for _, _, m in runs))
+    K = IDENTITY
+    for a, step, m in runs:
+        letters = [(a - 1 + step * i) % 4 + 1 for i in range(min(m, 4))]
+        if m >= 4:
+            K = K @ _power(_word(letters), m // 4)
+        K = K @ _word(letters[: m % 4])
+    return K
+
+
 @lru_cache(maxsize=None)
 def _pair(r: int, s: int) -> BaryMatrix:
     return reflection_matrix(r) @ reflection_matrix(s)
+
+
+def _pair_rows(r: int, s: int) -> list:
+    """M_r M_s as mpf rows at the current working precision."""
+    return [[mpf(x) / 9 for x in row] for row in _pair(r, s).num]
 
 
 def lead_matrices(K, s0: int, s1: int) -> dict:
@@ -160,12 +208,22 @@ def lead_matrices(K, s0: int, s1: int) -> dict:
     for r in (1, 2, 3, 4):
         if r in (s0, s1):
             continue
-        P = _pair(r, s0)  # over 3^2
         if isinstance(K, BaryMatrix):
-            leads[r] = P @ K
+            leads[r] = _pair(r, s0) @ K
         else:
-            leads[r] = mat_mul([[mpf(x) / 9 for x in row] for row in P.num], K)
+            leads[r] = mat_mul(_pair_rows(r, s0), K)
     return dict(sorted(leads.items()))
+
+
+def times_pair(A, q: int, r: int):
+    """A M_q M_r, for A a BaryMatrix or mpf rows at the current working precision.
+
+    For A the inverse of lead q this is the inverse of lead r:
+    (M_r M_q K)^-1 = K^-1 M_q M_r.
+    """
+    if isinstance(A, BaryMatrix):
+        return A @ _pair(q, r)
+    return mat_mul(A, _pair_rows(q, r))
 
 
 def mat_mul(A, B):
@@ -183,7 +241,6 @@ class DivisibilityWitness:
     col: int  # 1-based column (the last symbol of the string)
     numerator: int  # entry numerator over 3^len(s)
     power: int
-    numerator_mod3: int
 
 
 def divisibility_witness(s: Sequence[int]) -> DivisibilityWitness:
@@ -205,5 +262,4 @@ def divisibility_witness(s: Sequence[int]) -> DivisibilityWitness:
         col=col,
         numerator=numerator,
         power=K.power,
-        numerator_mod3=numerator % 3,
     )

@@ -18,7 +18,7 @@ import tempfile
 from mpmath import mp, mpf
 
 from . import __version__
-from .bary import chain_matrix
+from .bary import chain_matrix, runs_matrix
 from .embedding import verify_embedded
 from .geometry import invisible_t0, realize_chain
 from .metrics import gap_report, loop_gap_report
@@ -41,10 +41,14 @@ from .search import (
 )
 from .strings import (
     format_string,
+    octahelix_runs,
     octahelix_string,
     parse_string,
+    preset_540_runs,
     preset_540_string,
+    quadrahelix_runs,
     quadrahelix_string,
+    tetrahelix_runs,
     tetrahelix_string,
 )
 
@@ -78,10 +82,10 @@ def _nstr(x, digits: int) -> str:
         return mp.nstr(mpf(x), digits, strip_zeros=True)
 
 
-_GENERATORS = {
-    "tetrahelix": tetrahelix_string,
-    "quadrahelix": quadrahelix_string,
-    "octahelix": octahelix_string,
+_GENERATORS = {  # kind -> (string, runs)
+    "tetrahelix": (tetrahelix_string, tetrahelix_runs),
+    "quadrahelix": (quadrahelix_string, quadrahelix_runs),
+    "octahelix": (octahelix_string, octahelix_runs),
 }
 
 
@@ -102,17 +106,26 @@ def _chain_parameter(text: str) -> int:
 
 
 def _chain(args):
-    """(kind, param, string) of the chain named by --string, or --kind and --L."""
+    """(kind, param, string, runs) of the chain named by --string, or --kind and --L.
+
+    runs is None for --string: a given string is multiplied letter by letter.
+    """
     if args.string:
-        return "string", None, parse_string(args.string)
+        return "string", None, parse_string(args.string), None
     if args.kind == "preset540":
-        return "preset540", None, preset_540_string()
+        return "preset540", None, preset_540_string(), preset_540_runs()
     if not args.kind:
         raise ValueError("either --string or --kind is required")
     if args.L is None:
         raise ValueError(f"--kind {args.kind} needs --L")
     L = _chain_parameter(args.L)
-    return args.kind, L, _GENERATORS[args.kind](L)
+    string, runs = _GENERATORS[args.kind]
+    return args.kind, L, string(L), runs(L)
+
+
+def _product(s, runs):
+    """The exact product of s: powered along the runs of a named chain, else letter by letter."""
+    return chain_matrix(s) if runs is None else runs_matrix(runs)
 
 
 # --- build --------------------------------------------------------------------
@@ -120,11 +133,14 @@ def _chain(args):
 
 def _obj_mesh(chain) -> str:
     lines = ["# face-to-face tetrahedron chain", f"# tetrahedra: {len(chain.tetrahedra)}"]
+    shown = {}  # age -> "v" line: a vertex keeps its age in every tetrahedron that holds it
     offset = 0
-    for n, tet in enumerate(chain.tetrahedra, start=1):
+    for n, (tet, ages) in enumerate(zip(chain.tetrahedra, chain.ages), start=1):
         lines.append(f"o tet_{n:04d}")
-        for v in tet.vertices:
-            lines.append("v " + " ".join("%.17g" % float(x) for x in v))
+        for v, age in zip(tet.vertices, ages):
+            if age not in shown:
+                shown[age] = "v " + " ".join("%.17g" % float(x) for x in v)
+            lines.append(shown[age])
         for a, b, c3 in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
             lines.append(f"f {offset + a} {offset + b} {offset + c3}")
         offset += 4
@@ -134,7 +150,7 @@ def _obj_mesh(chain) -> str:
 def cmd_build(args) -> int:
     ctx = RealCtx(digits=args.digits)
     c = make_constants(ctx)
-    kind, param, s = _chain(args)
+    kind, param, s, runs = _chain(args)
     summary = {"kind": kind, "param": param, "length": len(s)}
     # the gap first: past the exact-product limit it fails before the string is
     # formatted, which costs several times the memory of the spelled letters
@@ -143,7 +159,7 @@ def cmd_build(args) -> int:
         summary["gap_report"] = loop.best.to_json_dict()
         summary["loop"] = loop.to_json_dict()
     else:
-        summary["gap_report"] = gap_report(s, c).to_json_dict()
+        summary["gap_report"] = gap_report(s, c, K=_product(s, runs)).to_json_dict()
     summary["string"] = format_string(s)
     chain = realize_chain(s, c)
     summary["tetrahedra"] = len(chain.tetrahedra)
@@ -163,7 +179,7 @@ def cmd_build(args) -> int:
 def cmd_gap(args) -> int:
     ctx = RealCtx(digits=args.digits)
     c = make_constants(ctx)
-    kind, param, s = _chain(args)
+    kind, param, s, runs = _chain(args)
     if args.loop:
         if args.r0 is not None:
             raise ValueError("--loop takes the least lead of every cut; it cannot pin --r0")
@@ -176,7 +192,7 @@ def cmd_gap(args) -> int:
     if kind == "quadrahelix":
         rep = quadrahelix_gap_report(param, c, r0=args.r0)
     else:
-        rep = gap_report(s, c, r0=args.r0)
+        rep = gap_report(s, c, r0=args.r0, K=_product(s, runs))
     if args.format == "csv":
         text = rep.CSV_HEADER + "\n" + rep.to_csv_row() + "\n"
     else:
@@ -278,7 +294,7 @@ def cmd_search_lll(args) -> int:
 def cmd_verify_embed(args) -> int:
     ctx = RealCtx(digits=args.digits)
     c = make_constants(ctx)
-    _, _, s = _chain(args)
+    s = _chain(args)[2]
     chain = realize_chain(s, c)
     verdict = verify_embedded(chain)
     payload = {"string": format_string(s), "length": len(s)}
@@ -300,11 +316,11 @@ def cmd_scan_ratio(args) -> int:
 def cmd_motion(args) -> int:
     ctx = RealCtx(digits=args.digits)
     c = make_constants(ctx)
-    kind, param, s = _chain(args)
+    kind, param, s, runs = _chain(args)
     if kind == "quadrahelix":
         K = k_formula(param, ctx)
     else:
-        K = chain_matrix(s).to_mpf(ctx)
+        K = _product(s, runs).to_mpf(ctx)
     with ctx.work():
         motion = decompose_motion(K, invisible_t0(c), ctx)
         res = motion_residuals(motion, ctx)

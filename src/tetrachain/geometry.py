@@ -3,22 +3,23 @@
 The seed helix V_i = (r cos(i*theta), r sin(i*theta), i*h) places unit
 regular tetrahedra {V_i, V_{i+1}, V_{i+2}, V_{i+3}} along a cylinder; the
 invisible starting tetrahedron T_0 is {V_-1, V_0, V_1, V_2}.  A chain is
-realized from its exact barycentric prefix products: tetrahedron T_k is
-T_0 K_k, so the vertex placed at step k is an integer combination of T_0's
-coordinates over 3^k, rounded once.  The other three vertices are copied,
-which keeps the shared face bit-for-bit equal.
+realized exactly: the reflection in face i replaces vertex i by 2/3 of the
+sum of the other three minus itself, so every vertex is an integer vector
+over the power of 3 of the step that placed it (times the power of 2 of
+T_0's coordinates), and the vertex placed at step k is rounded once, from
+its numerators over 3^k.  Each step computes that one vertex; the other
+three are copied, which keeps the shared face bit-for-bit equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .bary import check_exact_length, prefix_products
+from .bary import check_exact_length
 from .precision import Constants
 from .strings import is_valid
 
@@ -96,9 +97,11 @@ def realize_chain(s: Sequence[int], c: Constants) -> RealizedChain:
     """Realize a printed string, its first symbol the leading face.
 
     The visible tetrahedra are T_1 .. T_{len(s)}; T_0 stays invisible.
-    Step k replaces the vertex in the slot of its symbol by T_0 times that
-    column of the k-th prefix product, exact until the one rounding to the
-    working precision.
+    Slot j holds its vertex as integer numerators n_j over 3^p_j, p_j the
+    step that placed it.  Step k replaces slot i by
+    2 sum_{j != i} n_j 3^(k-1-p_j) - n_i 3^(k-p_i) over 3^k: the same exact
+    column of T_0 times the k-th prefix product, and the one rounding to
+    the working precision.
     """
     check_exact_length(len(s))
     s = tuple(s)
@@ -107,19 +110,24 @@ def realize_chain(s: Sequence[int], c: Constants) -> RealizedChain:
     with c.ctx.work():
         t0 = invisible_t0(c)
         ints, low = dyadic_ints(x for v in t0.vertices for x in v)
-        axes = [ints[axis::3] for axis in range(3)]  # one coordinate of each vertex
+        nums = [ints[3 * p : 3 * p + 3] for p in range(4)]  # the axes of each slot's vertex
+        scale = [1, 1, 1, 1]  # 3^(k-1-p_j) at step k
         chain = RealizedChain(string=s)
         verts = list(t0.vertices)
         age = [0, 1, 2, 3]
         den = 1
-        for step, (sym, cols) in enumerate(zip(s, prefix_products(s)), start=4):
+        for k, sym in enumerate(s, start=1):
+            i = sym - 1
             den *= 3
-            col = cols[sym - 1]
-            verts[sym - 1] = tuple(
-                _rounded(sum(map(mul, xs, col)), den, low) for xs in axes
-            )
+            others = [(nums[j], 2 * scale[j]) for j in range(4) if j != i]
+            own = 3 * scale[i]
+            nums[i] = new = [
+                sum(n[axis] * f for n, f in others) - nums[i][axis] * own for axis in range(3)
+            ]
+            scale = [1 if j == i else 3 * f for j, f in enumerate(scale)]
+            verts[i] = tuple(_rounded(x, den, low) for x in new)
             age = age.copy()
-            age[sym - 1] = step
+            age[i] = k + 3
             chain.tetrahedra.append(Tetrahedron(tuple(verts)))
             chain.ages.append(tuple(age))
         return chain

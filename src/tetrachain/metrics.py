@@ -79,11 +79,29 @@ def _dist2(col, d):
     return 144 // rho * (top - d) ** 2 + 144 * sum(x * x for x in u[rho:])
 
 
+def _inverse(K):
+    """K^-1 in the kind of K: a BaryMatrix over the same power of 3, or mpf rows."""
+    N, d = _numerators(K)
+    inv = inverse(N, d)
+    if isinstance(K, bary.BaryMatrix):
+        return bary.BaryMatrix(tuple(map(tuple, inv)), K.power)
+    return inv
+
+
+def _gap_terms(K, Kinv) -> tuple:
+    """(q, den) with gap2(K) = q / den, given K^-1 as well.
+
+    K and K^-1 are the products of a string and of its reverse, so both
+    are in lowest terms over the same power of 3.
+    """
+    N, d = _numerators(K)
+    q = max(_dist2(col, d) for M in (N, _numerators(Kinv)[0]) for col in zip(*M))
+    return q, 288 * d * d
+
+
 def gap2(K):
     """The squared gap of the chain matrix K, a BaryMatrix (a Fraction) or mpf rows (an mpf)."""
-    N, d = _numerators(K)
-    q = max(_dist2(col, d) for M in (N, inverse(N, d)) for col in zip(*M))
-    return _ratio(q, 288 * d * d)
+    return _ratio(*_gap_terms(K, _inverse(K)))
 
 
 def discrete_gap2(K):
@@ -100,8 +118,22 @@ def discrete_gap2(K):
 
 
 def least_gap(leads: dict) -> tuple:
-    """(gap2, face) least over leads (face -> chain matrix); ties go to the smallest face."""
-    return min((gap2(K), r) for r, K in leads.items())
+    """(gap2, face) least over leads (face -> chain matrix); ties go to the smallest face.
+
+    The leads of a string share its tail, K_r = M_r M_q K_q, so one inverse
+    serves them all: K_r^-1 = K_q^-1 M_q M_r.  Each gap2 is a pair
+    q / den; pairs are compared by cross-multiplying, and only the least
+    becomes a Fraction.
+    """
+    first, *faces = sorted(leads)
+    inv = _inverse(leads[first])
+    best_q, best_den = _gap_terms(leads[first], inv)
+    best = first
+    for r in faces:
+        q, den = _gap_terms(leads[r], bary.times_pair(inv, first, r))
+        if q * best_den < best_q * den:
+            best_q, best_den, best = q, den, r
+    return _ratio(best_q, best_den), best
 
 
 def root(x) -> mpf:
@@ -217,15 +249,19 @@ def lead_minimized_report(leads: dict, c: Constants, r0: int | None = None) -> G
         )
 
 
-def gap_report(s, c: Constants, r0: int | None = None) -> GapReport:
+def gap_report(s, c: Constants, r0: int | None = None, K=None) -> GapReport:
     """Evaluate a printed string on its exact products, its first symbol free.
 
     All three legal leading faces r0 != s[1] are tried; passing r0 pins one.
+    K is the product of s when the caller has it (bary.runs_matrix of a
+    named chain); otherwise s is multiplied letter by letter.
     """
     s = tuple(s)
     if len(s) < 2:
         raise ValueError("gap_report needs a string of length >= 2")
-    return lead_minimized_report(bary.lead_matrices(bary.chain_matrix(s), s[0], s[1]), c, r0)
+    if K is None:
+        K = bary.chain_matrix(s)
+    return lead_minimized_report(bary.lead_matrices(K, s[0], s[1]), c, r0)
 
 
 @dataclass(frozen=True)

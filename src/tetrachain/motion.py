@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .bary import MAX_EXACT_LENGTH, BaryMatrix, chain_matrix, det, lead_matrices, mat_mul
+from .bary import MAX_EXACT_LENGTH, BaryMatrix, det, lead_matrices, mat_mul, runs_matrix
 from .geometry import RealizedChain, Tetrahedron, _cross
 from .metrics import (
     GapReport,
@@ -36,7 +36,7 @@ from .precision import (
     RealCtx,
     reduce_theta_multiple,
 )
-from .strings import quadrahelix_string
+from .strings import quadrahelix_runs
 
 # --- closed-form coefficient tables ------------------------------------------
 
@@ -148,11 +148,12 @@ def closed_form_gap(L: int, ctx: RealCtx) -> ClosedFormGap:
 def _quadrahelix_leads(L: int, c: Constants) -> dict:
     """The chain matrix of every legal lead of QH_L (which starts 1, 2).
 
-    While the 4L+2 letters fit MAX_EXACT_LENGTH these are exact products;
-    beyond, the closed form gives K of the printed string in mpf.
+    While the 4L+2 letters fit MAX_EXACT_LENGTH these are exact products,
+    powered along the four runs; beyond, the closed form gives K of the
+    printed string in mpf.
     """
     if 4 * int(L) + 2 <= MAX_EXACT_LENGTH:
-        K = chain_matrix(quadrahelix_string(L))
+        K = runs_matrix(quadrahelix_runs(L))
     else:
         _, _, K = _closed_form_matrix(L, c.ctx)
     with c.ctx.work():
@@ -290,17 +291,13 @@ class QhGapBound:
     L: int
     delta_bar: mpf
     bound: mpf  # 5 L delta_bar^2
-    tight_bound: mpf  # 3.51 L delta_bar^2 (intermediate inequality)
 
 
 def gap_bound_qh(L: int, ctx: RealCtx) -> QhGapBound:
     """A-priori gap bound 5*L*delta_bar^2 for QH_L (meaningful for L >= 17)."""
     delta_bar, _ = reduce_theta_multiple(int(L) + 1, ctx)
     with ctx.work():
-        d2 = mpf(int(L)) * delta_bar**2
-        return QhGapBound(
-            L=int(L), delta_bar=delta_bar, bound=5 * d2, tight_bound=mpf("3.51") * d2
-        )
+        return QhGapBound(L=int(L), delta_bar=delta_bar, bound=5 * (mpf(int(L)) * delta_bar**2))
 
 
 @dataclass(frozen=True)

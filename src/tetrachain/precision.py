@@ -46,8 +46,7 @@ class Constants:
     """Fundamental helix constants, all computed under one ctx.
 
     theta is the helix turn angle arccos(-2/3); r and h are the cylinder
-    radius 3*sqrt(3)/10 and the rise 1/sqrt(10) per step; eta = sqrt(17)/5 is
-    the largest singular value of the seed vertex matrix; gamma_plus and
+    radius 3*sqrt(3)/10 and the rise 1/sqrt(10) per step; gamma_plus and
     gamma_minus = arccos((-3 +- 5*sqrt(3))/12) are the octahelix target
     angles.
     """
@@ -57,7 +56,6 @@ class Constants:
     two_pi: mpf = field(repr=False)
     r: mpf = field(repr=False)
     h: mpf = field(repr=False)
-    eta: mpf = field(repr=False)
     gamma_plus: mpf = field(repr=False)
     gamma_minus: mpf = field(repr=False)
 
@@ -93,7 +91,6 @@ def make_constants(ctx: RealCtx) -> Constants:
             two_pi=2 * mp.pi,
             r=3 * mp.sqrt(3) / 10,
             h=1 / mp.sqrt(10),
-            eta=mp.sqrt(17) / 5,
             gamma_plus=target_angle("gamma_plus"),
             gamma_minus=target_angle("gamma_minus"),
         )

@@ -54,80 +54,105 @@ def _check_spelled_length(name: str, n: int, L: int | None = None) -> None:
         raise ValueError(f"{label} would spell {_shown(n)} letters; the limit is {MAX_SPELLED_LENGTH}")
 
 
-def tetrahelix_string(m: int, start: int = 1) -> String:
-    """m symbols cycling start, start+1, ... with values wrapped into 1..4."""
+Run = tuple[int, int, int]  # (first letter, step +1 or -1, length)
+
+
+def spell(runs: Sequence[Run]) -> String:
+    """The letters of a chain given as runs: a, a + step, a + 2 step, ... wrapped into 1..4."""
+    return tuple((a - 1 + step * i) % 4 + 1 for a, step, m in runs for i in range(m))
+
+
+def _reversed(runs: Sequence[Run]) -> tuple[Run, ...]:
+    # a run read backwards starts at its last letter and steps the other way
+    return tuple(((a - 1 + step * (m - 1)) % 4 + 1, -step, m) for a, step, m in runs[::-1])
+
+
+def _relabeled(runs: Sequence[Run]) -> tuple[Run, ...]:
+    # the face permutation 1->2, 2->3, 3->4, 4->1
+    return tuple((a % 4 + 1, step, m) for a, step, m in runs)
+
+
+def tetrahelix_runs(m: int, start: int = 1) -> tuple[Run, ...]:
+    """The tetrahelix of m letters: one run climbing from start."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if start not in (1, 2, 3, 4):
         raise ValueError("start must be in 1..4")
+    return ((start, 1, m),)
+
+
+def tetrahelix_string(m: int, start: int = 1) -> String:
+    """m symbols cycling start, start+1, ... with values wrapped into 1..4."""
+    runs = tetrahelix_runs(m, start)
     _check_spelled_length("the tetrahelix", m)
-    return tuple((start - 1 + i) % 4 + 1 for i in range(m))
+    return spell(runs)
 
 
-def _sigma(m: int) -> String:
-    # S_{m+1} starting at 2 with the middle entry deleted; defined for even m.
-    # S_{m+1} has odd length, so "middle" is position m//2 (0-based).
-    if m % 2:
-        raise ValueError("sigma is defined for even m only")
-    s = list(tetrahelix_string(m + 1, start=2))
-    del s[m // 2]
-    return tuple(s)
+def quadrahelix_runs(L: int) -> tuple[Run, ...]:
+    """The four runs of QH_L = 1 sigma j rev(sigma).
+
+    sigma is S_{2L+1} from 2 with its middle letter deleted: the lead and
+    sigma's first half climb L+1 letters from 1, sigma's second half and the
+    joint j (3 for even L, 1 for odd) climb L+1 more, and rev(sigma)
+    descends in two runs of L.
+    """
+    if L < 1:
+        raise ValueError("L must be >= 1")
+    return (
+        (1, 1, L + 1),
+        ((L + 2) % 4 + 1, 1, L + 1),
+        ((2 * L + 1) % 4 + 1, -1, L),
+        (L % 4 + 1, -1, L),
+    )
 
 
 def quadrahelix_string(L: int) -> String:
     """The 4L+2 symbol string of the four-legged near-loop QH_L."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    runs = quadrahelix_runs(L)
     _check_spelled_length("QH", 4 * L + 2, L)
-    sigma = _sigma(2 * L)
-    j = 3 if L % 2 == 0 else 1
-    out = (1,) + sigma + (j,) + sigma[::-1]
-    assert len(out) == 4 * L + 2
-    return out
+    return spell(runs)
 
 
-def _relabel(s: Iterable[int]) -> String:
-    # the face permutation 1->2, 2->3, 3->4, 4->1
-    return tuple(x % 4 + 1 for x in s)
+def octahelix_runs(L: int) -> tuple[Run, ...]:
+    """The eight runs of OH_L: S_{L+1} rev(S_L) p(S_{L+1}) p(rev(S_L)), twice.
 
-
-def octahelix_string(L: int) -> String:
-    """The 8L+4 symbol string of the eight-legged near-loop OH_L.
-
-    Built as the 8-part concatenation
-    S_{L+1} rev(S_L) p(S_{L+1}) p(rev(S_L))  (twice)
-    with S_m the m-term tetrahelix string starting at 1 and p the relabeling
-    1->2->3->4->1.  The constructor rejects any L whose concatenation would
-    double back at a part boundary.
+    S_m is the m-term tetrahelix from 1 and p the relabeling 1->2->3->4->1.
+    No two runs meet on one letter, so every L gives a valid string.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
+    up, down = (1, 1, L + 1), ((L - 1) % 4 + 1, -1, L)
+    part = (up, down, *_relabeled((up, down)))
+    return part + part
+
+
+def octahelix_string(L: int) -> String:
+    """The 8L+4 symbol string of the eight-legged near-loop OH_L."""
+    runs = octahelix_runs(L)
     _check_spelled_length("OH", 8 * L + 4, L)
-    s_up = tetrahelix_string(L + 1, start=1)
-    s_down = tetrahelix_string(L, start=1)[::-1]
-    part = s_up + s_down + _relabel(s_up) + _relabel(s_down)
-    out = part + part
-    if not is_valid(out):
-        raise ValueError(f"octahelix grammar yields an invalid string for L={L}")
-    assert len(out) == 8 * L + 4
-    return out
+    return spell(runs)
 
 
-_PRESET_B = (1, 2, 3, 4, 1, 2, 3, 4, 3, 4, 1, 3, 2, 3, 4, 1, 2, 1, 3, 4, 1, 2)
+# b = 1234123434132341213412 as runs
+_PRESET_B = ((1, 1, 8), (3, 1, 3), (3, -1, 2), (3, 1, 4), (1, 1, 1), (3, 1, 4))
 
 
-def preset_540_string() -> String:
-    """A fixed 540-symbol loop: ((b 4 rev(b)) x4 with alternating relabelings) x3.
+def preset_540_runs() -> tuple[Run, ...]:
+    """The runs of a fixed 540-symbol loop: ((b 4 rev(b)) x4 with alternating relabelings) x3.
 
     b is a 22-symbol block; u = b + (4,) + rev(b) has 45 symbols; one period
     is u, p(u), u, p^3(u) for the relabeling p: 1->2->3->4->1; three periods
     give (2*22+1)*4*3 = 540 symbols.
     """
-    u = _PRESET_B + (4,) + _PRESET_B[::-1]
-    p1 = _relabel(u)
-    p3 = _relabel(_relabel(p1))
-    period = u + p1 + u + p3
-    out = period * 3
+    u = _PRESET_B + ((4, 1, 1),) + _reversed(_PRESET_B)
+    p1 = _relabeled(u)
+    p3 = _relabeled(_relabeled(p1))
+    return (u + p1 + u + p3) * 3
+
+
+def preset_540_string() -> String:
+    """The 540-loop of preset_540_runs, spelled."""
+    out = spell(preset_540_runs())
     assert len(out) == 540 and is_valid(out)
     return out
 

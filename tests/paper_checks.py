@@ -30,6 +30,20 @@ _H1_SIN_REJECTED = (
 )
 
 
+# --- the seed tetrahedron ----------------------------------------------------
+
+
+def seed_vertex_singular_value(c):
+    """Largest singular value of the 3x4 seed vertex matrix (columns: T_0's vertices).
+
+    The paper gives it as eta = sqrt(17)/5; here it comes from mpmath's SVD.
+    """
+    with c.ctx.work():
+        vertices = invisible_t0(c).vertices
+        V = mp.matrix([[v[axis] for v in vertices] for axis in range(3)])
+        return max(mp.svd_r(V, compute_uv=False))
+
+
 # --- the closed form and the screw motion ------------------------------------
 
 

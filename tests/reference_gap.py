@@ -10,11 +10,18 @@ source: a max over four vertices is exact.
 The package takes ||K - I||_2 in closed form (``metrics.norm_gap``); the
 oracles at the end take it, and the eigenstructure of K, from mpmath's
 iterative eigensolvers.
+
+The package realizes a chain one vertex per step (``geometry.realize_chain``);
+``prefix_realization`` places each vertex from the prefix product of the
+whole string so far instead, the same exact rational rounded once.
 """
+
+from operator import mul
 
 from mpmath import mp, mpf
 
-from tetrachain.geometry import Tetrahedron, invisible_t0
+from tetrachain.bary import prefix_products
+from tetrachain.geometry import Tetrahedron, _rounded, dyadic_ints, invisible_t0
 from tetrachain.metrics import minus_identity
 from tetrachain.motion import homogeneous_t0
 
@@ -40,6 +47,27 @@ def apply_bary(t0: Tetrahedron, K) -> Tetrahedron:
             for j in range(4)
         )
     )
+
+
+def prefix_realization(s, c) -> tuple:
+    """(tetrahedra, ages) of the chain s; step k places T_0 times a column of prefix product k."""
+    with c.ctx.work():
+        t0 = invisible_t0(c)
+        ints, low = dyadic_ints(x for v in t0.vertices for x in v)
+        axes = [ints[axis::3] for axis in range(3)]  # one coordinate of each vertex
+        tetrahedra, ages = [], []
+        verts = list(t0.vertices)
+        age = [0, 1, 2, 3]
+        den = 1
+        for step, (sym, cols) in enumerate(zip(s, prefix_products(s)), start=4):
+            den *= 3
+            col = cols[sym - 1]
+            verts[sym - 1] = tuple(_rounded(sum(map(mul, xs, col)), den, low) for xs in axes)
+            age = age.copy()
+            age[sym - 1] = step
+            tetrahedra.append(Tetrahedron(tuple(verts)))
+            ages.append(tuple(age))
+        return tetrahedra, ages
 
 
 def point_to_triangle(p, a, b, c):

@@ -3,7 +3,8 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import valid_strings
 from tetrachain.bary import (
@@ -15,8 +16,16 @@ from tetrachain.bary import (
     reflection_matrix,
     divisibility_witness,
     lead_matrices,
+    runs_matrix,
 )
 from tetrachain.geometry import realize_chain
+from tetrachain.strings import (
+    octahelix_runs,
+    preset_540_runs,
+    quadrahelix_runs,
+    spell,
+    tetrahelix_runs,
+)
 
 
 def _fractions(K):
@@ -93,10 +102,10 @@ def test_witness_row_selection():
     # the tested entry moves off row 2 when the string begins with 2
     w = divisibility_witness((2, 1))
     assert (w.row, w.col) == (1, 1)
-    assert w.numerator == -5 and w.numerator_mod3 == 1
+    assert w.numerator == -5 and w.numerator % 3 == 1
     w2 = divisibility_witness((1, 2))
     assert w2.row == 2 and w2.col == 2
-    assert w2.numerator_mod3 != 0
+    assert w2.numerator % 3 != 0
 
 
 def test_witness_fixed_row_would_fail():
@@ -110,7 +119,7 @@ def test_witness_fixed_row_would_fail():
 def test_divisibility_witness_random(s):
     w = divisibility_witness(s)
     assert not w.is_permutation
-    assert w.numerator_mod3 != 0
+    assert w.numerator % 3 != 0
 
 
 @given(valid_strings(min_size=2, max_size=30))
@@ -177,3 +186,27 @@ def test_to_mpf_matches_fractions(ctx40):
             for j in range(4)
         )
         assert err < mpf(10) ** -50
+
+
+@settings(max_examples=25)
+@given(
+    st.one_of(
+        st.integers(1, 4999).map(quadrahelix_runs),
+        st.integers(1, 2499).map(octahelix_runs),
+        st.builds(tetrahelix_runs, st.integers(1, 400), st.integers(1, 4)),
+        st.just(preset_540_runs()),
+    )
+)
+@example(quadrahelix_runs(1))
+@example(quadrahelix_runs(4999))
+@example(octahelix_runs(1))
+@example(octahelix_runs(2499))
+@example(tetrahelix_runs(1))
+@example(tetrahelix_runs(400))
+@example(preset_540_runs())
+def test_runs_matrix_is_the_letter_product(runs):
+    # binary powering of each run's word against the letter-by-letter product
+    s = spell(runs)
+    K = runs_matrix(runs)
+    assert K.power == len(s)
+    assert K.num == chain_matrix(s).num

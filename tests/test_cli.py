@@ -55,6 +55,22 @@ def test_build_obj_is_deterministic(tmp_path, capsys):
     assert sum(1 for ln in text.splitlines() if ln.startswith("f ")) == 4 * 14
 
 
+# sha256 of the OBJ mesh, recorded before the realization placed one vertex per
+# step and the mesh formatted each shared vertex once
+OBJ_SHA256 = {
+    29: "1daf61cdfaa5f5b1c77eeffa4c020e5147aa3bae199cc2d6b32bd22e19ddd65e",
+    1960: "812358e7f4d6597e7dac3a655bd3537a68249383890efa39d6950aed3c7c5c1b",
+}
+
+
+@pytest.mark.parametrize("L", sorted(OBJ_SHA256))
+def test_build_obj_bytes_are_pinned(L, tmp_path, capsys):
+    target = tmp_path / f"qh{L}.obj"
+    assert main(["build", "--kind", "quadrahelix", "--L", str(L), "--out", str(target)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == OBJ_SHA256[L]
+
+
 def test_build_json_summary(capsys):
     payload = _run_json(
         capsys,

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -5,8 +7,9 @@ from mpmath import mp, mpf
 
 from conftest import reference_fold, valid_strings
 from paper_checks import bary_coefficients, edge_lengths, tetra_volume, tetrahelix_bary_point
+from reference_gap import prefix_realization
 from tetrachain.geometry import helix_vertex, invisible_t0, realize_chain
-from tetrachain.strings import quadrahelix_string
+from tetrachain.strings import preset_540_string, quadrahelix_string
 
 
 def _dist(a, b):
@@ -113,3 +116,32 @@ def test_bary_coefficients_sum_to_one(q):
     c = make_constants(RealCtx(digits=40))
     with c.ctx.work():
         assert abs(sum(bary_coefficients(q, c)) - 1) < mpf(10) ** -42
+
+
+def _back_and_forth(rng: random.Random, n: int) -> tuple:
+    """Mostly two letters in turn, so the other two slots keep low powers of 3 for long."""
+    s = [1, 2]
+    while len(s) < n:
+        if rng.random() < 0.9:
+            s.append(s[-2])
+        else:
+            s.append(rng.choice([x for x in (1, 2, 3, 4) if x != s[-1]]))
+    return tuple(s)
+
+
+_RNG = random.Random(20261019)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [quadrahelix_string(1960), preset_540_string()]
+    + [_back_and_forth(_RNG, n) for n in (2, 50, 400, 1500)],
+    ids=["QH_1960", "preset540", "back-and-forth-2", "back-and-forth-50",
+         "back-and-forth-400", "back-and-forth-1500"],
+)
+def test_realization_equals_prefix_product_realization(c40, s):
+    # one vertex per step against T_0 times the prefix products, bit for bit
+    chain = realize_chain(s, c40)
+    tetrahedra, ages = prefix_realization(s, c40)
+    assert [t.vertices for t in chain.tetrahedra] == [t.vertices for t in tetrahedra]
+    assert chain.ages == ages

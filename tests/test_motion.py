@@ -257,7 +257,9 @@ def test_qh_gap_bound_dominates_measured_gap(L, c40, ctx40):
     b = gap_bound_qh(L, ctx40)
     report = gap_report(quadrahelix_string(L), c40)
     with ctx40.work():
-        assert report.gap <= b.tight_bound <= b.bound
+        # the paper's intermediate inequality, 3.51 L delta_bar^2
+        tight_bound = mpf("3.51") * (mpf(L) * b.delta_bar**2)
+        assert report.gap <= tight_bound <= b.bound
 
 
 def test_oh_gap_bound_686(ctx40):

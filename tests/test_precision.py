@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from paper_checks import seed_vertex_singular_value
 from tetrachain.precision import (
     PrecisionError,
     RealCtx,
@@ -30,7 +31,7 @@ def test_named_constants(c40):
     with c40.ctx.work():
         assert abs(c40.r - 3 * mp.sqrt(3) / 10) < mpf(10) ** -50
         assert abs(c40.h - 1 / mp.sqrt(10)) < mpf(10) ** -50
-        assert abs(c40.eta - mp.sqrt(17) / 5) < mpf(10) ** -50
+        assert abs(seed_vertex_singular_value(c40) - mp.sqrt(17) / 5) < mpf(10) ** -50
         assert abs(c40.gamma_plus - mp.acos((-3 + 5 * mp.sqrt(3)) / 12)) < mpf(10) ** -50
         assert abs(c40.gamma_minus - mp.acos((-3 - 5 * mp.sqrt(3)) / 12)) < mpf(10) ** -50
 

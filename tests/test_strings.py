@@ -5,25 +5,45 @@ from hypothesis import strategies as st
 from conftest import valid_strings
 from paper_checks import octahelix_literal_check
 from tetrachain import strings
+from tetrachain.bary import chain_matrix, runs_matrix
 from tetrachain.strings import (
     MAX_SPELLED_LENGTH,
     format_string,
     is_valid,
+    octahelix_runs,
     octahelix_string,
     parse_string,
     preset_540_string,
+    quadrahelix_runs,
     quadrahelix_string,
     rotate,
+    spell,
     tetrahelix_string,
 )
 
 QH4 = "123413412321431432"
 QH10 = "123412341231234123412321432143213214321432"
+OH4 = "123414321234121432123414321234121432"
 
 
 def test_quadrahelix_fixtures():
     assert format_string(quadrahelix_string(4)) == QH4
     assert format_string(quadrahelix_string(10)) == QH10
+
+
+@pytest.mark.parametrize(
+    "runs, literal",
+    [(quadrahelix_runs(4), QH4), (quadrahelix_runs(10), QH10), (octahelix_runs(4), OH4)],
+    ids=["QH_4", "QH_10", "OH_4"],
+)
+def test_runs_spell_the_published_literals(runs, literal):
+    assert format_string(spell(runs)) == literal
+    assert runs_matrix(runs) == chain_matrix(parse_string(literal))
+
+
+def test_named_chains_are_few_runs():
+    assert len(quadrahelix_runs(1960)) == 4
+    assert len(octahelix_runs(2499)) == 8
 
 
 def test_tetrahelix_cycles():

@@ -3,7 +3,9 @@
 A top-level name of ``src/tetrachain`` that no other statement in ``src/``
 or ``scripts/`` reads, and that ``tetrachain.__all__`` does not export, is
 code only the tests call: an oracle for a paper claim belongs in
-``tests/paper_checks.py`` instead.
+``tests/paper_checks.py`` instead.  Likewise a field of a dataclass in
+``src/`` that no code in ``src/``, ``scripts/`` or ``perfbench/`` reads as
+an attribute is computed for the tests alone.
 """
 
 import ast
@@ -14,6 +16,7 @@ import tetrachain
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "tetrachain").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _bound(stmt) -> set:
@@ -52,3 +55,42 @@ def test_every_top_level_name_is_run_or_exported():
         if not any(name in reads for _, other, reads in statements if other is not stmt)
     ]
     assert not unused, unused
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """True for @dataclass, @dataclass(...) and @dataclasses.dataclass(...)."""
+    for d in cls.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _fields(cls: ast.ClassDef) -> list:
+    """The annotated class-body names of a dataclass, ClassVar excluded."""
+    return [
+        stmt.target.id
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        if "ClassVar" not in ast.unparse(stmt.annotation)
+    ]
+
+
+def test_every_dataclass_field_is_read():
+    # a keyword argument at construction is a write, not a read
+    reads = {
+        n.attr
+        for path in PACKAGE + SCRIPTS + BENCH
+        for n in ast.walk(ast.parse(path.read_text()))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.name}: {cls.name}.{name}"
+        for path in PACKAGE
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for name in _fields(cls)
+        if name not in reads
+    ]
+    assert not unread, unread
