@@ -26,7 +26,7 @@ def main():
     c = make_constants(ctx)
     print(f"{'X':>10}  {'x':>13}  {'y':>14}  {'log10 err':>10}  target")
     with ctx.work():
-        for X, sol in lattice_table(c, ctx):
+        for X, sol in lattice_table(c):
             print(
                 f"{mp.nstr(X, 6):>10}  {sol.x:>13}  {sol.y:>14}"
                 f"  {mp.nstr(mp.log10(sol.err), 4):>10}  {sol.target}"

@@ -7,21 +7,23 @@ reflections multiplies to a matrix whose entries are integers over 3^n,
 so we store the integer numerator matrix together with the power of 3 and
 never touch floating point until a caller asks for it.
 
-A string is multiplied letter by letter (chain_matrix).  A named chain is a
-few helical runs, and a run repeats the word of its first four letters, so
-runs_matrix multiplies it by binary powering of those words instead.
+chain_matrix multiplies a string letter by letter, updating one column per
+letter, except along its long helical runs: a run steps by a constant 1, 2
+or 3 mod 4, so it repeats the word of its first four letters, and that word
+is raised to a power by binary powering.  A named chain is a few such runs.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from mpmath import mpf
 
 from .precision import RealCtx
-from .strings import Run, is_valid
+from .strings import is_valid
 
 _Rows = tuple[tuple[int, int, int, int], ...]
 
@@ -116,42 +118,20 @@ def check_exact_length(n: int) -> None:
         raise ValueError(f"string length {n} exceeds the exact-product limit {MAX_EXACT_LENGTH}")
 
 
-def prefix_products(s: Sequence[int]) -> Iterator[_Rows]:
-    """Numerator columns of each prefix product M_{s[0]} ... M_{s[k]}, over 3^(k+1).
+def _walk(cols: _Rows, letters: Sequence[int]) -> _Rows:
+    """The numerator columns of a product times M_l for each letter l, one power of 3 each.
 
     Right-multiplying by M_i changes only column i: the new column i is
     2*(sum of the other columns) - 3*(column i), and the other columns are
-    multiplied by 3.  Column j of the k-th product holds the barycentric
-    coordinates over T_0 of vertex j of tetrahedron T_{k+1}.  The caller
-    validates s and refuses it past MAX_EXACT_LENGTH (check_exact_length).
+    multiplied by 3.
     """
-    cols = IDENTITY.num  # the identity is its own transpose
-    for sym in s:
+    for sym in letters:
         i = sym - 1
         # 2*(sum of the others) - 3*x, as 2*(sum of all four) - 5*x
         twice_total = [2 * (a + b + c + d) for a, b, c, d in zip(*cols)]
         new = tuple(t - 5 * x for t, x in zip(twice_total, cols[i]))
-        cols = tuple(
-            new if j == i else tuple(3 * x for x in col) for j, col in enumerate(cols)
-        )
-        yield cols
-
-
-def chain_matrix(s: Sequence[int]) -> BaryMatrix:
-    """Exact product M_{s[0]} M_{s[1]} ... in string order."""
-    check_exact_length(len(s))
-    if not is_valid(s):
-        raise ValueError(f"invalid reflection string {s!r}")
-    for cols in prefix_products(s):
-        pass
-    return BaryMatrix(tuple(zip(*cols)), len(s))
-
-
-def _word(letters: Sequence[int]) -> BaryMatrix:
-    K = IDENTITY
-    for i in letters:
-        K = K @ reflection_matrix(i)
-    return K
+        cols = tuple(new if j == i else tuple(3 * x for x in col) for j, col in enumerate(cols))
+    return cols
 
 
 def _power(W: BaryMatrix, q: int) -> BaryMatrix:
@@ -166,24 +146,44 @@ def _power(W: BaryMatrix, q: int) -> BaryMatrix:
     return out
 
 
-def runs_matrix(runs: Sequence[Run]) -> BaryMatrix:
-    """Exact product of the chain spelled by runs (first letter, step +-1, length).
+def helical_runs(s: Sequence[int], shortest: int):
+    """(start, end) of every maximal s[start:end] of `shortest` or more letters with one step.
 
-    A run of m letters a, a + step, ... is the word W of its first four
-    letters m div 4 times, then at most three reflections.  Products come in
-    lowest terms, and the product of a valid string of n letters is in
-    lowest terms over 3^n, so this equals chain_matrix of the spelled
-    string, power included.  The runs must spell a valid string, as the
-    named-chain generators of strings do.
+    A helical run steps by a constant 1, 2 or 3 mod 4.  Neighbouring runs
+    share at most one letter.
     """
-    check_exact_length(sum(m for _, _, m in runs))
-    K = IDENTITY
-    for a, step, m in runs:
-        letters = [(a - 1 + step * i) % 4 + 1 for i in range(min(m, 4))]
-        if m >= 4:
-            K = K @ _power(_word(letters), m // 4)
-        K = K @ _word(letters[: m % 4])
-    return K
+    if len(s) < shortest:
+        return ()
+    steps = bytes((b - a) % 4 for a, b in zip(s, s[1:]))
+    pattern = b"|".join(b"%c{%d,}" % (k, shortest - 1) for k in (1, 2, 3))
+    return ((m.start(), m.end() + 1) for m in re.finditer(pattern, steps))
+
+
+_POWERED_RUN = 16  # letters; a shorter run costs less letter by letter than powered
+
+
+def chain_matrix(s: Sequence[int]) -> BaryMatrix:
+    """Exact product M_{s[0]} M_{s[1]} ... in string order, in lowest terms over 3^len(s).
+
+    The letters a + step*i mod 4 of a helical run repeat with a period that
+    divides 4, so a run of m letters is the word W of its first four letters
+    m div 4 times, then at most three letters.  A run of _POWERED_RUN
+    letters or more costs W^(m div 4) by binary powering; every other letter
+    is a column update.
+    """
+    check_exact_length(len(s))
+    if not is_valid(s):
+        raise ValueError(f"invalid reflection string {s!r}")
+    cols, power, done = IDENTITY.num, 0, 0  # the product of s[:done] over 3^power, by columns
+    for start, end in helical_runs(s, _POWERED_RUN):
+        start = max(start, done)
+        q = (end - start) // 4
+        cols = _walk(cols, s[done:start])
+        # the identity is its own transpose
+        W = BaryMatrix(tuple(zip(*_walk(IDENTITY.num, s[start : start + 4]))), 4)
+        K = BaryMatrix(tuple(zip(*cols)), power + start - done) @ _power(W, q)
+        cols, power, done = tuple(zip(*K.num)), K.power, start + 4 * q
+    return BaryMatrix(tuple(zip(*_walk(cols, s[done:]))), power + len(s) - done)
 
 
 @lru_cache(maxsize=None)

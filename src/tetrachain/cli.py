@@ -18,7 +18,7 @@ import tempfile
 from mpmath import mp, mpf
 
 from . import __version__
-from .bary import chain_matrix, runs_matrix
+from .bary import chain_matrix
 from .embedding import verify_embedded
 from .geometry import invisible_t0, realize_chain
 from .metrics import gap_report, loop_gap_report
@@ -41,29 +41,28 @@ from .search import (
 )
 from .strings import (
     format_string,
-    octahelix_runs,
     octahelix_string,
     parse_string,
-    preset_540_runs,
     preset_540_string,
-    quadrahelix_runs,
     quadrahelix_string,
-    tetrahelix_runs,
     tetrahelix_string,
 )
 
 
 def _write_atomic(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+    """Write by a temp file beside path and a rename; errors name path, not the temp file."""
+    tmp = None
     try:
+        d = os.path.dirname(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -82,10 +81,10 @@ def _nstr(x, digits: int) -> str:
         return mp.nstr(mpf(x), digits, strip_zeros=True)
 
 
-_GENERATORS = {  # kind -> (string, runs)
-    "tetrahelix": (tetrahelix_string, tetrahelix_runs),
-    "quadrahelix": (quadrahelix_string, quadrahelix_runs),
-    "octahelix": (octahelix_string, octahelix_runs),
+_GENERATORS = {
+    "tetrahelix": tetrahelix_string,
+    "quadrahelix": quadrahelix_string,
+    "octahelix": octahelix_string,
 }
 
 
@@ -106,26 +105,17 @@ def _chain_parameter(text: str) -> int:
 
 
 def _chain(args):
-    """(kind, param, string, runs) of the chain named by --string, or --kind and --L.
-
-    runs is None for --string: a given string is multiplied letter by letter.
-    """
+    """(kind, param, string) of the chain named by --string, or --kind and --L."""
     if args.string:
-        return "string", None, parse_string(args.string), None
+        return "string", None, parse_string(args.string)
     if args.kind == "preset540":
-        return "preset540", None, preset_540_string(), preset_540_runs()
+        return "preset540", None, preset_540_string()
     if not args.kind:
         raise ValueError("either --string or --kind is required")
     if args.L is None:
         raise ValueError(f"--kind {args.kind} needs --L")
     L = _chain_parameter(args.L)
-    string, runs = _GENERATORS[args.kind]
-    return args.kind, L, string(L), runs(L)
-
-
-def _product(s, runs):
-    """The exact product of s: powered along the runs of a named chain, else letter by letter."""
-    return chain_matrix(s) if runs is None else runs_matrix(runs)
+    return args.kind, L, _GENERATORS[args.kind](L)
 
 
 # --- build --------------------------------------------------------------------
@@ -150,7 +140,7 @@ def _obj_mesh(chain) -> str:
 def cmd_build(args) -> int:
     ctx = RealCtx(digits=args.digits)
     c = make_constants(ctx)
-    kind, param, s, runs = _chain(args)
+    kind, param, s = _chain(args)
     summary = {"kind": kind, "param": param, "length": len(s)}
     # the gap first: past the exact-product limit it fails before the string is
     # formatted, which costs several times the memory of the spelled letters
@@ -159,7 +149,7 @@ def cmd_build(args) -> int:
         summary["gap_report"] = loop.best.to_json_dict()
         summary["loop"] = loop.to_json_dict()
     else:
-        summary["gap_report"] = gap_report(s, c, K=_product(s, runs)).to_json_dict()
+        summary["gap_report"] = gap_report(s, c).to_json_dict()
     summary["string"] = format_string(s)
     chain = realize_chain(s, c)
     summary["tetrahedra"] = len(chain.tetrahedra)
@@ -179,7 +169,7 @@ def cmd_build(args) -> int:
 def cmd_gap(args) -> int:
     ctx = RealCtx(digits=args.digits)
     c = make_constants(ctx)
-    kind, param, s, runs = _chain(args)
+    kind, param, s = _chain(args)
     if args.loop:
         if args.r0 is not None:
             raise ValueError("--loop takes the least lead of every cut; it cannot pin --r0")
@@ -192,7 +182,7 @@ def cmd_gap(args) -> int:
     if kind == "quadrahelix":
         rep = quadrahelix_gap_report(param, c, r0=args.r0)
     else:
-        rep = gap_report(s, c, r0=args.r0, K=_product(s, runs))
+        rep = gap_report(s, c, r0=args.r0)
     if args.format == "csv":
         text = rep.CSV_HEADER + "\n" + rep.to_csv_row() + "\n"
     else:
@@ -222,7 +212,7 @@ def cmd_table2(args) -> int:
     c = make_constants(ctx)
     lines = ["X,x,y,err,log10_err,kronecker_ok"]
     with ctx.work():
-        for X, sol in lattice_table(c, ctx):
+        for X, sol in lattice_table(c):
             lines.append(
                 f"{_nstr(X, 6)},{sol.x},{sol.y},{_nstr(sol.err, 8)},"
                 f"{_nstr(mp.log10(sol.err), 6)},{sol.kronecker_ok}"
@@ -316,11 +306,11 @@ def cmd_scan_ratio(args) -> int:
 def cmd_motion(args) -> int:
     ctx = RealCtx(digits=args.digits)
     c = make_constants(ctx)
-    kind, param, s, runs = _chain(args)
+    kind, param, s = _chain(args)
     if kind == "quadrahelix":
         K = k_formula(param, ctx)
     else:
-        K = _product(s, runs).to_mpf(ctx)
+        K = chain_matrix(s).to_mpf(ctx)
     with ctx.work():
         motion = decompose_motion(K, invisible_t0(c), ctx)
         res = motion_residuals(motion, ctx)

@@ -5,12 +5,13 @@ product of two edges is a separating axis (separating axis theorem, SAT).
 Non-adjacent pairs of a chain are pruned with axis-aligned bounding boxes.
 SAT on the float vertices of each surviving pair picks the axis that
 separates best and the margin to report; it decides nothing.  The verdict
-is the same SAT code on Python ints: every vertex of T_k has integer
-barycentric coordinates over T_0 with denominator 3^k, and a separating
-plane survives any affine map.  The screen's axis is tried first, the
-other 43 only if it does not separate, and a pair that touches separates
-by exactly 0.  No tolerance enters the verdict.  Adjacent pairs must share
-a face bit-for-bit and are exempt from the interior test.
+is the same SAT code on Python ints: the vertex walk that realizes the
+chain, started from T_0's affine barycentric coordinates, gives every
+vertex of T_k as integers over 3^k, and a separating plane survives any
+affine map.  The screen's axis is tried first, the other 43 only if it
+does not separate, and a pair that touches separates by exactly 0.  No
+tolerance enters the verdict.  Adjacent pairs must share a face
+bit-for-bit and are exempt from the interior test.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .bary import prefix_products
-from .geometry import RealizedChain, Tetrahedron, _cross, _sub
+from .geometry import RealizedChain, Tetrahedron, _cross, _sub, vertex_walk
 from .precision import Constants
 
 _FACE_IDX = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
@@ -103,21 +103,26 @@ def _exact_separation(A, B, first: int) -> int | None:
     return None
 
 
-def _exact_points(string) -> list:
-    """The vertices of each tetrahedron T_k of a chain as integer points over 3^k.
+# T_0's vertices in affine barycentric coordinates: the last one is dropped
+_AFFINE_T0 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
 
-    Vertex j of T_k is column j of the k-th prefix product.  Dropping its
-    last barycentric coordinate leaves affine coordinates over T_0, in which
-    SAT verdicts are the same as in space.
+
+def _exact_vertices(string) -> list:
+    """Every vertex of a chain, indexed by its age, as integers over 3^max(0, age - 3).
+
+    These are affine barycentric coordinates over T_0, from the vertex walk
+    that realizes the chain; SAT verdicts in them are the same as in space.
     """
-    return [tuple(col[:3] for col in cols) for cols in prefix_products(string)]
+    return [*_AFFINE_T0, *vertex_walk(string, _AFFINE_T0)]
 
 
-def _pair_separation(exact: list, i: int, j: int, first: int) -> int | None:
-    """_exact_separation of T_i and T_j (0-based, i < j) at T_j's power of 3."""
-    scale = 3 ** (j - i)
-    A = [tuple(x * scale for x in v) for v in exact[i]]
-    return _exact_separation(A, exact[j], first)
+def _pair_separation(exact: list, ages: list, i: int, j: int, first: int) -> int | None:
+    """_exact_separation of T_i and T_j (0-based, i < j), all 8 vertices over 3^(j+1)."""
+
+    def scaled(k):  # the vertex of age a is over 3^max(0, a - 3)
+        return [tuple(x * 3 ** (j + 4 - max(3, a)) for x in exact[a]) for a in ages[k]]
+
+    return _exact_separation(scaled(i), scaled(j), first)
 
 
 @dataclass(frozen=True)
@@ -176,7 +181,7 @@ def verify_embedded(chain: RealizedChain) -> EmbeddingVerdict:
 
     Pairs are pruned with bounding boxes; for each surviving pair the float64
     screen picks an axis and reports a margin, and the exact test decides
-    the pair on the integer barycentric coordinates of bary.prefix_products.
+    the pair on the integer barycentric coordinates of the vertex walk.
     A pair's margin is the float margin, clamped so its sign never
     contradicts the exact verdict, and exactly 0.0 where the deciding axis
     shows the pair touching.  Indices in the verdict are 1-based positions
@@ -185,13 +190,13 @@ def verify_embedded(chain: RealizedChain) -> EmbeddingVerdict:
     tets = chain.tetrahedra
     adjacency_ok = all(map(_adjacent_share_face, tets, tets[1:]))
     points = [tuple(tuple(map(float, v)) for v in t.vertices) for t in tets]
-    exact = _exact_points(chain.string)
+    exact = _exact_vertices(chain.string)
     pairs = _box_pairs(points)
     violations = []
     margins = []
     for i, j in pairs:
         margin, axis = _screen(points[i], points[j])
-        sep = _pair_separation(exact, i, j, axis)
+        sep = _pair_separation(exact, chain.ages, i, j, axis)
         if sep is None:
             violations.append((i + 1, j + 1))
             margins.append(min(margin, 0.0))

@@ -3,18 +3,21 @@
 The seed helix V_i = (r cos(i*theta), r sin(i*theta), i*h) places unit
 regular tetrahedra {V_i, V_{i+1}, V_{i+2}, V_{i+3}} along a cylinder; the
 invisible starting tetrahedron T_0 is {V_-1, V_0, V_1, V_2}.  A chain is
-realized exactly: the reflection in face i replaces vertex i by 2/3 of the
-sum of the other three minus itself, so every vertex is an integer vector
-over the power of 3 of the step that placed it (times the power of 2 of
-T_0's coordinates), and the vertex placed at step k is rounded once, from
-its numerators over 3^k.  Each step computes that one vertex; the other
-three are copied, which keeps the shared face bit-for-bit equal.
+walked exactly (vertex_walk): the reflection in face i replaces vertex i by
+2/3 of the sum of the other three minus itself, so every vertex is an
+integer vector over the power of 3 of the step that placed it, in any
+coordinates affine to space.  Realization starts the walk from T_0's
+dyadic Cartesian integers and rounds the vertex placed at step k once,
+from its numerators over 3^k; the embedding certificate starts the same
+walk from T_0's affine barycentric coordinates.  Each step computes one
+vertex; the other three are copied, which keeps the shared face
+bit-for-bit equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
@@ -93,15 +96,33 @@ def _rounded(n: int, den: int, low: int) -> mpf:
     return mp.make_mpf(from_man_exp(man, low - shift - 1, mp.prec, round_nearest))
 
 
+def vertex_walk(s: Sequence[int], start) -> Iterator[list[int]]:
+    """The vertex each letter of s places, as integers over 3^k at step k = 1, 2, ...
+
+    start holds T_0's four vertices as integer triples, in slot order.  Slot
+    j holds its vertex as integers n_j over 3^p_j, p_j the step that placed
+    it (0 for T_0).  Step k replaces slot i by
+    2 sum_{j != i} n_j 3^(k-1-p_j) - n_i 3^(k-p_i) over 3^k.  The step is
+    linear, so it holds in any coordinates affine to space.
+    """
+    nums = list(start)
+    scale = [1, 1, 1, 1]  # 3^(k-1-p_j) at step k
+    for sym in s:
+        i = sym - 1
+        others = [(nums[j], 2 * scale[j]) for j in range(4) if j != i]
+        own = 3 * scale[i]
+        nums[i] = new = [sum(n[d] * f for n, f in others) - nums[i][d] * own for d in range(3)]
+        scale = [1 if j == i else 3 * f for j, f in enumerate(scale)]
+        yield new
+
+
 def realize_chain(s: Sequence[int], c: Constants) -> RealizedChain:
     """Realize a printed string, its first symbol the leading face.
 
     The visible tetrahedra are T_1 .. T_{len(s)}; T_0 stays invisible.
-    Slot j holds its vertex as integer numerators n_j over 3^p_j, p_j the
-    step that placed it.  Step k replaces slot i by
-    2 sum_{j != i} n_j 3^(k-1-p_j) - n_i 3^(k-p_i) over 3^k: the same exact
-    column of T_0 times the k-th prefix product, and the one rounding to
-    the working precision.
+    The vertex_walk from T_0's dyadic integers gives the vertex placed at
+    step k exactly, over 3^k: the same column of T_0 times the k-th prefix
+    product, and the one rounding to the working precision.
     """
     check_exact_length(len(s))
     s = tuple(s)
@@ -110,21 +131,14 @@ def realize_chain(s: Sequence[int], c: Constants) -> RealizedChain:
     with c.ctx.work():
         t0 = invisible_t0(c)
         ints, low = dyadic_ints(x for v in t0.vertices for x in v)
-        nums = [ints[3 * p : 3 * p + 3] for p in range(4)]  # the axes of each slot's vertex
-        scale = [1, 1, 1, 1]  # 3^(k-1-p_j) at step k
         chain = RealizedChain(string=s)
         verts = list(t0.vertices)
         age = [0, 1, 2, 3]
         den = 1
-        for k, sym in enumerate(s, start=1):
+        walk = vertex_walk(s, [ints[3 * p : 3 * p + 3] for p in range(4)])
+        for k, (sym, new) in enumerate(zip(s, walk), start=1):
             i = sym - 1
             den *= 3
-            others = [(nums[j], 2 * scale[j]) for j in range(4) if j != i]
-            own = 3 * scale[i]
-            nums[i] = new = [
-                sum(n[axis] * f for n, f in others) - nums[i][axis] * own for axis in range(3)
-            ]
-            scale = [1 if j == i else 3 * f for j, f in enumerate(scale)]
             verts[i] = tuple(_rounded(x, den, low) for x in new)
             age = age.copy()
             age[i] = k + 3

@@ -249,18 +249,15 @@ def lead_minimized_report(leads: dict, c: Constants, r0: int | None = None) -> G
         )
 
 
-def gap_report(s, c: Constants, r0: int | None = None, K=None) -> GapReport:
+def gap_report(s, c: Constants, r0: int | None = None) -> GapReport:
     """Evaluate a printed string on its exact products, its first symbol free.
 
     All three legal leading faces r0 != s[1] are tried; passing r0 pins one.
-    K is the product of s when the caller has it (bary.runs_matrix of a
-    named chain); otherwise s is multiplied letter by letter.
     """
     s = tuple(s)
     if len(s) < 2:
         raise ValueError("gap_report needs a string of length >= 2")
-    if K is None:
-        K = bary.chain_matrix(s)
+    K = bary.chain_matrix(s)
     return lead_minimized_report(bary.lead_matrices(K, s[0], s[1]), c, r0)
 
 

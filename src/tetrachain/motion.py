@@ -18,7 +18,15 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .bary import MAX_EXACT_LENGTH, BaryMatrix, det, lead_matrices, mat_mul, runs_matrix
+from .bary import (
+    MAX_EXACT_LENGTH,
+    BaryMatrix,
+    chain_matrix,
+    det,
+    helical_runs,
+    lead_matrices,
+    mat_mul,
+)
 from .geometry import RealizedChain, Tetrahedron, _cross
 from .metrics import (
     GapReport,
@@ -36,7 +44,7 @@ from .precision import (
     RealCtx,
     reduce_theta_multiple,
 )
-from .strings import quadrahelix_runs
+from .strings import quadrahelix_string
 
 # --- closed-form coefficient tables ------------------------------------------
 
@@ -148,12 +156,11 @@ def closed_form_gap(L: int, ctx: RealCtx) -> ClosedFormGap:
 def _quadrahelix_leads(L: int, c: Constants) -> dict:
     """The chain matrix of every legal lead of QH_L (which starts 1, 2).
 
-    While the 4L+2 letters fit MAX_EXACT_LENGTH these are exact products,
-    powered along the four runs; beyond, the closed form gives K of the
-    printed string in mpf.
+    While the 4L+2 letters fit MAX_EXACT_LENGTH these are exact products;
+    beyond, the closed form gives K of the printed string in mpf.
     """
     if 4 * int(L) + 2 <= MAX_EXACT_LENGTH:
-        K = runs_matrix(quadrahelix_runs(L))
+        K = chain_matrix(quadrahelix_string(L))
     else:
         _, _, K = _closed_form_matrix(L, c.ctx)
     with c.ctx.work():
@@ -308,13 +315,13 @@ class OhGapBound:
     bound: mpf  # 3 L delta_bar^2
 
 
-def gap_bound_oh(L: int, ctx: RealCtx, target: str | None = None) -> OhGapBound:
+def gap_bound_oh(L: int, ctx: RealCtx) -> OhGapBound:
     """Gap bound 3*L*delta_bar^2 for OH_L with delta_bar = reduce(L*theta - gamma).
 
-    When no target is named, the one with the smaller |delta_bar| is chosen.
+    Of gamma_plus and gamma_minus, the one with the smaller |delta_bar| is taken.
     """
     cands = []
-    for name in ("gamma_plus", "gamma_minus") if target is None else (target,):
+    for name in ("gamma_plus", "gamma_minus"):
         d, _ = reduce_theta_multiple(int(L), ctx, offset=name)
         cands.append((abs(d), d, name))
     _, delta_bar, name = min(cands)
@@ -354,36 +361,20 @@ def limit_matrix_norm(ctx: RealCtx):
 # --- leg axes ----------------------------------------------------------------
 
 
-def _string_runs(s):
-    """Maximal runs of constant cyclic step; (start, end) letter indices."""
-    steps = [(s[i + 1] - s[i]) % 4 for i in range(len(s) - 1)]
-    out = []
-    start = 0
-    for i in range(1, len(steps)):
-        if steps[i] != steps[i - 1]:
-            out.append((start, i))
-            start = i
-    out.append((start, len(steps)))
-    return out
-
-
 def leg_axes(chain: RealizedChain, c: Constants) -> list:
     """Axis directions of the straight helical legs of a realized chain.
 
-    A leg is a maximal run of at least three string symbols stepping by a
-    constant cyclic increment.  Inside a leg the vertices in ageing order are
+    A leg is a maximal helical run of at least four letters (three equal
+    cyclic steps).  Inside a leg the vertices in ageing order are
     consecutive helix points, so the axis direction solves
     (W_{i+1} - W_i) . u = h for three consecutive differences; the
     orientation points along growth.
     """
-    s = chain.string
     axes = []
     with c.ctx.work():
-        for start, end in _string_runs(s):
-            if end - start < 3:
-                continue
-            tet = chain.tetrahedra[end]
-            ages = chain.ages[end]
+        for _, end in helical_runs(chain.string, 4):
+            tet = chain.tetrahedra[end - 1]
+            ages = chain.ages[end - 1]
             order = sorted(range(4), key=lambda p: ages[p])
             W = [tet.vertices[p] for p in order]
             D = [

@@ -145,7 +145,7 @@ def _lll_2d(b1, b2):
 
 
 def babai_lll_search(
-    alpha, beta, gamma, X, ctx: RealCtx | None = None, target: str = "gamma_plus"
+    alpha, beta, gamma, X, ctx: RealCtx, target: str = "gamma_plus"
 ) -> DioSolution:
     """One Babai nearest-plane solve of x*alpha + y*beta ~ gamma at scale X.
 
@@ -158,7 +158,6 @@ def babai_lll_search(
     """
     if not (mp.isfinite(X) and X > 0):
         raise ValueError(f"X must be a positive finite number, got {mp.nstr(X, 6)}")
-    ctx = ctx or RealCtx()
     with ctx.work():
         # size the working precision from the scale factor: a, b, c below are
         # integers of about 2*log10(s) digits and their rounding must be exact
@@ -210,19 +209,18 @@ def fixup_negative_x(sol: DioSolution, c: Constants) -> DioSolution:
     return DioSolution(x=x, y=y, err=float(err), kronecker_ok=ok, target=new_target)
 
 
-def lattice_table(c: Constants, ctx: RealCtx | None = None) -> list[tuple[mpf, DioSolution]]:
+def lattice_table(c: Constants) -> list[tuple[mpf, DioSolution]]:
     """The ten-row lattice-search table: (X, solution) for X = 10^i, i = 2, 2.5, ..., 6.5.
 
     Each slot searches against gamma_plus and applies the negative-x fixup
     when needed, so every reported row has x > 0.
     """
-    ctx = ctx or c.ctx
     rows = []
-    with ctx.work():
+    with c.ctx.work():
         for twice_i in range(4, 14):
             X = mp.power(10, mpf(twice_i) / 2)
             sol = babai_lll_search(
-                c.theta, c.two_pi, c.gamma_plus, X, ctx=ctx, target="gamma_plus"
+                c.theta, c.two_pi, c.gamma_plus, X, ctx=c.ctx, target="gamma_plus"
             )
             if sol.x < 0:
                 sol = fixup_negative_x(sol, c)
@@ -230,9 +228,7 @@ def lattice_table(c: Constants, ctx: RealCtx | None = None) -> list[tuple[mpf, D
     return rows
 
 
-def random_kronecker_trials(
-    n_trials: int, seed: int, ctx: RealCtx | None = None
-) -> dict:
+def random_kronecker_trials(n_trials: int, seed: int, ctx: RealCtx) -> dict:
     """Run the lattice search on random (alpha, beta, gamma, X) inputs.
 
     Returns counts of how often the output satisfies the Kronecker bound
@@ -242,7 +238,6 @@ def random_kronecker_trials(
     import random
 
     rng = random.Random(seed)
-    ctx = ctx or RealCtx(digits=60)
     ok = zero_x = 0
     with ctx.work():
         for _ in range(n_trials):

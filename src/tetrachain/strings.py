@@ -72,18 +72,16 @@ def _relabeled(runs: Sequence[Run]) -> tuple[Run, ...]:
     return tuple((a % 4 + 1, step, m) for a, step, m in runs)
 
 
-def tetrahelix_runs(m: int, start: int = 1) -> tuple[Run, ...]:
-    """The tetrahelix of m letters: one run climbing from start."""
+def tetrahelix_runs(m: int) -> tuple[Run, ...]:
+    """The tetrahelix of m letters: one run climbing from 1."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if start not in (1, 2, 3, 4):
-        raise ValueError("start must be in 1..4")
-    return ((start, 1, m),)
+    return ((1, 1, m),)
 
 
-def tetrahelix_string(m: int, start: int = 1) -> String:
-    """m symbols cycling start, start+1, ... with values wrapped into 1..4."""
-    runs = tetrahelix_runs(m, start)
+def tetrahelix_string(m: int) -> String:
+    """m symbols cycling 1, 2, 3, 4, 1, ..."""
+    runs = tetrahelix_runs(m)
     _check_spelled_length("the tetrahelix", m)
     return spell(runs)
 

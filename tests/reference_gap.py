@@ -11,16 +11,20 @@ The package takes ||K - I||_2 in closed form (``metrics.norm_gap``); the
 oracles at the end take it, and the eigenstructure of K, from mpmath's
 iterative eigensolvers.
 
-The package realizes a chain one vertex per step (``geometry.realize_chain``);
-``prefix_realization`` places each vertex from the prefix product of the
-whole string so far instead, the same exact rational rounded once.
+The package multiplies a chain by powering its long helical runs
+(``bary.chain_matrix``); ``prefix_products`` multiplies it letter by
+letter, one column update per reflection, and ``letter_product`` is its
+last prefix.  The package realizes a chain one vertex per step
+(``geometry.vertex_walk``); ``prefix_realization`` places each vertex from
+the prefix product of the whole string so far instead, the same exact
+rational rounded once.
 """
 
 from operator import mul
 
 from mpmath import mp, mpf
 
-from tetrachain.bary import prefix_products
+from tetrachain.bary import BaryMatrix
 from tetrachain.geometry import Tetrahedron, _rounded, dyadic_ints, invisible_t0
 from tetrachain.metrics import minus_identity
 from tetrachain.motion import homogeneous_t0
@@ -47,6 +51,30 @@ def apply_bary(t0: Tetrahedron, K) -> Tetrahedron:
             for j in range(4)
         )
     )
+
+
+def prefix_products(s):
+    """Numerator columns of each prefix product M_{s[0]} ... M_{s[k]}, over 3^(k+1).
+
+    Right-multiplying by M_i changes only column i: the new column i is
+    2*(sum of the other columns) - 3*(column i), and the other columns are
+    multiplied by 3.  Column j of the k-th product holds the barycentric
+    coordinates over T_0 of vertex j of tetrahedron T_{k+1}.
+    """
+    cols = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    for sym in s:
+        i = sym - 1
+        twice_total = [2 * (a + b + c + d) for a, b, c, d in zip(*cols)]
+        new = tuple(t - 5 * x for t, x in zip(twice_total, cols[i]))
+        cols = tuple(new if j == i else tuple(3 * x for x in col) for j, col in enumerate(cols))
+        yield cols
+
+
+def letter_product(s) -> BaryMatrix:
+    """The chain product of a valid string s, letter by letter, over 3^len(s)."""
+    for cols in prefix_products(s):
+        pass
+    return BaryMatrix(tuple(zip(*cols)), len(s))
 
 
 def prefix_realization(s, c) -> tuple:

@@ -416,7 +416,7 @@ def test_criterion_08_convergent_denominators(c60):
 
 def test_criterion_09_lattice_table(c60, ctx60):
     t0 = time.perf_counter()
-    rows = lattice_table(c60, ctx60)
+    rows = lattice_table(c60)
     assert len(rows) == len(LATTICE_ROWS)
     with ctx60.work():
         for (_, sol), (x, y, log_printed) in zip(rows, LATTICE_ROWS):

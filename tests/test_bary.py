@@ -1,4 +1,5 @@
 import functools
+import itertools
 import operator
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import valid_strings
+from reference_gap import letter_product
 from tetrachain.bary import (
     IDENTITY,
     MAX_EXACT_LENGTH,
@@ -15,8 +17,8 @@ from tetrachain.bary import (
     det,
     reflection_matrix,
     divisibility_witness,
+    helical_runs,
     lead_matrices,
-    runs_matrix,
 )
 from tetrachain.geometry import realize_chain
 from tetrachain.strings import (
@@ -188,25 +190,43 @@ def test_to_mpf_matches_fractions(ctx40):
         assert err < mpf(10) ** -50
 
 
-@settings(max_examples=25)
-@given(
-    st.one_of(
-        st.integers(1, 4999).map(quadrahelix_runs),
-        st.integers(1, 2499).map(octahelix_runs),
-        st.builds(tetrahelix_runs, st.integers(1, 400), st.integers(1, 4)),
-        st.just(preset_540_runs()),
-    )
-)
-@example(quadrahelix_runs(1))
-@example(quadrahelix_runs(4999))
-@example(octahelix_runs(1))
-@example(octahelix_runs(2499))
-@example(tetrahelix_runs(1))
-@example(tetrahelix_runs(400))
-@example(preset_540_runs())
-def test_runs_matrix_is_the_letter_product(runs):
-    # binary powering of each run's word against the letter-by-letter product
-    s = spell(runs)
-    K = runs_matrix(runs)
-    assert K.power == len(s)
-    assert K.num == chain_matrix(s).num
+@st.composite
+def helical_strings(draw):
+    """Strings of 1-3 letters, or runs of 1-40 letters, each with its own step of 1, 2 or 3."""
+    if draw(st.booleans()):
+        return draw(valid_strings(min_size=1, max_size=3))
+    out = [draw(st.integers(1, 4))]
+    for _ in range(draw(st.integers(1, 12))):
+        step = draw(st.integers(1, 3))
+        for _ in range(draw(st.integers(1, 40))):
+            out.append((out[-1] - 1 + step) % 4 + 1)
+    return tuple(out)
+
+
+@settings(max_examples=60)
+@given(helical_strings())
+@example(spell(quadrahelix_runs(1)))
+@example(spell(quadrahelix_runs(4999)))
+@example(spell(octahelix_runs(1)))
+@example(spell(octahelix_runs(2499)))
+@example(spell(tetrahelix_runs(1)))
+@example(spell(tetrahelix_runs(400)))
+@example(spell(preset_540_runs()))
+def test_chain_matrix_is_the_letter_product(s):
+    # long runs are powered; the oracle updates one column per letter
+    K = chain_matrix(s)
+    expected = letter_product(s)
+    assert K.power == expected.power == len(s)
+    assert K.num == expected.num
+
+
+@given(helical_strings(), st.integers(2, 40))
+def test_helical_runs_are_the_maximal_one_step_runs(s, shortest):
+    steps = [(b - a) % 4 for a, b in zip(s, s[1:])]
+    expected, start = [], 0
+    for _, group in itertools.groupby(steps):
+        n = len(list(group))
+        if n + 1 >= shortest:
+            expected.append((start, start + n + 1))
+        start += n
+    assert list(helical_runs(s, shortest)) == expected

@@ -119,6 +119,13 @@ def test_gap_csv_round_trips(capsys):
     assert float(cells[0]) <= float(cells[1]) <= 4 * float(cells[2])
 
 
+@pytest.mark.parametrize("kind, L", [("quadrahelix", 29), ("octahelix", 36)])
+def test_spelled_named_chain_gives_the_named_report(kind, L, capsys):
+    # a named chain and its letters given by --string take one product path
+    named = _run_json(capsys, ["gap", "--kind", kind, "--L", str(L)])
+    assert _run_json(capsys, ["gap", "--string", named["string"]]) == named
+
+
 def test_gap_pinned_lead(capsys):
     payload = _run_json(capsys, ["gap", "--string", "2341", "--r0", "4"])
     assert payload["gap_report"]["r0"] == 4
@@ -287,6 +294,16 @@ def test_verify_embed_flags_octahelix_4(capsys):
     assert payload["first_violation"] == [13, 31]
 
 
+def test_verify_embed_octahelix_4_bytes_are_pinned(capsys):
+    # stdout of the overlapping loop, recorded before realization and the
+    # exact certificate shared one vertex walk
+    assert main(["verify-embed", "--kind", "octahelix", "--L", "4"]) == 4
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a383d803592ad8cbcaaf4bf21f951db9680dda735b59c947bbfed0e578b238dd"
+    )
+
+
 def test_verify_embed_touching_margin_is_exact(capsys):
     # verdicts are exact, so there is no tolerance to set and touching reads 0.0
     payload = _run_json(
@@ -321,6 +338,18 @@ def test_motion_payload(capsys):
 
 
 # --- failure modes -----------------------------------------------------------------
+
+
+def test_out_error_names_the_requested_path(tmp_path, capsys):
+    # the temp file beside --out has a random name; the message must not carry it
+    out = str(tmp_path / "missing" / "x.obj")
+    errs = []
+    for _ in range(2):
+        assert main(["build", "--kind", "tetrahelix", "--L", "3", "--out", out]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert len(errs[0].splitlines()) == 1 and out in errs[0]
+    assert os.listdir(tmp_path) == []
 
 
 def test_invalid_string_is_config_error(capsys):
@@ -467,6 +496,9 @@ PAYLOAD_SHA256 = {
     ),
     "verify-embed --kind quadrahelix --L 10": (
         "2d160b7d5273e3e5d4a7435bbf7b936f062a4a03dd8dca5040217beaa67a6f1f"
+    ),
+    "verify-embed --kind octahelix --L 36": (
+        "dbb6f89326b7bdbf3107f0c706d57d84176f76e4888c6d70e70016e13a6c3e72"
     ),
     "table2": (
         "3d615f823cf3bc377679cec5968e3a2957a71e47de707a9c3060183b5bf81089"

@@ -9,10 +9,11 @@ from mpmath import mp, mpf
 
 from conftest import valid_strings
 from paper_checks import quadplane_determinant_direct, tetra_interiors_disjoint
+from reference_gap import prefix_products
 from tetrachain.embedding import (
     _BOX_SLACK,
     _box_pairs,
-    _exact_points,
+    _exact_vertices,
     _pair_separation,
     _screen,
     quadplane_determinant,
@@ -155,13 +156,16 @@ def _reference_margin(a, b, ctx):
 def test_exact_verdicts_agree_with_mpf_sat(ctx80, s):
     chain = realize_chain(s, make_constants(ctx80))
     tets = chain.tetrahedra
-    exact = _exact_points(chain.string)
+    exact = _exact_vertices(chain.string)
+    # the vertex of age a is placed at step a - 3, in slot s[a - 4]
+    for a, cols in enumerate(prefix_products(s), start=4):
+        assert tuple(exact[a]) == cols[s[a - 4] - 1][:3]
     overlaps = []
     for i, j in itertools.combinations(range(len(tets)), 2):
         if j == i + 1:
             continue
         _, axis = _screen(_float_points(tets[i]), _float_points(tets[j]))
-        sep = _pair_separation(exact, i, j, axis)
+        sep = _pair_separation(exact, chain.ages, i, j, axis)
         margin = _reference_margin(tets[i], tets[j], ctx80)
         if abs(margin) > mpf(10) ** -30:
             assert (sep is not None) == (margin > 0), (s, i, j, margin)

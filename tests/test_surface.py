@@ -94,3 +94,53 @@ def test_every_dataclass_field_is_read():
         if name not in reads
     ]
     assert not unread, unread
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list:
+    """(name, position) of each parameter with a default; position None for keyword-only.
+
+    A method's position counts its arguments after self, as a call writes them.
+    """
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    offset = 1 if method else 0
+    out = [(a.arg, k - offset) for k, a in enumerate(positional) if k >= first]
+    out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def _sets(call: ast.Call, name: str, position) -> bool:
+    """True if the call passes the parameter, by keyword, by position or through a splat."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    # a default that no call of the program overrides is a knob only the tests turn
+    calls = {}
+    for path in PACKAGE + SCRIPTS + BENCH:
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Call):
+                f = n.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(n)
+    knobs = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text())
+        methods = {
+            fn
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef)
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for name, position in _defaulted(fn, fn in methods):
+                if not any(_sets(call, name, position) for call in calls.get(fn.name, [])):
+                    knobs.append(f"{path.name}: {fn.name}({name})")
+    assert not knobs, knobs
