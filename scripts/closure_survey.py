@@ -11,7 +11,7 @@ import argparse
 from mpmath import mp
 
 from tetrachain.motion import gap_bound_qh, quadrahelix_gap
-from tetrachain.precision import RealCtx, make_constants
+from tetrachain.precision import RealCtx
 from tetrachain.search import convergent_lengths
 
 
@@ -22,11 +22,10 @@ def main():
     args = ap.parse_args()
 
     ctx = RealCtx(digits=args.digits)
-    c = make_constants(ctx)
     print(f"{'L':>9}  {'delta_bar':>13}  {'gap':>13}  {'5*L*d^2':>13}  bound/gap")
     with ctx.work():
-        for L in convergent_lengths(c, args.L_max):
-            gap = quadrahelix_gap(L, c)
+        for L in convergent_lengths(ctx, args.L_max):
+            gap = quadrahelix_gap(L, ctx)
             qb = gap_bound_qh(L, ctx)
             delta, bound = qb.delta_bar, qb.bound
             ratio = bound / gap if gap > 0 else mp.inf

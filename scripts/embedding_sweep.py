@@ -6,7 +6,7 @@ import time
 
 from tetrachain.embedding import verify_embedded
 from tetrachain.geometry import realize_chain
-from tetrachain.precision import RealCtx, make_constants
+from tetrachain.precision import RealCtx
 from tetrachain.strings import octahelix_string, quadrahelix_string
 
 
@@ -31,11 +31,10 @@ def main():
     args = ap.parse_args()
 
     ctx = RealCtx(digits=args.digits)
-    c = make_constants(ctx)
 
     print("open chains:")
     for L in range(1, args.qh_max + 1):
-        chain = realize_chain(quadrahelix_string(L), c)
+        chain = realize_chain(quadrahelix_string(L), ctx)
         v = verify_embedded(chain)
         if not v.embedded:
             print(f"  QH {L}: OVERLAP at {v.first_violation}")
@@ -45,7 +44,7 @@ def main():
 
     print("loops:")
     for L in args.oh:
-        _verdict_line(f"OH {L}", realize_chain(octahelix_string(L), c))
+        _verdict_line(f"OH {L}", realize_chain(octahelix_string(L), ctx))
 
 
 if __name__ == "__main__":

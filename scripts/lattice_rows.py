@@ -11,7 +11,7 @@ import argparse
 
 from mpmath import mp
 
-from tetrachain.precision import RealCtx, make_constants
+from tetrachain.precision import RealCtx
 from tetrachain.search import lattice_table, random_kronecker_trials
 
 
@@ -23,10 +23,9 @@ def main():
     args = ap.parse_args()
 
     ctx = RealCtx(digits=args.digits)
-    c = make_constants(ctx)
     print(f"{'X':>10}  {'x':>13}  {'y':>14}  {'log10 err':>10}  target")
     with ctx.work():
-        for X, sol in lattice_table(c):
+        for X, sol in lattice_table(ctx):
             print(
                 f"{mp.nstr(X, 6):>10}  {sol.x:>13}  {sol.y:>14}"
                 f"  {mp.nstr(mp.log10(sol.err), 4):>10}  {sol.target}"

@@ -11,7 +11,7 @@ import argparse
 from mpmath import mp
 
 from tetrachain.motion import asymptotic_ratio, limit_matrix_norm
-from tetrachain.precision import RealCtx, make_constants
+from tetrachain.precision import RealCtx
 from tetrachain.search import continued_fraction_convergents
 
 
@@ -23,7 +23,6 @@ def main():
     args = ap.parse_args()
 
     ctx = RealCtx(digits=args.digits)
-    c = make_constants(ctx)
     with ctx.work():
         limit = limit_matrix_norm(ctx)
         print(f"limit value: {mp.nstr(limit, 12)}\n")
@@ -32,7 +31,7 @@ def main():
             r = asymptotic_ratio(L, ctx)
             print(f"  L={L:>6}  ratio={mp.nstr(r, 8)}")
         print("\nconvergent subsequence:")
-        for conv in continued_fraction_convergents(c, args.convergents):
+        for conv in continued_fraction_convergents(ctx, args.convergents):
             if conv.L < 4:
                 continue
             r = asymptotic_ratio(conv.L, ctx)

@@ -9,8 +9,6 @@ reduction.
 
 from .precision import (
     RealCtx,
-    Constants,
-    make_constants,
     reduce_angle,
     reduce_theta_multiple,
     PrecisionError,
@@ -39,8 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RealCtx",
-    "Constants",
-    "make_constants",
     "reduce_angle",
     "reduce_theta_multiple",
     "PrecisionError",

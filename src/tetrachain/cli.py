@@ -31,7 +31,7 @@ from .motion import (
     quadrahelix_gap_report,
     ratio_terms,
 )
-from .precision import PrecisionError, RealCtx, make_constants, reduce_theta_multiple
+from .precision import PrecisionError, RealCtx, reduce_theta_multiple, target_angle, theta
 from .search import (
     babai_lll_search,
     continued_fraction_convergents,
@@ -139,19 +139,18 @@ def _obj_mesh(chain) -> str:
 
 def cmd_build(args) -> int:
     ctx = RealCtx(digits=args.digits)
-    c = make_constants(ctx)
     kind, param, s = _chain(args)
     summary = {"kind": kind, "param": param, "length": len(s)}
     # the gap first: past the exact-product limit it fails before the string is
     # formatted, which costs several times the memory of the spelled letters
     if kind == "preset540":
-        loop = loop_gap_report(s, c)
+        loop = loop_gap_report(s, ctx)
         summary["gap_report"] = loop.best.to_json_dict()
         summary["loop"] = loop.to_json_dict()
     else:
-        summary["gap_report"] = gap_report(s, c).to_json_dict()
+        summary["gap_report"] = gap_report(s, ctx).to_json_dict()
     summary["string"] = format_string(s)
-    chain = realize_chain(s, c)
+    chain = realize_chain(s, ctx)
     summary["tetrahedra"] = len(chain.tetrahedra)
     if args.format == "obj":
         out = args.out or f"{kind}_{param or len(s)}.obj"
@@ -168,21 +167,20 @@ def cmd_build(args) -> int:
 
 def cmd_gap(args) -> int:
     ctx = RealCtx(digits=args.digits)
-    c = make_constants(ctx)
     kind, param, s = _chain(args)
     if args.loop:
         if args.r0 is not None:
             raise ValueError("--loop takes the least lead of every cut; it cannot pin --r0")
         if args.format == "csv":
             raise ValueError("--loop writes JSON only; it has no --format csv")
-        loop = loop_gap_report(s, c)
+        loop = loop_gap_report(s, ctx)
         payload = {"string": format_string(s), "length": len(s), "loop": loop.to_json_dict()}
         _emit(_json_text(payload), args.out)
         return 0
     if kind == "quadrahelix":
-        rep = quadrahelix_gap_report(param, c, r0=args.r0)
+        rep = quadrahelix_gap_report(param, ctx, r0=args.r0)
     else:
-        rep = gap_report(s, c, r0=args.r0)
+        rep = gap_report(s, ctx, r0=args.r0)
     if args.format == "csv":
         text = rep.CSV_HEADER + "\n" + rep.to_csv_row() + "\n"
     else:
@@ -197,11 +195,10 @@ def cmd_gap(args) -> int:
 
 def cmd_table1(args) -> int:
     ctx = RealCtx(digits=args.digits)
-    c = make_constants(ctx)
     lines = ["L,k,delta_bar,gap"]
-    for L in convergent_lengths(c, args.L_max):
+    for L in convergent_lengths(ctx, args.L_max):
         delta_bar, k = reduce_theta_multiple(L + 1, ctx)
-        gap = quadrahelix_gap(L, c)
+        gap = quadrahelix_gap(L, ctx)
         lines.append(f"{L},{k},{_nstr(delta_bar, 8)},{_nstr(gap, 8)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -209,10 +206,9 @@ def cmd_table1(args) -> int:
 
 def cmd_table2(args) -> int:
     ctx = RealCtx(digits=args.digits)
-    c = make_constants(ctx)
     lines = ["X,x,y,err,log10_err,kronecker_ok"]
     with ctx.work():
-        for X, sol in lattice_table(c):
+        for X, sol in lattice_table(ctx):
             lines.append(
                 f"{_nstr(X, 6)},{sol.x},{sol.y},{_nstr(sol.err, 8)},"
                 f"{_nstr(mp.log10(sol.err), 6)},{sol.kronecker_ok}"
@@ -226,8 +222,7 @@ def cmd_table2(args) -> int:
 
 def cmd_search_cf(args) -> int:
     ctx = RealCtx(digits=args.digits)
-    c = make_constants(ctx)
-    convs = continued_fraction_convergents(c, args.count)
+    convs = continued_fraction_convergents(ctx, args.count)
     if args.format == "json":
         payload = [
             {"k": conv.k, "q": conv.q, "L": conv.L, "err": float(conv.err)}
@@ -242,15 +237,13 @@ def cmd_search_cf(args) -> int:
     return 0
 
 
-def _lll_payload(args, digits: int) -> dict:
-    ctx = RealCtx(digits=digits)
-    c = make_constants(ctx)
+def _lll_payload(args, ctx: RealCtx) -> dict:
     with ctx.work():
         X = mpf(args.X)
-        gamma = c.gamma_plus if args.target == "gamma_plus" else c.gamma_minus
-        sol = babai_lll_search(c.theta, c.two_pi, gamma, X, ctx, target=args.target)
+        gamma = target_angle(args.target)
+        sol = babai_lll_search(theta(), 2 * mp.pi, gamma, X, ctx, target=args.target)
         if sol.x < 0:
-            sol = fixup_negative_x(sol, c)
+            sol = fixup_negative_x(sol, ctx)
         return {
             "X": float(X),
             "x": sol.x,
@@ -263,11 +256,11 @@ def _lll_payload(args, digits: int) -> dict:
 
 
 def cmd_search_lll(args) -> int:
-    payload = _lll_payload(args, args.digits)
+    payload = _lll_payload(args, RealCtx(digits=args.digits))
     if payload["x"] == 0:
         raise ValueError(f"X = {args.X} is too small: the search finds only x = 0")
     # an answer that moves when the working digits double is not certified
-    check = _lll_payload(args, 2 * args.digits)
+    check = _lll_payload(args, RealCtx(digits=2 * args.digits))
     x, y, err = (payload[k] for k in ("x", "y", "err"))
     if (x, y) != (check["x"], check["y"]) or abs(err - check["err"]) > 1e-12 * check["err"]:
         raise PrecisionError(
@@ -283,9 +276,8 @@ def cmd_search_lll(args) -> int:
 
 def cmd_verify_embed(args) -> int:
     ctx = RealCtx(digits=args.digits)
-    c = make_constants(ctx)
     s = _chain(args)[2]
-    chain = realize_chain(s, c)
+    chain = realize_chain(s, ctx)
     verdict = verify_embedded(chain)
     payload = {"string": format_string(s), "length": len(s)}
     payload.update(verdict.to_json_dict())
@@ -305,14 +297,13 @@ def cmd_scan_ratio(args) -> int:
 
 def cmd_motion(args) -> int:
     ctx = RealCtx(digits=args.digits)
-    c = make_constants(ctx)
     kind, param, s = _chain(args)
     if kind == "quadrahelix":
         K = k_formula(param, ctx)
     else:
         K = chain_matrix(s).to_mpf(ctx)
     with ctx.work():
-        motion = decompose_motion(K, invisible_t0(c), ctx)
+        motion = decompose_motion(K, invisible_t0(ctx), ctx)
         res = motion_residuals(motion, ctx)
         d = ctx.digits
         payload = {
@@ -325,9 +316,9 @@ def cmd_motion(args) -> int:
             "residuals": {k: float(v) for k, v in res.items()},
         }
         if kind in ("quadrahelix", "octahelix") and len(s) <= 5000:
-            chain = realize_chain(s, c)
+            chain = realize_chain(s, ctx)
             payload["leg_axis_cosines"] = [
-                _nstr(x, 12) for x in leg_axis_cosines(chain, c)
+                _nstr(x, 12) for x in leg_axis_cosines(chain, ctx)
             ]
     _emit(_json_text(payload), args.out)
     return 0

@@ -23,14 +23,14 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .geometry import RealizedChain, Tetrahedron, _cross, _sub, vertex_walk
-from .precision import Constants
+from .precision import RealCtx, theta
 
 _FACE_IDX = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 _EDGES = tuple(itertools.combinations(range(4), 2))
 _BOX_SLACK = 1e-9  # bounding boxes this close still count as overlapping
 
 
-def quadplane_determinant(q: int, c: Constants):
+def quadplane_determinant(q: int, ctx: RealCtx):
     """The scaled start-plane clearance 20*sqrt(10)*D at helix index q.
 
     Closed form 6*sqrt(5)*q - 9*sqrt(5) - sqrt(5)*cos(q*theta)
@@ -40,9 +40,9 @@ def quadplane_determinant(q: int, c: Constants):
     """
     if q < 3:
         raise ValueError("q must be >= 3")
-    with c.ctx.work():
+    with ctx.work():
         s5 = mp.sqrt(5)
-        a = mpf(q) * c.theta
+        a = mpf(q) * theta()
         return 6 * s5 * q - 9 * s5 - s5 * mp.cos(a) + 7 * mp.sin(a)
 
 

@@ -23,7 +23,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
 from .bary import check_exact_length
-from .precision import Constants
+from .precision import RealCtx, theta
 from .strings import is_valid
 
 Point3 = tuple  # 3 mpf coordinates
@@ -51,14 +51,16 @@ class RealizedChain:
     ages: list = field(default_factory=list)
 
 
-def helix_vertex(i: int, c: Constants) -> Point3:
-    with c.ctx.work():
-        a = mpf(i) * c.theta
-        return (c.r * mp.cos(a), c.r * mp.sin(a), mpf(i) * c.h)
+def helix_vertex(i: int, ctx: RealCtx) -> Point3:
+    """V_i on the cylinder of radius r = 3*sqrt(3)/10, rising h = 1/sqrt(10) per step."""
+    with ctx.work():
+        a = mpf(i) * theta()
+        r, h = 3 * mp.sqrt(3) / 10, 1 / mp.sqrt(10)
+        return (r * mp.cos(a), r * mp.sin(a), mpf(i) * h)
 
 
-def invisible_t0(c: Constants) -> Tetrahedron:
-    return Tetrahedron(tuple(helix_vertex(i, c) for i in (-1, 0, 1, 2)))
+def invisible_t0(ctx: RealCtx) -> Tetrahedron:
+    return Tetrahedron(tuple(helix_vertex(i, ctx) for i in (-1, 0, 1, 2)))
 
 
 def _sub(a, b):
@@ -116,7 +118,7 @@ def vertex_walk(s: Sequence[int], start) -> Iterator[list[int]]:
         yield new
 
 
-def realize_chain(s: Sequence[int], c: Constants) -> RealizedChain:
+def realize_chain(s: Sequence[int], ctx: RealCtx) -> RealizedChain:
     """Realize a printed string, its first symbol the leading face.
 
     The visible tetrahedra are T_1 .. T_{len(s)}; T_0 stays invisible.
@@ -128,8 +130,8 @@ def realize_chain(s: Sequence[int], c: Constants) -> RealizedChain:
     s = tuple(s)
     if not is_valid(s):
         raise ValueError(f"invalid reflection string {s!r}")
-    with c.ctx.work():
-        t0 = invisible_t0(c)
+    with ctx.work():
+        t0 = invisible_t0(ctx)
         ints, low = dyadic_ints(x for v in t0.vertices for x in v)
         chain = RealizedChain(string=s)
         verts = list(t0.vertices)

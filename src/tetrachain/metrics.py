@@ -28,7 +28,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
 from . import bary
-from .precision import Constants
+from .precision import RealCtx
 from .strings import rotate
 
 
@@ -225,7 +225,7 @@ class GapReport:
         )
 
 
-def lead_minimized_report(leads: dict, c: Constants, r0: int | None = None) -> GapReport:
+def lead_minimized_report(leads: dict, ctx: RealCtx, r0: int | None = None) -> GapReport:
     """Gap metrics minimized over the leading faces in leads (face -> chain matrix).
 
     The chain matrices are BaryMatrix or mpf rows.  The report carries the
@@ -238,7 +238,7 @@ def lead_minimized_report(leads: dict, c: Constants, r0: int | None = None) -> G
         if r0 not in leads:
             raise ValueError(f"leading face {r0} collides with the second symbol")
         leads = {r0: leads[r0]}
-    with c.ctx.work():
+    with ctx.work():
         gap, lead = least_gap(leads)
         return GapReport(
             gap=root(gap),
@@ -249,7 +249,7 @@ def lead_minimized_report(leads: dict, c: Constants, r0: int | None = None) -> G
         )
 
 
-def gap_report(s, c: Constants, r0: int | None = None) -> GapReport:
+def gap_report(s, ctx: RealCtx, r0: int | None = None) -> GapReport:
     """Evaluate a printed string on its exact products, its first symbol free.
 
     All three legal leading faces r0 != s[1] are tried; passing r0 pins one.
@@ -258,7 +258,7 @@ def gap_report(s, c: Constants, r0: int | None = None) -> GapReport:
     if len(s) < 2:
         raise ValueError("gap_report needs a string of length >= 2")
     K = bary.chain_matrix(s)
-    return lead_minimized_report(bary.lead_matrices(K, s[0], s[1]), c, r0)
+    return lead_minimized_report(bary.lead_matrices(K, s[0], s[1]), ctx, r0)
 
 
 @dataclass(frozen=True)
@@ -279,7 +279,7 @@ class LoopGapReport:
         }
 
 
-def loop_gap_report(s, c: Constants) -> LoopGapReport:
+def loop_gap_report(s, ctx: RealCtx) -> LoopGapReport:
     """Minimize the gap of a cyclic string over all rotations of its cut point.
 
     A closed loop has no distinguished first tetrahedron, so each rotation is
@@ -304,8 +304,8 @@ def loop_gap_report(s, c: Constants) -> LoopGapReport:
             best = (gap, cut)
         K = bary.conjugate(K, sym)
     return LoopGapReport(
-        printed=gap_report(s, c),
-        best=gap_report(rotate(s, best[1]), c),
+        printed=gap_report(s, ctx),
+        best=gap_report(rotate(s, best[1]), ctx),
         best_cut=best[1],
         n_cuts_below_printed=below,
     )

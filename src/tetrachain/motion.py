@@ -38,12 +38,7 @@ from .metrics import (
     norm_gap,
     root,
 )
-from .precision import (
-    Constants,
-    PrecisionError,
-    RealCtx,
-    reduce_theta_multiple,
-)
+from .precision import PrecisionError, RealCtx, reduce_theta_multiple
 from .strings import quadrahelix_string
 
 # --- closed-form coefficient tables ------------------------------------------
@@ -153,7 +148,7 @@ def closed_form_gap(L: int, ctx: RealCtx) -> ClosedFormGap:
     return ClosedFormGap(L=int(L), k=k, delta_bar=delta_bar, gap=gap, norm_gap=norm)
 
 
-def _quadrahelix_leads(L: int, c: Constants) -> dict:
+def _quadrahelix_leads(L: int, ctx: RealCtx) -> dict:
     """The chain matrix of every legal lead of QH_L (which starts 1, 2).
 
     While the 4L+2 letters fit MAX_EXACT_LENGTH these are exact products;
@@ -162,20 +157,20 @@ def _quadrahelix_leads(L: int, c: Constants) -> dict:
     if 4 * int(L) + 2 <= MAX_EXACT_LENGTH:
         K = chain_matrix(quadrahelix_string(L))
     else:
-        _, _, K = _closed_form_matrix(L, c.ctx)
-    with c.ctx.work():
+        _, _, K = _closed_form_matrix(L, ctx)
+    with ctx.work():
         return lead_matrices(K, 1, 2)
 
 
-def quadrahelix_gap_report(L: int, c: Constants, r0: int | None = None) -> GapReport:
+def quadrahelix_gap_report(L: int, ctx: RealCtx, r0: int | None = None) -> GapReport:
     """Gap report of QH_L, minimized over the free leading face like gap_report."""
-    return lead_minimized_report(_quadrahelix_leads(L, c), c, r0)
+    return lead_minimized_report(_quadrahelix_leads(L, ctx), ctx, r0)
 
 
-def quadrahelix_gap(L: int, c: Constants) -> mpf:
+def quadrahelix_gap(L: int, ctx: RealCtx) -> mpf:
     """The least gap of QH_L over the free leading face, and nothing else of its report."""
-    leads = _quadrahelix_leads(L, c)
-    with c.ctx.work():
+    leads = _quadrahelix_leads(L, ctx)
+    with ctx.work():
         return root(least_gap(leads)[0])
 
 
@@ -361,7 +356,7 @@ def limit_matrix_norm(ctx: RealCtx):
 # --- leg axes ----------------------------------------------------------------
 
 
-def leg_axes(chain: RealizedChain, c: Constants) -> list:
+def leg_axes(chain: RealizedChain, ctx: RealCtx) -> list:
     """Axis directions of the straight helical legs of a realized chain.
 
     A leg is a maximal helical run of at least four letters (three equal
@@ -371,7 +366,8 @@ def leg_axes(chain: RealizedChain, c: Constants) -> list:
     orientation points along growth.
     """
     axes = []
-    with c.ctx.work():
+    with ctx.work():
+        h = 1 / mp.sqrt(10)
         for _, end in helical_runs(chain.string, 4):
             tet = chain.tetrahedra[end - 1]
             ages = chain.ages[end - 1]
@@ -380,16 +376,16 @@ def leg_axes(chain: RealizedChain, c: Constants) -> list:
             D = [
                 [W[k + 1][axis] - W[k][axis] for axis in range(3)] for k in range(3)
             ]
-            u = [c.h * sum(row) for row in _inv(D)]
+            u = [h * sum(row) for row in _inv(D)]
             n = _norm(u)
             axes.append(tuple(x / n for x in u))
     return axes
 
 
-def leg_axis_cosines(chain: RealizedChain, c: Constants) -> list:
+def leg_axis_cosines(chain: RealizedChain, ctx: RealCtx) -> list:
     """Cosines between consecutive leg axes (sec of the printed leg angles)."""
-    axes = leg_axes(chain, c)
-    with c.ctx.work():
+    axes = leg_axes(chain, ctx)
+    with ctx.work():
         return [
             sum(a * b for a, b in zip(axes[i], axes[i + 1]))
             for i in range(len(axes) - 1)

@@ -2,15 +2,17 @@
 
 Everything numeric in this package runs through an explicit :class:`RealCtx`
 so that a caller can dial the working precision up or down without touching
-global state for longer than a single operation.  This module is the one home
-of the angles: :func:`theta` and :func:`target_angle` define them once, and
-constants, reductions and the continued fraction each evaluate them at their
-own working precision rather than caching a value.
+global state for longer than a single operation.  RealCtx is the one
+precision carrier: every function that computes at a requested precision
+takes a ``ctx: RealCtx`` and nothing else for it.  This module is the one
+home of the angles: :func:`theta` and :func:`target_angle` define them once,
+and the helix, the reductions and the continued fraction each evaluate them
+at their own working precision rather than caching a value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
@@ -20,17 +22,34 @@ class PrecisionError(Exception):
 
 
 GUARD = 15  # decimals carried past the requested digits
+# One working number at 10^7 digits takes about 4 MiB.  The ceiling sits above
+# every precision the package uses (the 230 digits of the closed form at a
+# 99-digit L, search-lll's doubled context, the continued fraction's
+# 2*digits + GUARD) and above the ~2*10^6 digits a gap below 10^(-10^6) needs;
+# past it an mpf would exhaust memory or overflow int-to-str.
+MAX_DIGITS = 10**7
 
 
 @dataclass(frozen=True)
 class RealCtx:
-    """Working-precision carrier: `digits` significant decimals plus GUARD digits."""
+    """Working-precision carrier: `digits` significant decimals plus GUARD digits.
+
+    Making one checks theta at that precision: a residual |cos(theta) + 2/3|
+    above 10^-digits indicates a precision bug somewhere below us and raises
+    :class:`PrecisionError`.
+    """
 
     digits: int = 40
 
     def __post_init__(self):
-        if self.digits < 30:
-            raise ValueError(f"digits must be >= 30, got {self.digits}")
+        if not 30 <= self.digits <= MAX_DIGITS:
+            raise ValueError(f"digits must be in 30..{MAX_DIGITS}, got {self.digits}")
+        with self.work():
+            if (residual := abs(mp.cos(theta()) + mpf(2) / 3)) > mpf(10) ** (-self.digits):
+                raise PrecisionError(
+                    f"theta residual |cos(theta) + 2/3| = {mp.nstr(residual, 3)} "
+                    f"> 1e-{self.digits}"
+                )
 
     @property
     def workdps(self) -> int:
@@ -39,25 +58,6 @@ class RealCtx:
     def work(self):
         """Context manager setting mpmath's decimal precision to digits+GUARD."""
         return mp.workdps(self.workdps)
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Fundamental helix constants, all computed under one ctx.
-
-    theta is the helix turn angle arccos(-2/3); r and h are the cylinder
-    radius 3*sqrt(3)/10 and the rise 1/sqrt(10) per step; gamma_plus and
-    gamma_minus = arccos((-3 +- 5*sqrt(3))/12) are the octahelix target
-    angles.
-    """
-
-    ctx: RealCtx
-    theta: mpf = field(repr=False)
-    two_pi: mpf = field(repr=False)
-    r: mpf = field(repr=False)
-    h: mpf = field(repr=False)
-    gamma_plus: mpf = field(repr=False)
-    gamma_minus: mpf = field(repr=False)
 
 
 def theta() -> mpf:
@@ -71,29 +71,6 @@ def target_angle(name: str) -> mpf:
     if name not in signs:
         raise ValueError(f"unknown offset {name!r}")
     return mp.acos((-3 + signs[name] * 5 * mp.sqrt(3)) / 12)
-
-
-def make_constants(ctx: RealCtx) -> Constants:
-    """Compute the helix constants at ctx precision.
-
-    A residual |cos(theta) + 2/3| above 10^-digits indicates a precision bug
-    somewhere below us and raises :class:`PrecisionError`.
-    """
-    with ctx.work():
-        t = theta()
-        if (residual := abs(mp.cos(t) + mpf(2) / 3)) > mpf(10) ** (-ctx.digits):
-            raise PrecisionError(
-                f"theta residual |cos(theta) + 2/3| = {mp.nstr(residual, 3)} > 1e-{ctx.digits}"
-            )
-        return Constants(
-            ctx=ctx,
-            theta=t,
-            two_pi=2 * mp.pi,
-            r=3 * mp.sqrt(3) / 10,
-            h=1 / mp.sqrt(10),
-            gamma_plus=target_angle("gamma_plus"),
-            gamma_minus=target_angle("gamma_minus"),
-        )
 
 
 def reduce_angle(alpha, ctx: RealCtx):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .precision import GUARD, Constants, PrecisionError, RealCtx, theta
+from .precision import GUARD, PrecisionError, RealCtx, target_angle, theta
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def _unsupported(ctx: RealCtx, n: int) -> PrecisionError:
     )
 
 
-def continued_fraction_convergents(c: Constants, count: int) -> list[Convergent]:
+def continued_fraction_convergents(ctx: RealCtx, count: int) -> list[Convergent]:
     """The first `count` convergents k/q of theta/(2*pi), each one certified.
 
     The whole exact enclosure of theta/(2*pi) must share k/q and give the same
@@ -81,7 +81,7 @@ def continued_fraction_convergents(c: Constants, count: int) -> list[Convergent]
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    lo, hi, p = _turn_enclosure(c.ctx)
+    lo, hi, p = _turn_enclosure(ctx)
     out = []
     for k, q in _shared_convergents(lo, hi, p):
         # int / int true division rounds correctly, and |x - k/q| is monotone
@@ -91,15 +91,15 @@ def continued_fraction_convergents(c: Constants, count: int) -> list[Convergent]
             break
         out.append(Convergent(k=k, q=q, err=err))
     if len(out) < count:
-        raise _unsupported(c.ctx, len(out))
+        raise _unsupported(ctx, len(out))
     return out
 
 
-def convergent_lengths(c: Constants, L_max: int) -> list[int]:
+def convergent_lengths(ctx: RealCtx, L_max: int) -> list[int]:
     """The chain parameters L = q - 1 in 1..L_max over the convergent denominators q."""
-    lengths = [q - 1 for _, q in _shared_convergents(*_turn_enclosure(c.ctx))]
+    lengths = [q - 1 for _, q in _shared_convergents(*_turn_enclosure(ctx))]
     if lengths[-1] <= L_max:
-        raise _unsupported(c.ctx, len(lengths))
+        raise _unsupported(ctx, len(lengths))
     return [L for L in lengths if 1 <= L <= L_max]
 
 
@@ -191,7 +191,7 @@ def babai_lll_search(
         return DioSolution(x=x, y=y, err=float(err), kronecker_ok=ok, target=target)
 
 
-def fixup_negative_x(sol: DioSolution, c: Constants) -> DioSolution:
+def fixup_negative_x(sol: DioSolution, ctx: RealCtx) -> DioSolution:
     """Map a negative-x solution to (-x-1, -y+1) against the conjugate target.
 
     The two target angles satisfy gamma_plus + gamma_minus + theta = 2*pi,
@@ -202,28 +202,27 @@ def fixup_negative_x(sol: DioSolution, c: Constants) -> DioSolution:
         raise ValueError("fixup applies to x < 0 only")
     new_target = "gamma_minus" if sol.target == "gamma_plus" else "gamma_plus"
     x, y = -sol.x - 1, -sol.y + 1
-    gamma = c.gamma_minus if new_target == "gamma_minus" else c.gamma_plus
-    with c.ctx.work():
-        err = abs(x * c.theta + y * c.two_pi - gamma)
-        ok = x != 0 and kronecker_bound_check(x, y, c.theta, c.two_pi, gamma)
+    with ctx.work():
+        t, two_pi, gamma = theta(), 2 * mp.pi, target_angle(new_target)
+        err = abs(x * t + y * two_pi - gamma)
+        ok = x != 0 and kronecker_bound_check(x, y, t, two_pi, gamma)
     return DioSolution(x=x, y=y, err=float(err), kronecker_ok=ok, target=new_target)
 
 
-def lattice_table(c: Constants) -> list[tuple[mpf, DioSolution]]:
+def lattice_table(ctx: RealCtx) -> list[tuple[mpf, DioSolution]]:
     """The ten-row lattice-search table: (X, solution) for X = 10^i, i = 2, 2.5, ..., 6.5.
 
     Each slot searches against gamma_plus and applies the negative-x fixup
     when needed, so every reported row has x > 0.
     """
     rows = []
-    with c.ctx.work():
+    with ctx.work():
+        t, two_pi, gamma = theta(), 2 * mp.pi, target_angle("gamma_plus")
         for twice_i in range(4, 14):
             X = mp.power(10, mpf(twice_i) / 2)
-            sol = babai_lll_search(
-                c.theta, c.two_pi, c.gamma_plus, X, ctx=c.ctx, target="gamma_plus"
-            )
+            sol = babai_lll_search(t, two_pi, gamma, X, ctx=ctx, target="gamma_plus")
             if sol.x < 0:
-                sol = fixup_negative_x(sol, c)
+                sol = fixup_negative_x(sol, ctx)
             rows.append((X, sol))
     return rows
 

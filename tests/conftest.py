@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from tetrachain.geometry import Tetrahedron, invisible_t0
-from tetrachain.precision import RealCtx, make_constants
+from tetrachain.precision import RealCtx
 
 settings.register_profile(
     "research",
@@ -30,18 +30,8 @@ def ctx40():
 
 
 @pytest.fixture(scope="session")
-def c40(ctx40):
-    return make_constants(ctx40)
-
-
-@pytest.fixture(scope="session")
 def ctx60():
     return RealCtx(digits=60)
-
-
-@pytest.fixture(scope="session")
-def c60(ctx60):
-    return make_constants(ctx60)
 
 
 @st.composite
@@ -63,15 +53,15 @@ def random_valid_string(rng: random.Random, n: int) -> tuple:
     return tuple(s)
 
 
-def reference_fold(s, c) -> list:
+def reference_fold(s, ctx) -> list:
     """The tetrahedra T_1.. of the chain s by Cartesian Householder reflections.
 
     A test-local path independent of the barycentric products that
     realize_chain reads: each step reflects the vertex in the symbol's slot
     across the plane through the other three.
     """
-    with c.ctx.work():
-        vs = list(invisible_t0(c).vertices)
+    with ctx.work():
+        vs = list(invisible_t0(ctx).vertices)
         out = []
         for sym in s:
             p = vs[sym - 1]

@@ -19,7 +19,7 @@ from tetrachain.embedding import _exact_separation
 from tetrachain.geometry import _cross, _sub, dyadic_ints, helix_vertex, invisible_t0
 from tetrachain.metrics import minus_identity
 from tetrachain.motion import decompose_motion, k_formula
-from tetrachain.precision import reduce_theta_multiple
+from tetrachain.precision import reduce_theta_multiple, theta
 from tetrachain.strings import format_string, is_valid, octahelix_string
 
 _H1_SIN_REJECTED = (
@@ -33,13 +33,13 @@ _H1_SIN_REJECTED = (
 # --- the seed tetrahedron ----------------------------------------------------
 
 
-def seed_vertex_singular_value(c):
+def seed_vertex_singular_value(ctx):
     """Largest singular value of the 3x4 seed vertex matrix (columns: T_0's vertices).
 
     The paper gives it as eta = sqrt(17)/5; here it comes from mpmath's SVD.
     """
-    with c.ctx.work():
-        vertices = invisible_t0(c).vertices
+    with ctx.work():
+        vertices = invisible_t0(ctx).vertices
         V = mp.matrix([[v[axis] for v in vertices] for axis in range(3)])
         return max(mp.svd_r(V, compute_uv=False))
 
@@ -57,7 +57,7 @@ def left_kernel_residuals(K, w, t0, ctx) -> dict:
         return {"ones_row": ones, "w_t0_row": wrow}
 
 
-def corollary_angle_checks(L: int, c) -> dict:
+def corollary_angle_checks(L: int, ctx) -> dict:
     """The screw-angle identity computed two independent ways, plus the norm bound.
 
     sin(rho) = (2*sqrt(6)/5) * sin^2(delta_bar/2) should equal the dot
@@ -65,7 +65,6 @@ def corollary_angle_checks(L: int, c) -> dict:
     (3*sqrt(5)) with V_{L+3} - V_{L+1}; and the rotation satisfies
     ||R - I||_2 <= delta_bar^2.
     """
-    ctx = c.ctx
     delta_bar, _ = reduce_theta_multiple(L + 1, ctx)
     with ctx.work():
         sin_rho = (2 * mp.sqrt(6) / 5) * mp.sin(delta_bar / 2) ** 2
@@ -74,12 +73,12 @@ def corollary_angle_checks(L: int, c) -> dict:
             2 * mp.sqrt(2) / (3 * mp.sqrt(5)),
             3 * mp.sqrt(3) / (3 * mp.sqrt(5)),
         )
-        va = helix_vertex(L + 3, c)
-        vb = helix_vertex(L + 1, c)
+        va = helix_vertex(L + 3, ctx)
+        vb = helix_vertex(L + 1, ctx)
         dot_direct = sum(a * (x - y) for a, x, y in zip(A, va, vb))
         rho0 = mp.acos(sin_rho)
         K = k_formula(L, ctx, delta_bar=delta_bar)
-        motion = decompose_motion(K, invisible_t0(c), ctx)
+        motion = decompose_motion(K, invisible_t0(ctx), ctx)
         # ||R - I||_2 = sqrt(2 - 2 cos(angle)), and tr K = tr R + 1 = 2 + 2 cos(angle)
         r_norm = mp.sqrt(4 - sum(K[i][i] for i in range(4)))
         return {
@@ -94,10 +93,10 @@ def corollary_angle_checks(L: int, c) -> dict:
         }
 
 
-def axis_point_norm_bound(L: int, c):
-    """The bound ||u|| <= (5/2) h (2L+1) on the axis point of QH_L."""
-    with c.ctx.work():
-        return mpf(5) / 2 * c.h * (2 * L + 1)
+def axis_point_norm_bound(L: int, ctx):
+    """The bound ||u|| <= (5/2) h (2L+1) on the axis point of QH_L, h = 1/sqrt(10)."""
+    with ctx.work():
+        return mpf(5) / 2 / mp.sqrt(10) * (2 * L + 1)
 
 
 def limiting_rhombus(ctx) -> dict:
@@ -153,11 +152,11 @@ _C_COS = (-1, 2, -1, 0)  # times 3/10
 _C_SIN = (-2, 1, 4, -3)  # times 3*sqrt(5)/50
 
 
-def bary_coefficients(q: int, c) -> tuple:
+def bary_coefficients(q: int, ctx) -> tuple:
     """The 4-vector C(q) of barycentric coordinates of helix point V_q."""
-    with c.ctx.work():
-        cq = mp.cos(mpf(q) * c.theta)
-        sq = mp.sin(mpf(q) * c.theta)
+    with ctx.work():
+        cq = mp.cos(mpf(q) * theta())
+        sq = mp.sin(mpf(q) * theta())
         s5 = 3 * mp.sqrt(5) / 50
         return tuple(
             mpf(_C_CONST[i]) / 10
@@ -168,9 +167,9 @@ def bary_coefficients(q: int, c) -> tuple:
         )
 
 
-def tetrahelix_bary_point(q: int, base, c) -> tuple:
+def tetrahelix_bary_point(q: int, base, ctx) -> tuple:
     """Helix point V_q expressed through any base tetrahedron in helix order."""
-    coeff = bary_coefficients(q, c)
+    coeff = bary_coefficients(q, ctx)
     return tuple(
         sum(base.vertices[k][axis] * coeff[k] for k in range(4)) for axis in range(3)
     )
@@ -194,15 +193,15 @@ def edge_lengths(t) -> list:
 # --- embedding ----------------------------------------------------------------------
 
 
-def quadplane_determinant_direct(q: int, c):
+def quadplane_determinant_direct(q: int, ctx):
     """The start-plane clearance of embedding.quadplane_determinant, from a determinant.
 
     Rows are V_q - V_1, V_q - V_2, and V_q - (V_0 + V_3)/2, scaled by
     20*sqrt(10); an independent oracle for the closed form.
     """
-    with c.ctx.work():
-        vq = helix_vertex(q, c)
-        v0, v1, v2, v3 = (helix_vertex(i, c) for i in range(4))
+    with ctx.work():
+        vq = helix_vertex(q, ctx)
+        v0, v1, v2, v3 = (helix_vertex(i, ctx) for i in range(4))
         mid = tuple((a + b) / 2 for a, b in zip(v0, v3))
         n = _cross(_sub(vq, v2), _sub(vq, mid))
         det = sum(x * y for x, y in zip(_sub(vq, v1), n))

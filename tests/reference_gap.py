@@ -77,10 +77,10 @@ def letter_product(s) -> BaryMatrix:
     return BaryMatrix(tuple(zip(*cols)), len(s))
 
 
-def prefix_realization(s, c) -> tuple:
+def prefix_realization(s, ctx) -> tuple:
     """(tetrahedra, ages) of the chain s; step k places T_0 times a column of prefix product k."""
-    with c.ctx.work():
-        t0 = invisible_t0(c)
+    with ctx.work():
+        t0 = invisible_t0(ctx)
         ints, low = dyadic_ints(x for v in t0.vertices for x in v)
         axes = [ints[axis::3] for axis in range(3)]  # one coordinate of each vertex
         tetrahedra, ages = [], []
@@ -201,10 +201,9 @@ def rank_of_k_minus_i(K, ctx, tol=None) -> int:
         return sum(1 for e in eigs if e > tol)
 
 
-def t0_operator_norm(c):
+def t0_operator_norm(ctx):
     """||homogeneous T0||_2, with its radical closed form for cross-checking."""
-    ctx = c.ctx
     with ctx.work():
-        value = spectral_norm(homogeneous_t0(invisible_t0(c)), ctx)
+        value = spectral_norm(homogeneous_t0(invisible_t0(ctx)), ctx)
         closed = mp.sqrt(117 + mp.sqrt(8689)) / (5 * mp.sqrt(2))
         return value, closed

@@ -29,7 +29,7 @@ from tetrachain.motion import (
     k_formula,
     motion_residuals,
 )
-from tetrachain.precision import RealCtx, make_constants, reduce_theta_multiple
+from tetrachain.precision import RealCtx, reduce_theta_multiple
 from tetrachain.search import continued_fraction_convergents, lattice_table
 from tetrachain.strings import (
     format_string,
@@ -152,9 +152,9 @@ def test_criterion_02_no_exact_closure():
 
 
 @pytest.mark.parametrize("L,gap_printed,delta_printed", DESK_ROWS)
-def test_criterion_03_desk_table_row(L, gap_printed, delta_printed, c40, ctx40):
+def test_criterion_03_desk_table_row(L, gap_printed, delta_printed, ctx40):
     t0 = time.perf_counter()
-    rep = gap_report(quadrahelix_string(L), c40)
+    rep = gap_report(quadrahelix_string(L), ctx40)
     delta_bar, _ = reduce_theta_multiple(L + 1, ctx40)
     corrected = DESK_GAP_ERRATA.get(L)
     with ctx40.work():
@@ -223,13 +223,12 @@ def test_qh2_gap_agrees_across_paths():
     gaps = {}
     for digits in (40, 80):
         ctx = RealCtx(digits=digits)
-        c = make_constants(ctx)
-        rep = gap_report(s, c)
+        rep = gap_report(s, ctx)
         assert rep.r0 == s[0]  # the minimizing lead is the printed one
         closed = closed_form_gap(2, ctx).gap
         with ctx.work():
             realized = _hausdorff_by_projection(
-                invisible_t0(c), reference_fold(s, c)[-1]
+                invisible_t0(ctx), reference_fold(s, ctx)[-1]
             )
             agree = mpf(10) ** -(digits - 10)
             assert abs(closed - rep.gap) < agree, digits
@@ -246,7 +245,7 @@ def test_qh2_gap_agrees_across_paths():
     )
 
 
-def test_length10_gap_minima(c40, ctx40):
+def test_length10_gap_minima(ctx40):
     t0 = time.perf_counter()
     n = 10
     # Relabelling faces by a permutation p maps M_i to P M_i P^T = M_{p(i)},
@@ -268,7 +267,7 @@ def test_length10_gap_minima(c40, ctx40):
                 for a in range(4)
                 for b in range(4)
             )
-    seed = invisible_t0(c40)
+    seed = invisible_t0(ctx40)
     with ctx40.work():
         assert all(abs(e - 1) < mpf(10) ** -35 for e in edge_lengths(seed))
 
@@ -286,7 +285,7 @@ def test_length10_gap_minima(c40, ctx40):
     for gap, s in scored:
         key = mirror_key(s)
         if key not in verdicts:
-            verdicts[key] = verify_embedded(realize_chain(key, c40))
+            verdicts[key] = verify_embedded(realize_chain(key, ctx40))
         if verdicts[key].embedded:
             best_embedded = (gap, s)
             break
@@ -306,7 +305,7 @@ def test_length10_gap_minima(c40, ctx40):
     assert not verdicts[mirror_key(s_min)].embedded
     qh2 = quadrahelix_string(2)
     assert qh2 in reps
-    assert verify_embedded(realize_chain(qh2, c40)).embedded
+    assert verify_embedded(realize_chain(qh2, ctx40)).embedded
     dt = time.perf_counter() - t0
     assert dt < 60
     print(
@@ -317,7 +316,7 @@ def test_length10_gap_minima(c40, ctx40):
     )
 
 
-def test_criterion_04_gap_norm_inequalities(c40, ctx40):
+def test_criterion_04_gap_norm_inequalities(ctx40):
     t0 = time.perf_counter()
     chains = [quadrahelix_string(L) for L, _, _ in DESK_ROWS]
     rng = random.Random(987654321)
@@ -325,7 +324,7 @@ def test_criterion_04_gap_norm_inequalities(c40, ctx40):
     slack = mpf(10) ** -20
     with ctx40.work():
         for s in chains:
-            rep = gap_report(s, c40)
+            rep = gap_report(s, ctx40)
             assert rep.gap <= rep.norm_gap + slack, s
             assert rep.norm_gap <= 4 * rep.maxnorm_gap + slack, s
     dt = time.perf_counter() - t0
@@ -365,15 +364,15 @@ def test_criterion_05_closed_form_identity(ctx60, monkeypatch):
     )
 
 
-def test_criterion_06_embedding_verdicts(c40):
+def test_criterion_06_embedding_verdicts(ctx40):
     t0 = time.perf_counter()
     for L in range(1, 61):
-        v = verify_embedded(realize_chain(quadrahelix_string(L), c40))
+        v = verify_embedded(realize_chain(quadrahelix_string(L), ctx40))
         assert v.embedded and v.adjacency_ok and v.first_violation is None, L
-    v4 = verify_embedded(realize_chain(octahelix_string(4), c40))
+    v4 = verify_embedded(realize_chain(octahelix_string(4), ctx40))
     assert not v4.embedded and v4.first_violation == (13, 31)
     for L in (5, 6, 36):
-        v = verify_embedded(realize_chain(octahelix_string(L), c40))
+        v = verify_embedded(realize_chain(octahelix_string(L), ctx40))
         assert v.embedded and v.adjacency_ok, L
     dt = time.perf_counter() - t0
     assert dt < 120
@@ -383,12 +382,12 @@ def test_criterion_06_embedding_verdicts(c40):
     )
 
 
-def test_criterion_07_start_plane_clearance(c40):
+def test_criterion_07_start_plane_clearance(ctx40):
     t0 = time.perf_counter()
-    with c40.ctx.work():
+    with ctx40.work():
         worst = None
         for q in range(3, 10_001):
-            slack = quadplane_determinant(q, c40) - (13 * q - 30)
+            slack = quadplane_determinant(q, ctx40) - (13 * q - 30)
             if worst is None or slack < worst[1]:
                 worst = (q, slack)
             assert slack >= 0, (q, slack)
@@ -400,11 +399,11 @@ def test_criterion_07_start_plane_clearance(c40):
     )
 
 
-def test_criterion_08_convergent_denominators(c60):
+def test_criterion_08_convergent_denominators(ctx60):
     t0 = time.perf_counter()
-    convs = continued_fraction_convergents(c60, 21)
+    convs = continued_fraction_convergents(ctx60, 21)
     assert [conv.L for conv in convs] == CONVERGENT_L
-    again = continued_fraction_convergents(c60, 21)
+    again = continued_fraction_convergents(ctx60, 21)
     assert [(v.k, v.q) for v in again] == [(v.k, v.q) for v in convs]
     dt = time.perf_counter() - t0
     assert dt < 10
@@ -414,9 +413,9 @@ def test_criterion_08_convergent_denominators(c60):
     )
 
 
-def test_criterion_09_lattice_table(c60, ctx60):
+def test_criterion_09_lattice_table(ctx60):
     t0 = time.perf_counter()
-    rows = lattice_table(c60)
+    rows = lattice_table(ctx60)
     assert len(rows) == len(LATTICE_ROWS)
     with ctx60.work():
         for (_, sol), (x, y, log_printed) in zip(rows, LATTICE_ROWS):
@@ -451,10 +450,10 @@ def test_criterion_10_huge_denominators():
     )
 
 
-def test_criterion_11_loop_preset(c40):
+def test_criterion_11_loop_preset(ctx40):
     t0 = time.perf_counter()
-    loop = loop_gap_report(preset_540_string(), c40)
-    with c40.ctx.work():
+    loop = loop_gap_report(preset_540_string(), ctx40)
+    with ctx40.work():
         assert loop.best.gap < mpf(10) ** -17
         assert mpf("3.5e-18") <= loop.best.gap <= mpf("1.4e-17")
         assert abs(loop.printed.gap - mpf("2.4026e-17")) < mpf("1e-20")
@@ -493,12 +492,12 @@ def test_criterion_12_asymptotics_and_rhombus(ctx40):
 
 
 @pytest.mark.parametrize("L", [10, 29])
-def test_criterion_13_screw_motion(L, c40, ctx40):
+def test_criterion_13_screw_motion(L, ctx40):
     t0 = time.perf_counter()
     K = bary.chain_matrix(quadrahelix_string(L)).to_mpf(ctx40)
-    m = decompose_motion(K, invisible_t0(c40), ctx40)
+    m = decompose_motion(K, invisible_t0(ctx40), ctx40)
     res = motion_residuals(m, ctx40)
-    kern = left_kernel_residuals(K, m.w, invisible_t0(c40), ctx40)
+    kern = left_kernel_residuals(K, m.w, invisible_t0(ctx40), ctx40)
     eigs = motion_eigenvalues(K, ctx40)
     with ctx40.work():
         tol = mpf(10) ** -25
@@ -517,10 +516,10 @@ def test_criterion_13_screw_motion(L, c40, ctx40):
     )
 
 
-def test_criterion_14_octahelix_bound(c40, ctx40):
+def test_criterion_14_octahelix_bound(ctx40):
     t0 = time.perf_counter()
     bound = gap_bound_oh(686, ctx40)
-    rep = gap_report(octahelix_string(686), c40)
+    rep = gap_report(octahelix_string(686), ctx40)
     with ctx40.work():
         assert mpf("1.5e-4") <= bound.bound <= mpf("6e-4")
         assert mpf("0.8e-5") <= rep.gap <= mpf("3.2e-5")

@@ -142,7 +142,7 @@ def test_three_leading_matrices(ctx40, s):
             assert err < 1e-40
 
 
-def test_exact_length_guard(c40):
+def test_exact_length_guard(ctx40):
     s = tuple((i % 2) + 1 for i in range(MAX_EXACT_LENGTH + 2))
     message = (
         f"string length {MAX_EXACT_LENGTH + 2} exceeds the exact-product limit "
@@ -153,11 +153,11 @@ def test_exact_length_guard(c40):
     assert str(exc.value) == message
     # realization reads the same exact prefix products, so it stops at the same limit
     with pytest.raises(ValueError) as exc:
-        realize_chain(s, c40)
+        realize_chain(s, ctx40)
     assert str(exc.value) == message
 
 
-def test_length_refused_before_validation(c40):
+def test_length_refused_before_validation(ctx40):
     # an invalid string past the limit is refused for its length, before any
     # pass over its letters
     s = (1, 1) + tuple((i % 2) + 1 for i in range(MAX_EXACT_LENGTH - 1))
@@ -167,7 +167,7 @@ def test_length_refused_before_validation(c40):
     )
     refusers = (
         chain_matrix,
-        lambda s: realize_chain(s, c40),
+        lambda s: realize_chain(s, ctx40),
     )
     for refuse in refusers:
         with pytest.raises(ValueError) as exc:

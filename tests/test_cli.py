@@ -523,9 +523,24 @@ def _assert_exit_contract(argv):
     """Exit 0, 2, 3 or 4, with at most one line on stderr and no traceback."""
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        rc = main(argv)
+        try:
+            rc = main(argv)
+        except SystemExit as e:  # argparse's usage errors
+            rc = e.code
     assert rc in (0, 2, 3, 4), (argv, rc)
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    return rc, err.getvalue()
+
+
+# --digits values refused before any number is made: below 30, past the
+# ceiling (an mpf at 10^11 digits exhausts memory, at 10^20 overflows), not an int
+REFUSED_DIGITS = ["29", str(10**11), str(10**20), "x"]
+# the default precision, or a refused one: no example computes at a huge precision
+DIGITS = st.none() | st.sampled_from(REFUSED_DIGITS)
+
+
+def _with_digits(argv, digits):
+    return argv if digits is None else argv + ["--digits", digits]
 
 
 @settings(max_examples=30)
@@ -537,29 +552,55 @@ def _assert_exit_contract(argv):
     kind=st.none() | st.sampled_from(["tetrahelix", "quadrahelix", "octahelix"]),
     # past MAX_SPELLED_LENGTH letters a named chain is refused before it is spelled
     L=st.none() | st.integers(-2, 3) | st.sampled_from([10**7, 10**12, 10**40]),
+    digits=DIGITS,
 )
-def test_chain_commands_keep_exit_contract(command, string, kind, L):
+def test_chain_commands_keep_exit_contract(command, string, kind, L, digits):
     argv = list(command)
     for flag, value in (("--string", string), ("--kind", kind), ("--L", L)):
         if value is not None:
             argv += [flag, str(value)]
-    _assert_exit_contract(argv)
+    _assert_exit_contract(_with_digits(argv, digits))
 
 
 @settings(max_examples=20)
 @given(
     argv=st.one_of(
-        st.tuples(st.integers(-3, 200), st.integers(30, 80)).map(
-            lambda nd: ["search-cf", "--count", str(nd[0]), "--digits", str(nd[1])]
-        ),
-        st.one_of(
-            st.sampled_from(["0", "-5", "-0.5", "nan", "inf", "abc", ""]),
-            st.floats(-1, 40).map(lambda e: f"{10**e:.6g}"),
-        ).map(lambda X: ["search-lll", "--X", X]),
+        st.tuples(
+            st.integers(-3, 200), st.integers(30, 80) | st.sampled_from(REFUSED_DIGITS)
+        ).map(lambda nd: ["search-cf", "--count", str(nd[0]), "--digits", str(nd[1])]),
+        st.tuples(
+            st.one_of(
+                st.sampled_from(["0", "-5", "-0.5", "nan", "inf", "abc", ""]),
+                st.floats(-1, 40).map(lambda e: f"{10**e:.6g}"),
+            ),
+            DIGITS,
+        ).map(lambda xd: _with_digits(["search-lll", "--X", xd[0]], xd[1])),
     )
 )
 def test_search_commands_keep_exit_contract(argv):
     _assert_exit_contract(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--kind", "quadrahelix", "--L", "1", "--format", "json"],
+        ["gap", "--kind", "quadrahelix", "--L", "1"],
+        ["table1", "--L-max", "10"],
+        ["table2"],
+        ["search-cf", "--count", "3"],
+        ["search-lll", "--X", "100"],
+        ["verify-embed", "--kind", "quadrahelix", "--L", "1"],
+        ["scan-ratio", "--L-max", "5"],
+        ["motion", "--kind", "quadrahelix", "--L", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_refused_digits_exit_2_on_every_command(argv):
+    for digits in REFUSED_DIGITS:
+        rc, err = _assert_exit_contract(argv + ["--digits", digits])
+        assert rc == 2 and len(err.splitlines()) == 1, (digits, err)
+        assert "digits" in err, err
 
 
 def test_cli_does_not_load_numpy():

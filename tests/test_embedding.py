@@ -20,32 +20,30 @@ from tetrachain.embedding import (
     verify_embedded,
 )
 from tetrachain.geometry import Tetrahedron, invisible_t0, realize_chain
-from tetrachain.precision import RealCtx, make_constants
+from tetrachain.precision import RealCtx
 from tetrachain.strings import octahelix_string, quadrahelix_string, tetrahelix_string
 
 
 @given(st.integers(3, 200))
 def test_quadplane_closed_form_vs_direct(q):
-    from tetrachain.precision import RealCtx, make_constants
-
-    c = make_constants(RealCtx(digits=40))
-    with c.ctx.work():
-        a = quadplane_determinant(q, c)
-        b = quadplane_determinant_direct(q, c)
+    ctx = RealCtx(digits=40)
+    with ctx.work():
+        a = quadplane_determinant(q, ctx)
+        b = quadplane_determinant_direct(q, ctx)
         assert abs(a - b) < mpf(10) ** -40
 
 
-def test_quadplane_rejects_small_q(c40):
+def test_quadplane_rejects_small_q(ctx40):
     with pytest.raises(ValueError):
-        quadplane_determinant(2, c40)
+        quadplane_determinant(2, ctx40)
 
 
-def test_quadplane_linear_slack(c40):
+def test_quadplane_linear_slack(ctx40):
     # the scaled determinant stays above the line 13q - 30; the tightest
     # point on small q is near q = 5
-    with c40.ctx.work():
+    with ctx40.work():
         slacks = {
-            q: quadplane_determinant(q, c40) - (13 * q - 30) for q in range(3, 200)
+            q: quadplane_determinant(q, ctx40) - (13 * q - 30) for q in range(3, 200)
         }
         assert min(slacks.values()) > mpf("4.7")
         assert min(slacks, key=slacks.get) == 5
@@ -57,8 +55,8 @@ def _shift(t, d):
     )
 
 
-def test_interiors_disjoint_cases(c40, ctx40):
-    t0 = invisible_t0(c40)
+def test_interiors_disjoint_cases(ctx40):
+    t0 = invisible_t0(ctx40)
     with ctx40.work():
         far = _shift(t0, (mpf(5), mpf(0), mpf(0)))
         assert tetra_interiors_disjoint(t0, far)
@@ -69,46 +67,46 @@ def test_interiors_disjoint_cases(c40, ctx40):
         assert not tetra_interiors_disjoint(t0, nudged)
 
 
-def test_adjacent_tetrahedra_disjoint(c40):
+def test_adjacent_tetrahedra_disjoint(ctx40):
     # neighbours meet exactly in a face: interiors count as disjoint
-    chain = realize_chain((1, 2, 3), c40)
+    chain = realize_chain((1, 2, 3), ctx40)
     a, b = chain.tetrahedra[0], chain.tetrahedra[1]
     assert tetra_interiors_disjoint(a, b)
 
 
 @pytest.mark.parametrize("L", [1, 2, 5, 12])
-def test_quadrahelix_embedded(L, c40):
-    chain = realize_chain(quadrahelix_string(L), c40)
+def test_quadrahelix_embedded(L, ctx40):
+    chain = realize_chain(quadrahelix_string(L), ctx40)
     verdict = verify_embedded(chain)
     assert verdict.embedded and verdict.adjacency_ok
     assert verdict.first_violation is None
     assert verdict.pairs_tested > 0
 
 
-def test_octahelix_4_not_embedded(c40):
-    chain = realize_chain(octahelix_string(4), c40)
+def test_octahelix_4_not_embedded(ctx40):
+    chain = realize_chain(octahelix_string(4), ctx40)
     verdict = verify_embedded(chain)
     assert not verdict.embedded
     assert verdict.first_violation == (13, 31)
     assert verdict.min_separation_margin == -0.39648938148074203
 
 
-def test_octahelix_1_not_embedded(c40):
-    chain = realize_chain(octahelix_string(1), c40)
+def test_octahelix_1_not_embedded(ctx40):
+    chain = realize_chain(octahelix_string(1), ctx40)
     verdict = verify_embedded(chain)
     assert not verdict.embedded
     assert verdict.first_violation == (4, 10)
     assert verdict.min_separation_margin == -0.6719131406833959
 
 
-def test_octahelix_5_embedded(c40):
-    chain = realize_chain(octahelix_string(5), c40)
+def test_octahelix_5_embedded(ctx40):
+    chain = realize_chain(octahelix_string(5), ctx40)
     verdict = verify_embedded(chain)
     assert verdict.embedded and verdict.adjacency_ok
 
 
-def test_verdict_json_shape(c40):
-    chain = realize_chain(quadrahelix_string(1), c40)
+def test_verdict_json_shape(ctx40):
+    chain = realize_chain(quadrahelix_string(1), ctx40)
     d = verify_embedded(chain).to_json_dict()
     assert d["embedded"] is True
     assert {"embedded", "first_violation", "min_separation_margin", "pairs_tested", "adjacency_ok"} <= set(d)
@@ -154,7 +152,7 @@ def _reference_margin(a, b, ctx):
 @settings(max_examples=15)
 @given(valid_strings(min_size=3, max_size=14))
 def test_exact_verdicts_agree_with_mpf_sat(ctx80, s):
-    chain = realize_chain(s, make_constants(ctx80))
+    chain = realize_chain(s, ctx80)
     tets = chain.tetrahedra
     exact = _exact_vertices(chain.string)
     # the vertex of age a is placed at step a - 3, in slot s[a - 4]
@@ -186,16 +184,16 @@ def _float_points(t):
     "kind,L,pairs",
     [("quadrahelix", 60, 515), ("octahelix", 36, 661), ("quadrahelix", 200, 1695)],
 )
-def test_pairs_tested_pinned(c40, kind, L, pairs):
+def test_pairs_tested_pinned(ctx40, kind, L, pairs):
     # recorded with the former numpy broadcast prune
     s = quadrahelix_string(L) if kind == "quadrahelix" else octahelix_string(L)
-    verdict = verify_embedded(realize_chain(s, c40))
+    verdict = verify_embedded(realize_chain(s, ctx40))
     assert verdict.embedded and verdict.pairs_tested == pairs
 
 
 @given(valid_strings(min_size=3, max_size=40))
-def test_box_sweep_matches_brute_force(c40, s):
-    chain = realize_chain(s, c40)
+def test_box_sweep_matches_brute_force(ctx40, s):
+    chain = realize_chain(s, ctx40)
     points = [_float_points(t) for t in chain.tetrahedra]
     lo = [[min(c) for c in zip(*p)] for p in points]
     hi = [[max(c) for c in zip(*p)] for p in points]
@@ -244,9 +242,9 @@ def _exact_margin_bounds(A, B, bits=200):
         (4, (14, 31), "-0.39648938148074198691"),
     ],
 )
-def test_screen_margin_within_two_ulps(c40, L, pair, exact):
+def test_screen_margin_within_two_ulps(ctx40, L, pair, exact):
     # the minimum-margin pair of OH_1 and of OH_4, 1-based
-    chain = realize_chain(octahelix_string(L), c40)
+    chain = realize_chain(octahelix_string(L), ctx40)
     A, B = (_float_points(chain.tetrahedra[k - 1]) for k in pair)
     margin, _ = _screen(A, B)
     assert margin == verify_embedded(chain).min_separation_margin

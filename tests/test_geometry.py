@@ -18,35 +18,35 @@ def _dist(a, b):
 
 @given(st.integers(-50, 50))
 def test_helix_vertex_on_cylinder(i):
-    from tetrachain.precision import RealCtx, make_constants
+    from tetrachain.precision import RealCtx
 
-    c = make_constants(RealCtx(digits=40))
-    with c.ctx.work():
-        v = helix_vertex(i, c)
-        assert abs(mp.sqrt(v[0] ** 2 + v[1] ** 2) - c.r) < mpf(10) ** -45
-        assert abs(v[2] - i * c.h) < mpf(10) ** -45
+    ctx = RealCtx(digits=40)
+    with ctx.work():
+        v = helix_vertex(i, ctx)
+        assert abs(mp.sqrt(v[0] ** 2 + v[1] ** 2) - 3 * mp.sqrt(3) / 10) < mpf(10) ** -45
+        assert abs(v[2] - i / mp.sqrt(10)) < mpf(10) ** -45
 
 
-def test_consecutive_vertices_unit_apart(c40):
-    with c40.ctx.work():
+def test_consecutive_vertices_unit_apart(ctx40):
+    with ctx40.work():
         for i in range(-3, 12):
-            d = _dist(helix_vertex(i, c40), helix_vertex(i + 1, c40))
+            d = _dist(helix_vertex(i, ctx40), helix_vertex(i + 1, ctx40))
             assert abs(d - 1) < mpf(10) ** -45
 
 
-def test_seed_tetrahedron_regular(c40):
-    t0 = invisible_t0(c40)
-    with c40.ctx.work():
+def test_seed_tetrahedron_regular(ctx40):
+    t0 = invisible_t0(ctx40)
+    with ctx40.work():
         for e in edge_lengths(t0):
             assert abs(e - 1) < mpf(10) ** -45
         assert abs(tetra_volume(t0) - mp.sqrt(2) / 12) < mpf(10) ** -45
 
 
-def test_reflect_tetra_moves_one_vertex(c40):
+def test_reflect_tetra_moves_one_vertex(ctx40):
     s = (2, 1, 3, 4, 2, 3, 1)
-    chain = realize_chain(s, c40)
-    prev = invisible_t0(c40)
-    with c40.ctx.work():  # geometry primitives compute at ambient precision
+    chain = realize_chain(s, ctx40)
+    prev = invisible_t0(ctx40)
+    with ctx40.work():  # geometry primitives compute at ambient precision
         vol0 = tetra_volume(prev)
         for sym, cur in zip(s, chain.tetrahedra):
             for p in range(4):
@@ -59,26 +59,26 @@ def test_reflect_tetra_moves_one_vertex(c40):
             prev = cur
 
 
-def test_realize_printed_counts(c40):
-    chain = realize_chain((1, 2, 3, 4), c40)
+def test_realize_printed_counts(ctx40):
+    chain = realize_chain((1, 2, 3, 4), ctx40)
     assert len(chain.tetrahedra) == 4
     assert chain.string[0] == 1  # the lead is the printed first letter
     assert chain.string == (1, 2, 3, 4)
 
 
-def test_realize_rejects_colliding_lead(c40):
+def test_realize_rejects_colliding_lead(ctx40):
     with pytest.raises(ValueError):
-        realize_chain((2, 2, 3), c40)
+        realize_chain((2, 2, 3), ctx40)
 
 
 @given(valid_strings(max_size=40))
 @example(quadrahelix_string(60))
-def test_realization_matches_barycentric_product(c40, s):
+def test_realization_matches_barycentric_product(ctx40, s):
     # the prefix-product realization against step-by-step Cartesian
     # reflections, on every tetrahedron of the chain
-    chain = realize_chain(s, c40)
-    fold = reference_fold(s, c40)
-    with c40.ctx.work():
+    chain = realize_chain(s, ctx40)
+    fold = reference_fold(s, ctx40)
+    with ctx40.work():
         err = max(
             _dist(a, b)
             for t_bary, t_geo in zip(chain.tetrahedra, fold)
@@ -87,35 +87,35 @@ def test_realization_matches_barycentric_product(c40, s):
         assert err < mpf(10) ** -44
 
 
-def test_ages_track_replacements(c40):
-    chain = realize_chain((1, 3), c40)
+def test_ages_track_replacements(ctx40):
+    chain = realize_chain((1, 3), ctx40)
     assert chain.ages[0] == (4, 1, 2, 3)  # slot 1 replaced by the lead step
     assert chain.ages[1] == (4, 1, 5, 3)
 
 
-def test_bary_coefficients_base_case(c40):
-    with c40.ctx.work():
-        coeffs = bary_coefficients(-1, c40)
+def test_bary_coefficients_base_case(ctx40):
+    with ctx40.work():
+        coeffs = bary_coefficients(-1, ctx40)
         assert abs(coeffs[0] - 1) < mpf(10) ** -45
         assert max(abs(x) for x in coeffs[1:]) < mpf(10) ** -45
 
 
 @pytest.mark.parametrize("q", range(-1, 9))
-def test_barycentric_helix_point(q, c40):
-    t0 = invisible_t0(c40)
-    with c40.ctx.work():
-        p = tetrahelix_bary_point(q, t0, c40)
-        v = helix_vertex(q, c40)
+def test_barycentric_helix_point(q, ctx40):
+    t0 = invisible_t0(ctx40)
+    with ctx40.work():
+        p = tetrahelix_bary_point(q, t0, ctx40)
+        v = helix_vertex(q, ctx40)
         assert _dist(p, v) < mpf(10) ** -40
 
 
 @given(st.integers(-20, 60))
 def test_bary_coefficients_sum_to_one(q):
-    from tetrachain.precision import RealCtx, make_constants
+    from tetrachain.precision import RealCtx
 
-    c = make_constants(RealCtx(digits=40))
-    with c.ctx.work():
-        assert abs(sum(bary_coefficients(q, c)) - 1) < mpf(10) ** -42
+    ctx = RealCtx(digits=40)
+    with ctx.work():
+        assert abs(sum(bary_coefficients(q, ctx)) - 1) < mpf(10) ** -42
 
 
 def _back_and_forth(rng: random.Random, n: int) -> tuple:
@@ -139,9 +139,9 @@ _RNG = random.Random(20261019)
     ids=["QH_1960", "preset540", "back-and-forth-2", "back-and-forth-50",
          "back-and-forth-400", "back-and-forth-1500"],
 )
-def test_realization_equals_prefix_product_realization(c40, s):
+def test_realization_equals_prefix_product_realization(ctx40, s):
     # one vertex per step against T_0 times the prefix products, bit for bit
-    chain = realize_chain(s, c40)
-    tetrahedra, ages = prefix_realization(s, c40)
+    chain = realize_chain(s, ctx40)
+    tetrahedra, ages = prefix_realization(s, ctx40)
     assert [t.vertices for t in chain.tetrahedra] == [t.vertices for t in tetrahedra]
     assert chain.ages == ages

@@ -30,7 +30,7 @@ from tetrachain.metrics import (
     root,
 )
 from tetrachain.motion import k_formula
-from tetrachain.precision import RealCtx, make_constants
+from tetrachain.precision import RealCtx
 from tetrachain.strings import preset_540_string, quadrahelix_string, rotate
 
 TRI = ((mpf(0),) * 3, (mpf(1), mpf(0), mpf(0)), (mpf(0), mpf(1), mpf(0)))
@@ -53,9 +53,9 @@ def test_point_to_triangle(p, expect):
     assert abs(d - want) < mpf(10) ** -25
 
 
-def test_point_to_tetra(c40):
-    t0 = invisible_t0(c40)
-    with c40.ctx.work():
+def test_point_to_tetra(ctx40):
+    t0 = invisible_t0(ctx40)
+    with ctx40.work():
         centroid = tuple(
             sum(v[k] for v in t0.vertices) / 4 for k in range(3)
         )
@@ -70,9 +70,9 @@ def _shift(t, dz):
     return Tetrahedron(tuple((x, y, z + dz) for x, y, z in t.vertices))
 
 
-def test_hausdorff_of_translates(c40):
-    t0 = invisible_t0(c40)
-    with c40.ctx.work():
+def test_hausdorff_of_translates(ctx40):
+    t0 = invisible_t0(ctx40)
+    with ctx40.work():
         t1 = _shift(t0, mpf(3) / 7)
         assert abs(hausdorff_tetra(t0, t1) - mpf(3) / 7) < mpf(10) ** -45
         assert hausdorff_tetra(t0, t0) == 0
@@ -81,10 +81,10 @@ def test_hausdorff_of_translates(c40):
         ) < mpf(10) ** -45
 
 
-def test_discrete_bounds_solid(c40):
-    t0 = invisible_t0(c40)
-    chain = realize_chain(quadrahelix_string(4), c40)
-    with c40.ctx.work():
+def test_discrete_bounds_solid(ctx40):
+    t0 = invisible_t0(ctx40)
+    chain = realize_chain(quadrahelix_string(4), ctx40)
+    with ctx40.work():
         tn = chain.tetrahedra[-1]
         solid = hausdorff_tetra(t0, tn)
         disc = discrete_hausdorff(t0, tn)
@@ -140,33 +140,33 @@ def test_norm_gap_of_identity_and_reflections(ctx40):
             assert abs(norm_gap(bary.reflection_matrix(i)) - 4 / mp.sqrt(3)) < mpf(10) ** -50
 
 
-def test_gap_report_quadrahelix_10(c40):
-    rep = gap_report(quadrahelix_string(10), c40)
+def test_gap_report_quadrahelix_10(ctx40):
+    rep = gap_report(quadrahelix_string(10), ctx40)
     assert abs(rep.gap - mpf("0.0775081010798830")) < 1e-13
     assert rep.r0 == 1
-    with c40.ctx.work():
+    with ctx40.work():
         assert rep.gap <= rep.norm_gap <= 4 * rep.maxnorm_gap
 
 
-def test_gap_report_pinned_lead(c40):
+def test_gap_report_pinned_lead(ctx40):
     s = quadrahelix_string(4)
-    free = gap_report(s, c40)
-    pinned = gap_report(s, c40, r0=4)
+    free = gap_report(s, ctx40)
+    pinned = gap_report(s, ctx40, r0=4)
     assert pinned.r0 == 4
     assert pinned.gap >= free.gap  # the free minimum can only be better
     with pytest.raises(ValueError, match="collides with the second symbol"):
-        gap_report(s, c40, r0=2)
+        gap_report(s, ctx40, r0=2)
     with pytest.raises(ValueError, match=r"leading face must be 1\.\.4, got 9"):
-        gap_report(s, c40, r0=9)
+        gap_report(s, ctx40, r0=9)
 
 
-def test_gap_report_too_short(c40):
+def test_gap_report_too_short(ctx40):
     with pytest.raises(ValueError):
-        gap_report((1,), c40)
+        gap_report((1,), ctx40)
 
 
-def test_json_and_csv_round(c40):
-    rep = gap_report(quadrahelix_string(2), c40)
+def test_json_and_csv_round(ctx40):
+    rep = gap_report(quadrahelix_string(2), ctx40)
     d = rep.to_json_dict()
     assert set(d) == {"gap", "norm_gap", "maxnorm_gap", "discrete_gap", "r0", "delta_bar"}
     row = rep.to_csv_row()
@@ -175,27 +175,27 @@ def test_json_and_csv_round(c40):
 
 @settings(max_examples=10)
 @given(valid_strings(min_size=3, max_size=10).filter(lambda s: s[0] != s[-1]))
-def test_loop_walk_matches_gap_report_of_every_cut(c40, s):
+def test_loop_walk_matches_gap_report_of_every_cut(ctx40, s):
     # the incremental walk against a fresh gap_report of each rotation
-    loop = loop_gap_report(s, c40)
-    gaps = [gap_report(rotate(s, cut), c40).gap for cut in range(len(s))]
+    loop = loop_gap_report(s, ctx40)
+    gaps = [gap_report(rotate(s, cut), ctx40).gap for cut in range(len(s))]
     best_cut = min(range(len(s)), key=lambda i: (gaps[i], i))
     assert loop.best_cut == best_cut
     assert loop.best.gap == gaps[best_cut]
     assert loop.n_cuts_below_printed == sum(1 for g in gaps if g < gaps[0])
 
 
-def test_loop_gap_rejects_open_strings(c40):
+def test_loop_gap_rejects_open_strings(ctx40):
     with pytest.raises(ValueError):
-        loop_gap_report((1, 2, 1), c40)  # first == last: not cyclically valid
+        loop_gap_report((1, 2, 1), ctx40)  # first == last: not cyclically valid
 
 
-def test_periodic_loop_takes_the_first_tied_cut(c40):
+def test_periodic_loop_takes_the_first_tied_cut(ctx40):
     # rotating (1234)x3 by four letters gives the same string, so the cuts
     # tie in threes; the scan must agree with a full per-cut gap_report
     s = (1, 2, 3, 4) * 3
-    loop = loop_gap_report(s, c40)
-    gaps = [gap_report(rotate(s, cut), c40).gap for cut in range(len(s))]
+    loop = loop_gap_report(s, ctx40)
+    gaps = [gap_report(rotate(s, cut), ctx40).gap for cut in range(len(s))]
     tied = [cut for cut, g in enumerate(gaps) if g == min(gaps)]
     assert len(tied) >= 3
     assert loop.best_cut == tied[0]
@@ -203,13 +203,13 @@ def test_periodic_loop_takes_the_first_tied_cut(c40):
     assert loop.n_cuts_below_printed == sum(1 for g in gaps if g < gaps[0])
 
 
-def test_lead_ties_go_to_the_smallest_face(c40):
+def test_lead_ties_go_to_the_smallest_face(ctx40):
     # far from closure the lead often leaves the farthest vertex in place, so
     # leads tie exactly; "12" ties all three of its leads 1, 3 and 4
     for s in ((1, 2), (3, 1)):
         leads = bary.lead_matrices(bary.chain_matrix(s), *s)
         assert len({gap2(K) for K in leads.values()}) == 1
-        assert gap_report(s, c40).r0 == min(leads)
+        assert gap_report(s, ctx40).r0 == min(leads)
 
 
 def test_loop_scan_takes_cut_67_at_every_precision():
@@ -218,7 +218,7 @@ def test_loop_scan_takes_cut_67_at_every_precision():
     # to count 246 or 249 cuts below the printed one
     s = preset_540_string()
     for digits in (30, 40, 50, 60, 80):
-        loop = loop_gap_report(s, make_constants(RealCtx(digits=digits)))
+        loop = loop_gap_report(s, RealCtx(digits=digits))
         assert (loop.best_cut, loop.n_cuts_below_printed) == (67, 246), digits
     K = bary.chain_matrix(s)
     gaps = []
@@ -228,41 +228,41 @@ def test_loop_scan_takes_cut_67_at_every_precision():
     assert [cut for cut, g in enumerate(gaps) if g == min(gaps)] == [67, 68, 247, 248, 427, 428]
 
 
-def _assert_gaps_match_reference(s, c, rel=mpf(10) ** -35):
+def _assert_gaps_match_reference(s, ctx, rel=mpf(10) ** -35):
     """The exact gap of every lead of s against the Cartesian reference."""
-    t0 = invisible_t0(c)
-    with c.ctx.work():
+    t0 = invisible_t0(ctx)
+    with ctx.work():
         for K in bary.lead_matrices(bary.chain_matrix(s), s[0], s[1]).values():
-            want = hausdorff_tetra(t0, apply_bary(t0, K.to_mpf(c.ctx)))
+            want = hausdorff_tetra(t0, apply_bary(t0, K.to_mpf(ctx)))
             assert abs(root(gap2(K)) - want) <= rel * want, s
 
 
-def test_exact_gap_matches_reference_hausdorff(c40):
+def test_exact_gap_matches_reference_hausdorff(ctx40):
     rng = random.Random(200)
     for _ in range(200):
-        _assert_gaps_match_reference(random_valid_string(rng, rng.randint(3, 60)), c40)
+        _assert_gaps_match_reference(random_valid_string(rng, rng.randint(3, 60)), ctx40)
 
 
 @pytest.mark.parametrize("L", [2, 10, 29, 70, 1960])
-def test_exact_gap_matches_reference_on_quadrahelix(L, c40):
-    _assert_gaps_match_reference(quadrahelix_string(L), c40)
+def test_exact_gap_matches_reference_on_quadrahelix(L, ctx40):
+    _assert_gaps_match_reference(quadrahelix_string(L), ctx40)
 
 
-def test_exact_gap_matches_reference_on_540_loop_cuts(c40):
+def test_exact_gap_matches_reference_on_540_loop_cuts(ctx40):
     # near-closures: K - I and the gaps are about 1e-17
     s = preset_540_string()
     for cut in random.Random(540).sample(range(len(s)), 20):
-        _assert_gaps_match_reference(rotate(s, cut), c40)
+        _assert_gaps_match_reference(rotate(s, cut), ctx40)
 
 
-def test_discrete_gap_matches_reference_vertex_distance(c40):
+def test_discrete_gap_matches_reference_vertex_distance(ctx40):
     rng = random.Random(7)
-    t0 = invisible_t0(c40)
+    t0 = invisible_t0(ctx40)
     strings = [random_valid_string(rng, rng.randint(2, 60)) for _ in range(100)]
-    with c40.ctx.work():
+    with ctx40.work():
         for s in strings + [quadrahelix_string(10)]:
             K = bary.chain_matrix(s)
-            want = discrete_hausdorff(t0, apply_bary(t0, K.to_mpf(c40.ctx)))
+            want = discrete_hausdorff(t0, apply_bary(t0, K.to_mpf(ctx40)))
             assert abs(root(discrete_gap2(K)) - want) <= mpf(10) ** -35 * want, s
 
 

@@ -38,7 +38,6 @@ from tetrachain.motion import (
 from tetrachain.precision import (
     PrecisionError,
     RealCtx,
-    make_constants,
     reduce_angle,
     reduce_theta_multiple,
 )
@@ -79,9 +78,9 @@ def test_rejected_coefficient_variant_disagrees(ctx60, monkeypatch):
         assert _maxdiff(K_bad, exact) > mpf(10) ** -10
 
 
-def test_closed_form_gap_matches_direct_report(ctx40, c40):
+def test_closed_form_gap_matches_direct_report(ctx40):
     cf = closed_form_gap(10, ctx40)
-    direct = gap_report(quadrahelix_string(10), c40)
+    direct = gap_report(quadrahelix_string(10), ctx40)
     assert cf.L == 10 and cf.k == 4
     with ctx40.work():
         assert abs(cf.gap - direct.gap) < mpf(10) ** -35
@@ -99,12 +98,12 @@ def test_closed_form_gap_far_beyond_exact_range(ctx40):
 def test_closed_form_gap_beyond_str_limit():
     # the first convergent L past 4,300 digits (the int -> str limit); its
     # gap ~ 1/L needs about as many working digits as L has
-    c = make_constants(RealCtx(digits=4340))
+    ctx = RealCtx(digits=4340)
     floor = 10**4300
-    L = min(L for L in convergent_lengths(c, 10 * floor) if L >= floor)
-    cf = closed_form_gap(L, c.ctx)
-    with c.ctx.work():
-        assert 0 < cf.gap <= gap_bound_qh(L, c.ctx).bound
+    L = min(L for L in convergent_lengths(ctx, 10 * floor) if L >= floor)
+    cf = closed_form_gap(L, ctx)
+    with ctx.work():
+        assert 0 < cf.gap <= gap_bound_qh(L, ctx).bound
         assert cf.gap < mpf(10) ** -4299
 
 
@@ -112,13 +111,13 @@ def test_quadrahelix_gap_report_below_float_range():
     # the first convergent L past 10^320: the K - I of its printed lead and
     # its gap lie below 1e-308, out of float64's range; the mpf kernel's
     # choice of lead and its gap against the Cartesian reference on every lead
-    c = make_constants(RealCtx(digits=400))
+    ctx = RealCtx(digits=400)
     floor = 10**320
-    L = min(L for L in convergent_lengths(c, 10 * floor) if L >= floor)
-    rep = quadrahelix_gap_report(L, c)
-    _, _, K = motion._closed_form_matrix(L, c.ctx)
-    t0 = invisible_t0(c)
-    with c.ctx.work():
+    L = min(L for L in convergent_lengths(ctx, 10 * floor) if L >= floor)
+    rep = quadrahelix_gap_report(L, ctx)
+    _, _, K = motion._closed_form_matrix(L, ctx)
+    t0 = invisible_t0(ctx)
+    with ctx.work():
         leads = bary.lead_matrices(K, 1, 2)
         gaps = {r: hausdorff_tetra(t0, apply_bary(t0, M)) for r, M in leads.items()}
         r0 = min(gaps, key=lambda r: (gaps[r], r))
@@ -140,13 +139,13 @@ def test_closed_form_kernel_matches_exact_kernel(ctx40):
 
 
 @pytest.mark.parametrize("r0", [None, 1, 3, 4])
-def test_quadrahelix_gap_report_paths_agree(r0, c40, monkeypatch):
+def test_quadrahelix_gap_report_paths_agree(r0, ctx40, monkeypatch):
     # the exact products against the closed form with its leads M_r0 M_1 K
-    exact = quadrahelix_gap_report(10, c40, r0=r0)
+    exact = quadrahelix_gap_report(10, ctx40, r0=r0)
     monkeypatch.setattr(motion, "MAX_EXACT_LENGTH", 0)
-    closed = quadrahelix_gap_report(10, c40, r0=r0)
+    closed = quadrahelix_gap_report(10, ctx40, r0=r0)
     assert closed.r0 == exact.r0 == (r0 or 1)
-    with c40.ctx.work():
+    with ctx40.work():
         for field in ("gap", "norm_gap", "maxnorm_gap", "discrete_gap"):
             assert abs(getattr(closed, field) - getattr(exact, field)) < mpf(10) ** -35
 
@@ -162,9 +161,9 @@ def test_closed_form_gap_refuses_unresolvable_scale(ctx40):
 
 
 @pytest.fixture(scope="module")
-def qh10_motion(ctx40, c40):
+def qh10_motion(ctx40):
     K = k_formula(10, ctx40)
-    return K, decompose_motion(K, invisible_t0(c40), ctx40)
+    return K, decompose_motion(K, invisible_t0(ctx40), ctx40)
 
 
 def test_motion_residuals_tiny(qh10_motion, ctx40):
@@ -182,10 +181,10 @@ def test_motion_residuals_tiny(qh10_motion, ctx40):
         assert abs(m.angle - mpf("0.029259127")) < mpf(10) ** -8
 
 
-def test_motion_from_exact_matrix(ctx40, c40):
+def test_motion_from_exact_matrix(ctx40):
     # the decomposition accepts the exact rational product directly
     m = decompose_motion(
-        bary.chain_matrix(quadrahelix_string(4)), invisible_t0(c40), ctx40
+        bary.chain_matrix(quadrahelix_string(4)), invisible_t0(ctx40), ctx40
     )
     res = motion_residuals(m, ctx40)
     with ctx40.work():
@@ -213,25 +212,25 @@ def test_rank_of_k_minus_i(qh10_motion, ctx40):
     assert rank_of_k_minus_i(ident, ctx40) == 0
 
 
-def test_left_kernel_rows(qh10_motion, ctx40, c40):
+def test_left_kernel_rows(qh10_motion, ctx40):
     K, m = qh10_motion
-    res = left_kernel_residuals(K, m.w, invisible_t0(c40), ctx40)
+    res = left_kernel_residuals(K, m.w, invisible_t0(ctx40), ctx40)
     with ctx40.work():
         assert res["ones_row"] < mpf(10) ** -40
         assert res["w_t0_row"] < mpf(10) ** -40
 
 
-def test_identity_matrix_is_pure_translation(ctx40, c40):
+def test_identity_matrix_is_pure_translation(ctx40):
     ident = [[mpf(1 if i == j else 0) for j in range(4)] for i in range(4)]
-    m = decompose_motion(ident, invisible_t0(c40), ctx40)
+    m = decompose_motion(ident, invisible_t0(ctx40), ctx40)
     assert m.w is None and m.u is None
     assert m.angle == 0
     res = motion_residuals(m, ctx40)
     assert set(res) == {"orthogonality", "det_minus_1"}
 
 
-def test_homogeneous_t0_shape(c40):
-    T = homogeneous_t0(invisible_t0(c40))
+def test_homogeneous_t0_shape(ctx40):
+    T = homogeneous_t0(invisible_t0(ctx40))
     assert len(T) == 4 and all(len(row) == 4 for row in T)
     assert all(x == 1 for x in T[3])
 
@@ -239,23 +238,23 @@ def test_homogeneous_t0_shape(c40):
 # --- angle identities and bounds ----------------------------------------------
 
 
-def test_corollary_angle_identity(c40):
-    out = corollary_angle_checks(10, c40)
-    with c40.ctx.work():
+def test_corollary_angle_identity(ctx40):
+    out = corollary_angle_checks(10, ctx40)
+    with ctx40.work():
         assert out["agreement"] < mpf(10) ** -45
         assert abs(out["rho0"] - mpf("1.5634815")) < mpf(10) ** -7
         assert abs(out["sin_rho"] - mpf("0.0073147164")) < mpf(10) ** -10
         # the screw angle is the wrap of four copies of the half-turn angle
-        wrapped = abs(reduce_angle(4 * out["rho0"], c40.ctx))
+        wrapped = abs(reduce_angle(4 * out["rho0"], ctx40))
         assert abs(out["motion_angle"] - wrapped) < mpf(10) ** -30
         assert out["norm_bound_ok"]
         assert out["r_norm"] <= out["delta_bar"] ** 2
 
 
 @pytest.mark.parametrize("L", [29, 40, 70, 182, 253])
-def test_qh_gap_bound_dominates_measured_gap(L, c40, ctx40):
+def test_qh_gap_bound_dominates_measured_gap(L, ctx40):
     b = gap_bound_qh(L, ctx40)
-    report = gap_report(quadrahelix_string(L), c40)
+    report = gap_report(quadrahelix_string(L), ctx40)
     with ctx40.work():
         # the paper's intermediate inequality, 3.51 L delta_bar^2
         tight_bound = mpf("3.51") * (mpf(L) * b.delta_bar**2)
@@ -279,37 +278,37 @@ def test_asymptotic_ratio_approaches_limit(ctx40):
         assert abs(limit_matrix_norm(ctx40) - limit) < mpf(10) ** -35
 
 
-def test_t0_operator_norm_closed_form(c40):
-    value, closed = t0_operator_norm(c40)
-    with c40.ctx.work():
+def test_t0_operator_norm_closed_form(ctx40):
+    value, closed = t0_operator_norm(ctx40)
+    with ctx40.work():
         assert abs(value - closed) < mpf(10) ** -35
 
 
-def test_axis_point_within_bound(qh10_motion, c40):
+def test_axis_point_within_bound(qh10_motion, ctx40):
     _, m = qh10_motion
-    with c40.ctx.work():
+    with ctx40.work():
         unorm = mp.sqrt(sum(x * x for x in m.u))
-        assert unorm <= axis_point_norm_bound(10, c40)
+        assert unorm <= axis_point_norm_bound(10, ctx40)
 
 
 # --- leg axes and the limiting rhombus ----------------------------------------
 
 
-def test_leg_axis_cosines_quadrahelix(c40):
-    chain = realize_chain(quadrahelix_string(4), c40)
-    cos = leg_axis_cosines(chain, c40)
+def test_leg_axis_cosines_quadrahelix(ctx40):
+    chain = realize_chain(quadrahelix_string(4), ctx40)
+    cos = leg_axis_cosines(chain, ctx40)
     assert len(cos) == 3
-    with c40.ctx.work():
+    with ctx40.work():
         signs = [-1, 1, -1]
         for got, sgn in zip(cos, signs):
             assert abs(got - mpf(sgn) / 5) < mpf(10) ** -20
 
 
-def test_leg_axis_cosines_octahelix(c40):
-    chain = realize_chain(octahelix_string(4), c40)
-    cos = leg_axis_cosines(chain, c40)
+def test_leg_axis_cosines_octahelix(ctx40):
+    chain = realize_chain(octahelix_string(4), ctx40)
+    cos = leg_axis_cosines(chain, ctx40)
     assert len(cos) == 7
-    with c40.ctx.work():
+    with ctx40.work():
         for got in cos:
             assert abs(got - mpf(1) / 5) < mpf(10) ** -20
 

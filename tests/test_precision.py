@@ -4,13 +4,18 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from paper_checks import seed_vertex_singular_value
+from tetrachain.geometry import helix_vertex
+from tetrachain import precision
+from tetrachain.cli import main
 from tetrachain.precision import (
+    MAX_DIGITS,
     PrecisionError,
     RealCtx,
     _decimal_digits,
-    make_constants,
     reduce_angle,
     reduce_theta_multiple,
+    target_angle,
+    theta,
 )
 
 
@@ -19,34 +24,60 @@ def test_ctx_rejects_low_digits():
         RealCtx(digits=20)
 
 
-def test_turn_angle_value(c40):
-    with c40.ctx.work():
-        assert abs(c40.theta - mp.acos(mpf(-2) / 3)) < mpf(10) ** -50
+def test_ctx_rejects_digits_past_the_ceiling():
+    # the ceiling leaves room for a gap below 10^(-10^6), which needs ~2*10^6 digits
+    assert MAX_DIGITS > 2 * 10**6
+    for digits in (MAX_DIGITS + 1, 10**11, 10**20):
+        with pytest.raises(ValueError, match="digits must be in 30"):
+            RealCtx(digits=digits)
+
+
+def test_theta_residual_check_raises(monkeypatch, capsys):
+    # a wrong turn angle fails the residual check every context makes
+    monkeypatch.setattr(precision, "theta", lambda: mp.acos(mpf(-2) / 3) + mpf(10) ** -35)
+    with pytest.raises(PrecisionError, match="theta residual"):
+        RealCtx(digits=40)
+    assert main(["scan-ratio", "--L-max", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "precision failure: theta residual |cos(theta) + 2/3| = 7.45e-36 > 1e-40"
+    ]
+
+
+def test_turn_angle_value(ctx40):
+    with ctx40.work():
+        t = theta()
+        assert abs(t - mp.acos(mpf(-2) / 3)) < mpf(10) ** -50
         # an independent closed form, cross-checking the acos definition
-        assert abs(c40.theta - (mp.pi - mp.atan(mp.sqrt(5) / 2))) < mpf(10) ** -50
-        assert mp.nstr(c40.theta, 12) == "2.30052398302"
+        assert abs(t - (mp.pi - mp.atan(mp.sqrt(5) / 2))) < mpf(10) ** -50
+        assert mp.nstr(t, 12) == "2.30052398302"
 
 
-def test_named_constants(c40):
-    with c40.ctx.work():
-        assert abs(c40.r - 3 * mp.sqrt(3) / 10) < mpf(10) ** -50
-        assert abs(c40.h - 1 / mp.sqrt(10)) < mpf(10) ** -50
-        assert abs(seed_vertex_singular_value(c40) - mp.sqrt(17) / 5) < mpf(10) ** -50
-        assert abs(c40.gamma_plus - mp.acos((-3 + 5 * mp.sqrt(3)) / 12)) < mpf(10) ** -50
-        assert abs(c40.gamma_minus - mp.acos((-3 - 5 * mp.sqrt(3)) / 12)) < mpf(10) ** -50
+def test_named_constants(ctx40):
+    # the helix radius r and rise h, read off V_0 = (r, 0, 0) and V_1's height
+    with ctx40.work():
+        r = helix_vertex(0, ctx40)[0]
+        h = helix_vertex(1, ctx40)[2]
+        assert abs(r - 3 * mp.sqrt(3) / 10) < mpf(10) ** -50
+        assert abs(h - 1 / mp.sqrt(10)) < mpf(10) ** -50
+        assert abs(seed_vertex_singular_value(ctx40) - mp.sqrt(17) / 5) < mpf(10) ** -50
+        gamma_plus, gamma_minus = target_angle("gamma_plus"), target_angle("gamma_minus")
+        assert abs(gamma_plus - mp.acos((-3 + 5 * mp.sqrt(3)) / 12)) < mpf(10) ** -50
+        assert abs(gamma_minus - mp.acos((-3 - 5 * mp.sqrt(3)) / 12)) < mpf(10) ** -50
 
 
-def test_magic_angles_are_conjugate(c40):
+def test_magic_angles_are_conjugate(ctx40):
     # gamma+ + gamma- + theta wraps to a full turn
-    with c40.ctx.work():
-        total = c40.gamma_plus + c40.gamma_minus + c40.theta
-        assert abs(total - c40.two_pi) < mpf(10) ** -45
+    with ctx40.work():
+        total = target_angle("gamma_plus") + target_angle("gamma_minus") + theta()
+        assert abs(total - 2 * mp.pi) < mpf(10) ** -45
 
 
 def test_constants_deterministic(ctx40):
-    a = make_constants(ctx40)
-    b = make_constants(ctx40)
-    assert a.theta == b.theta and a.gamma_plus == b.gamma_plus
+    with ctx40.work():
+        assert theta() == theta()
+        assert target_angle("gamma_plus") == target_angle("gamma_plus")
 
 
 @given(st.floats(-1e6, 1e6, allow_nan=False))
@@ -73,14 +104,13 @@ def test_reduce_angle_overflow_guard(ctx40):
         reduce_angle(mpf(10) ** 60, ctx40)
 
 
-def test_reduce_theta_multiple_matches_direct(c40):
-    ctx = c40.ctx
+def test_reduce_theta_multiple_matches_direct(ctx40):
     for mult in (1, 2, 11, 30, 71, 254):
-        d, k = reduce_theta_multiple(mult, ctx)
-        with ctx.work():
-            direct = reduce_angle(mult * c40.theta, ctx)
+        d, k = reduce_theta_multiple(mult, ctx40)
+        with ctx40.work():
+            direct = reduce_angle(mult * theta(), ctx40)
             assert abs(d - direct) < mpf(10) ** -40
-            assert abs(mult * c40.theta - 2 * mp.pi * k - d) < mpf(10) ** -38
+            assert abs(mult * theta() - 2 * mp.pi * k - d) < mpf(10) ** -38
 
 
 def test_reduce_theta_multiple_known_row(ctx40):
@@ -120,13 +150,12 @@ def test_reduce_theta_multiple_beyond_str_limit(ctx40):
         assert abs(d - (t - 2 * mp.pi * k_ref)) < mpf(10) ** -40
 
 
-def test_reduce_theta_multiple_offsets(c40):
-    ctx = c40.ctx
-    d_plus, _ = reduce_theta_multiple(686, ctx, offset="gamma_plus")
-    with ctx.work():
+def test_reduce_theta_multiple_offsets(ctx40):
+    d_plus, _ = reduce_theta_multiple(686, ctx40, offset="gamma_plus")
+    with ctx40.work():
         assert abs(d_plus - mpf("0.000347879")) < 1e-8
     with pytest.raises(ValueError):
-        reduce_theta_multiple(686, ctx, offset="nonsense")
+        reduce_theta_multiple(686, ctx40, offset="nonsense")
 
 
 def test_workdps_scales_with_digits():

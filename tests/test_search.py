@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp, mpf
 
 from paper_checks import lattice_basis_determinant
-from tetrachain.precision import PrecisionError, RealCtx, make_constants
+from tetrachain.precision import PrecisionError, RealCtx, target_angle, theta
 from tetrachain.search import (
     DioSolution,
     _lll_2d,
@@ -26,8 +26,8 @@ KNOWN_L = [
 ]
 
 
-def test_convergent_list(c60):
-    convs = continued_fraction_convergents(c60, 21)
+def test_convergent_list(ctx60):
+    convs = continued_fraction_convergents(ctx60, 21)
     assert [conv.L for conv in convs] == KNOWN_L
     assert [conv.q - 1 for conv in convs] == KNOWN_L
 
@@ -39,12 +39,12 @@ DOUBLING_COUNTS = {30: 52, 40: 56, 60: 78, 80: 94}
 
 @pytest.mark.parametrize("digits", sorted(DOUBLING_COUNTS))
 def test_convergents_have_small_errors(digits):
-    c = make_constants(RealCtx(digits=digits))
+    ctx = RealCtx(digits=digits)
     with pytest.raises(PrecisionError) as exc:
-        continued_fraction_convergents(c, 10**4)
+        continued_fraction_convergents(ctx, 10**4)
     n = int(re.search(r"support only (\d+) ", str(exc.value)).group(1))
     assert n >= DOUBLING_COUNTS[digits]
-    convs = continued_fraction_convergents(c, n)
+    convs = continued_fraction_convergents(ctx, n)
     assert len(convs) == n
     for prev, conv in zip(convs, convs[1:]):
         assert abs(conv.k * prev.q - prev.k * conv.q) == 1
@@ -56,9 +56,9 @@ def test_convergents_have_small_errors(digits):
             assert conv.err < 1 / mpf(conv.q) ** 2
 
 
-def test_convergents_deterministic(c60):
-    a = continued_fraction_convergents(c60, 15)
-    b = continued_fraction_convergents(c60, 15)
+def test_convergents_deterministic(ctx60):
+    a = continued_fraction_convergents(ctx60, 15)
+    b = continued_fraction_convergents(ctx60, 15)
     assert [(v.k, v.q) for v in a] == [(v.k, v.q) for v in b]
 
 
@@ -80,41 +80,43 @@ def test_lll_reduces_and_preserves_lattice():
     assert abs(lattice_basis_determinant(r1, r2, b1, b2)) == 1
 
 
-def test_kronecker_check(c40):
-    with c40.ctx.work():
+def test_kronecker_check(ctx40):
+    with ctx40.work():
+        t, two_pi, gamma = theta(), 2 * mp.pi, target_angle("gamma_plus")
         # 4*theta - 2*pi is about 0.0158 < 6*pi/4
-        assert kronecker_bound_check(4, -1, c40.theta, c40.two_pi, c40.gamma_plus)
+        assert kronecker_bound_check(4, -1, t, two_pi, gamma)
     with pytest.raises(ValueError):
-        kronecker_bound_check(0, 1, c40.theta, c40.two_pi, c40.gamma_plus)
+        kronecker_bound_check(0, 1, t, two_pi, gamma)
 
 
-def test_babai_first_row(c40):
-    with c40.ctx.work():
-        sol = babai_lll_search(c40.theta, c40.two_pi, c40.gamma_plus, mpf(100), c40.ctx)
+def test_babai_first_row(ctx40):
+    with ctx40.work():
+        gamma = target_angle("gamma_plus")
+        sol = babai_lll_search(theta(), 2 * mp.pi, gamma, mpf(100), ctx40)
         if sol.x < 0:
-            sol = fixup_negative_x(sol, c40)
+            sol = fixup_negative_x(sol, ctx40)
         assert (sol.x, sol.y) == (4, -1)
         assert sol.kronecker_ok
         assert abs(mp.log10(sol.err) - mpf("-1.80")) < mpf("0.05")
 
 
-def test_fixup_flips_solution(c40):
-    with c40.ctx.work():
+def test_fixup_flips_solution(ctx40):
+    with ctx40.work():
         raw = DioSolution(
             x=-5, y=3, err=mpf(1), kronecker_ok=False, target="gamma_plus"
         )
-        fixed = fixup_negative_x(raw, c40)
+        fixed = fixup_negative_x(raw, ctx40)
         assert fixed.x == 4 and fixed.y == -2
         assert fixed.target == "gamma_minus"
         # the error is re-derived for the conjugate target (as a float snapshot)
-        want = abs(4 * c40.theta - 2 * c40.two_pi - c40.gamma_minus)
+        want = abs(4 * theta() - 2 * (2 * mp.pi) - target_angle("gamma_minus"))
         assert abs(fixed.err - want) <= abs(want) * mpf(10) ** -12
 
 
-def test_lattice_table_shape(c60):
-    rows = lattice_table(c60)
+def test_lattice_table_shape(ctx60):
+    rows = lattice_table(ctx60)
     assert len(rows) == 10
-    with c60.ctx.work():
+    with ctx60.work():
         assert [X for X, _ in rows] == [mp.power(10, mpf(i) / 2) for i in range(4, 14)]
     sols = [sol for _, sol in rows]
     assert all(s.x > 0 for s in sols)
