@@ -106,6 +106,10 @@ def _chain_parameter(text: str) -> int:
 
 def _chain(args):
     """(kind, param, string) of the chain named by --string, or --kind and --L."""
+    if args.string is not None and args.kind:
+        raise ValueError("--string and --kind name two chains; give one")
+    if args.L is not None and args.kind in (None, "preset540"):
+        raise ValueError("--L needs --kind tetrahelix, quadrahelix or octahelix")
     if args.string:
         return "string", None, parse_string(args.string)
     if args.kind == "preset540":

@@ -2,22 +2,24 @@
 
 Two convex polytopes have disjoint interiors iff a face normal or a cross
 product of two edges is a separating axis (separating axis theorem, SAT).
-Non-adjacent pairs of a chain are pruned with axis-aligned bounding boxes.
-SAT on the float vertices of each surviving pair picks the axis that
-separates best and the margin to report; it decides nothing.  The verdict
-is the same SAT code on Python ints: the vertex walk that realizes the
-chain, started from T_0's affine barycentric coordinates, gives every
-vertex of T_k as integers over 3^k, and a separating plane survives any
-affine map.  The screen's axis is tried first, the other 43 only if it
-does not separate, and a pair that touches separates by exactly 0.  No
-tolerance enters the verdict.  Adjacent pairs must share a face
-bit-for-bit and are exempt from the interior test.
+Non-adjacent pairs of a chain are pruned with axis-aligned bounding boxes,
+hashed into a uniform grid.  Each surviving pair (T_i, T_j), i < j, is
+decided exactly in the affine frame of T_i: from T_i's vertices as the unit
+frame, the vertex walk of the letters between the two gives T_j's vertices
+as integers over 3^(j-i), and a separating plane survives any affine map.
+The 44 axes are tried in a fixed order, a pair that touches separates by
+exactly 0, and no tolerance enters the verdict.  SAT on float vertices
+measures the margin to report, and runs only where that margin can move
+the minimum: for a pair that overlaps, and while no pair has reported a
+margin <= 0.  Adjacent pairs must share a face bit-for-bit and are exempt
+from the interior test.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -28,6 +30,7 @@ from .precision import RealCtx, theta
 _FACE_IDX = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 _EDGES = tuple(itertools.combinations(range(4), 2))
 _BOX_SLACK = 1e-9  # bounding boxes this close still count as overlapping
+_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))  # a tetrahedron in its own affine frame
 
 
 def quadplane_determinant(q: int, ctx: RealCtx):
@@ -68,61 +71,50 @@ def _separation(A, B, ax):
     return max(min(pb) - max(pa), min(pa) - max(pb))
 
 
-def _screen(A, B) -> tuple[float, int]:
-    """Float SAT: the best normalized separation and the axis that gives it.
+def _screen(A, B) -> float:
+    """Float SAT: the best normalized separation of float points A and B.
 
-    A and B are float points.  The margin (>= 0 means no overlap, up to
-    rounding) is only reported; the axis is where the exact test looks first.
+    >= 0 means no overlap, up to rounding; the margin is only reported.
     """
-    best, first = -math.inf, 0
+    best = -math.inf
     for k in range(44):
         ax = _axis(A, B, k)
         norm = math.sqrt(ax[0] * ax[0] + ax[1] * ax[1] + ax[2] * ax[2])
         if norm > 1e-14:  # parallel edges give no axis
-            margin = _separation(A, B, ax) / norm
-            if margin > best:
-                best, first = margin, k
-    return best, first
+            best = max(best, _separation(A, B, ax) / norm)
+    return best
 
 
-def _exact_separation(A, B, first: int) -> int | None:
-    """Exact SAT on integer points: the separation along the first axis that separates.
+def _exact_separation(A, B) -> int | None:
+    """Exact SAT on integer points: the separation along the first of axes 0..43 that separates.
 
-    Axis `first` (the float screen's pick) is tried before the other 43, and
-    zero axes (parallel edges) are skipped.  A result >= 0 proves the
+    Zero axes (parallel edges) are skipped.  A result >= 0 proves the
     interiors disjoint, and 0 means the pair touches along that axis; None
     means no axis separates, so the interiors overlap.
     """
-    for k in (first, *(k for k in range(44) if k != first)):
+    for k in range(44):
         ax = _axis(A, B, k)
-        if ax == (0, 0, 0):
-            continue
-        sep = _separation(A, B, ax)
-        if sep >= 0:
+        if ax != (0, 0, 0) and (sep := _separation(A, B, ax)) >= 0:
             return sep
     return None
 
 
-# T_0's vertices in affine barycentric coordinates: the last one is dropped
-_AFFINE_T0 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
+def _local_pairs(s, pairs):
+    """(i, j, A, B) for sorted pairs: T_i and T_j of string s in T_i's affine frame.
 
-
-def _exact_vertices(string) -> list:
-    """Every vertex of a chain, indexed by its age, as integers over 3^max(0, age - 3).
-
-    These are affine barycentric coordinates over T_0, from the vertex walk
-    that realizes the chain; SAT verdicts in them are the same as in space.
+    A and B hold the vertices as integers over 3^(j-i).  One walk from T_i's
+    vertices as the unit frame serves every partner j of i: the letters
+    s[i+1 .. j] place each vertex of T_j that T_i lacks, at step k over 3^k.
     """
-    return [*_AFFINE_T0, *vertex_walk(string, _AFFINE_T0)]
-
-
-def _pair_separation(exact: list, ages: list, i: int, j: int, first: int) -> int | None:
-    """_exact_separation of T_i and T_j (0-based, i < j), all 8 vertices over 3^(j+1)."""
-
-    def scaled(k):  # the vertex of age a is over 3^max(0, a - 3)
-        return [tuple(x * 3 ** (j + 4 - max(3, a)) for x in exact[a]) for a in ages[k]]
-
-    return _exact_separation(scaled(i), scaled(j), first)
+    for i, group in itertools.groupby(pairs, key=lambda p: p[0]):
+        js = {j for _, j in group}
+        letters = s[i + 1 : max(js) + 1]
+        slots = [(v, 0) for v in _UNIT]  # each vertex of T_(i+k) and the step that placed it
+        for k, (sym, new) in enumerate(zip(letters, vertex_walk(letters, _UNIT)), start=1):
+            slots[sym - 1] = (new, k)
+            if i + k in js:
+                A = [tuple(x * 3**k for x in v) for v in _UNIT]
+                yield i, i + k, A, [tuple(x * 3 ** (k - p) for x in v) for v, p in slots]
 
 
 @dataclass(frozen=True)
@@ -154,59 +146,63 @@ def _adjacent_share_face(a: Tetrahedron, b: Tetrahedron) -> bool:
 def _box_pairs(points: list) -> list:
     """Sorted non-adjacent pairs (i, j), i < j, whose boxes overlap within _BOX_SLACK.
 
-    Sort and sweep on the axis s along which the low ends spread furthest; in
-    that order a box meets only later boxes whose low s <= its high s + slack.
+    Each box, grown by the slack, goes into every cell of a uniform grid it
+    meets, so boxes that overlap within the slack share a cell.  The cell
+    edge is the widest box plus twice the slack: a grown box meets ~8 cells.
     """
     boxes = [(tuple(map(min, *t)), tuple(map(max, *t))) for t in points]
-    lows = [[lo[d] for lo, _ in boxes] for d in range(3)]
-    s = max(range(3), key=lambda d: max(lows[d], default=0.0) - min(lows[d], default=0.0))
-    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0][s])
-    pairs = []
-    for a, i in enumerate(order):
-        lo_i, hi_i = boxes[i]
-        for j in itertools.islice(order, a + 1, None):
-            lo_j, hi_j = boxes[j]
-            if lo_j[s] > hi_i[s] + _BOX_SLACK:
-                break
-            if abs(i - j) > 1 and all(
-                lo_i[d] <= hi_j[d] + _BOX_SLACK and lo_j[d] <= hi_i[d] + _BOX_SLACK
-                for d in range(3)
-            ):
-                pairs.append((min(i, j), max(i, j)))
+    edge = max((h - l for lo, hi in boxes for l, h in zip(lo, hi)), default=0.0) + 2 * _BOX_SLACK
+    cells = defaultdict(list)
+    pairs = set()
+    for j, (lo_j, hi_j) in enumerate(boxes):
+        spans = [
+            range(math.floor((l - _BOX_SLACK) / edge), math.floor((h + _BOX_SLACK) / edge) + 1)
+            for l, h in zip(lo_j, hi_j)
+        ]
+        for cell in itertools.product(*spans):
+            for i in cells[cell]:
+                lo_i, hi_i = boxes[i]
+                if i < j - 1 and (i, j) not in pairs and all(
+                    lo_i[d] <= hi_j[d] + _BOX_SLACK and lo_j[d] <= hi_i[d] + _BOX_SLACK
+                    for d in range(3)
+                ):
+                    pairs.add((i, j))
+            cells[cell].append(j)
     return sorted(pairs)
 
 
 def verify_embedded(chain: RealizedChain) -> EmbeddingVerdict:
     """Certify pairwise interior-disjointness of the visible tetrahedra.
 
-    Pairs are pruned with bounding boxes; for each surviving pair the float64
-    screen picks an axis and reports a margin, and the exact test decides
-    the pair on the integer barycentric coordinates of the vertex walk.
-    A pair's margin is the float margin, clamped so its sign never
+    Pairs are pruned with bounding boxes on a grid, and the exact test
+    decides each surviving pair in the frame of its older tetrahedron.  A
+    pair's margin is its float SAT margin, clamped so its sign never
     contradicts the exact verdict, and exactly 0.0 where the deciding axis
-    shows the pair touching.  Indices in the verdict are 1-based positions
-    among the visible tetrahedra.
+    shows the pair touching.  Only the minimum is reported, so the float
+    screen runs for a separated pair only while that minimum is still
+    above 0: pair (1, 3) always touches along an edge.  Indices in the
+    verdict are 1-based positions among the visible tetrahedra.
     """
     tets = chain.tetrahedra
     adjacency_ok = all(map(_adjacent_share_face, tets, tets[1:]))
     points = [tuple(tuple(map(float, v)) for v in t.vertices) for t in tets]
-    exact = _exact_vertices(chain.string)
     pairs = _box_pairs(points)
-    violations = []
-    margins = []
-    for i, j in pairs:
-        margin, axis = _screen(points[i], points[j])
-        sep = _pair_separation(exact, chain.ages, i, j, axis)
+    first_violation = best = None
+    for i, j, A, B in _local_pairs(chain.string, pairs):
+        sep = _exact_separation(A, B)
         if sep is None:
-            violations.append((i + 1, j + 1))
-            margins.append(min(margin, 0.0))
+            first_violation = first_violation or (i + 1, j + 1)
+            margin = min(_screen(points[i], points[j]), 0.0)
+        elif best is None or best > 0:
+            margin = max(_screen(points[i], points[j]), 0.0) if sep else 0.0
         else:
-            margins.append(max(margin, 0.0) if sep else 0.0)
-    embedded = adjacency_ok and not violations
+            continue  # its margin is >= 0 and cannot lower a minimum <= 0
+        if best is None or margin < best:
+            best = margin
     return EmbeddingVerdict(
-        embedded=embedded,
-        first_violation=min(violations) if violations else None,
-        min_separation_margin=min(margins) if margins else None,
+        embedded=adjacency_ok and first_violation is None,
+        first_violation=first_violation,
+        min_separation_margin=best,
         pairs_tested=len(pairs),
         adjacency_ok=adjacency_ok,
     )

@@ -9,9 +9,9 @@ integer vector over the power of 3 of the step that placed it, in any
 coordinates affine to space.  Realization starts the walk from T_0's
 dyadic Cartesian integers and rounds the vertex placed at step k once,
 from its numerators over 3^k; the embedding certificate starts the same
-walk from T_0's affine barycentric coordinates.  Each step computes one
-vertex; the other three are copied, which keeps the shared face
-bit-for-bit equal.
+walk from the older tetrahedron of each pair, as the unit affine frame.
+Each step computes one vertex; the other three are copied, which keeps
+the shared face bit-for-bit equal.
 """
 
 from __future__ import annotations

@@ -215,7 +215,7 @@ def tetra_interiors_disjoint(a, b) -> bool:
     """
     ints, _ = dyadic_ints(x for t in (a, b) for v in t.vertices for x in v)
     points = [tuple(ints[n : n + 3]) for n in range(0, 24, 3)]
-    return _exact_separation(points[:4], points[4:], 0) is not None
+    return _exact_separation(points[:4], points[4:]) is not None
 
 
 # --- strings and lattices ---------------------------------------------------------

@@ -18,14 +18,31 @@ last prefix.  The package realizes a chain one vertex per step
 (``geometry.vertex_walk``); ``prefix_realization`` places each vertex from
 the prefix product of the whole string so far instead, the same exact
 rational rounded once.
+
+The package decides each pair of a chain exactly in the frame of its older
+tetrahedron, prunes pairs on a grid and measures a float margin only where
+it can move the minimum (``embedding.verify_embedded``);
+``verify_embedded_reference`` is the verifier it replaced.  It prunes with
+a sort-and-sweep on one axis, runs the float screen on every pair as a
+hint for the axis to try first, and decides every pair in T_0's frame,
+with all eight vertices over 3^(j+1).
 """
 
+import itertools
+import math
 from operator import mul
 
 from mpmath import mp, mpf
 
 from tetrachain.bary import BaryMatrix
-from tetrachain.geometry import Tetrahedron, _rounded, dyadic_ints, invisible_t0
+from tetrachain.embedding import (
+    _BOX_SLACK,
+    EmbeddingVerdict,
+    _adjacent_share_face,
+    _axis,
+    _separation,
+)
+from tetrachain.geometry import Tetrahedron, _rounded, dyadic_ints, invisible_t0, vertex_walk
 from tetrachain.metrics import minus_identity
 from tetrachain.motion import homogeneous_t0
 
@@ -207,3 +224,109 @@ def t0_operator_norm(ctx):
         value = spectral_norm(homogeneous_t0(invisible_t0(ctx)), ctx)
         closed = mp.sqrt(117 + mp.sqrt(8689)) / (5 * mp.sqrt(2))
         return value, closed
+
+
+# --- the embedding verifier ---------------------------------------------------------
+
+
+def sweep_box_pairs(points: list) -> list:
+    """Sorted non-adjacent pairs (i, j), i < j, whose boxes overlap within _BOX_SLACK.
+
+    Sort and sweep on the axis s along which the low ends spread furthest; in
+    that order a box meets only later boxes whose low s <= its high s + slack.
+    """
+    boxes = [(tuple(map(min, *t)), tuple(map(max, *t))) for t in points]
+    lows = [[lo[d] for lo, _ in boxes] for d in range(3)]
+    s = max(range(3), key=lambda d: max(lows[d], default=0.0) - min(lows[d], default=0.0))
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0][s])
+    pairs = []
+    for a, i in enumerate(order):
+        lo_i, hi_i = boxes[i]
+        for j in itertools.islice(order, a + 1, None):
+            lo_j, hi_j = boxes[j]
+            if lo_j[s] > hi_i[s] + _BOX_SLACK:
+                break
+            if abs(i - j) > 1 and all(
+                lo_i[d] <= hi_j[d] + _BOX_SLACK and lo_j[d] <= hi_i[d] + _BOX_SLACK
+                for d in range(3)
+            ):
+                pairs.append((min(i, j), max(i, j)))
+    return sorted(pairs)
+
+
+def screen_with_axis(A, B) -> tuple:
+    """Float SAT: the best normalized separation of float points and the axis that gives it."""
+    best, first = -math.inf, 0
+    for k in range(44):
+        ax = _axis(A, B, k)
+        norm = math.sqrt(ax[0] * ax[0] + ax[1] * ax[1] + ax[2] * ax[2])
+        if norm > 1e-14:  # parallel edges give no axis
+            margin = _separation(A, B, ax) / norm
+            if margin > best:
+                best, first = margin, k
+    return best, first
+
+
+def hinted_separation(A, B, first: int):
+    """Exact SAT on integer points, axis `first` tried before the other 43; None on overlap."""
+    for k in (first, *(k for k in range(44) if k != first)):
+        ax = _axis(A, B, k)
+        if ax == (0, 0, 0):
+            continue
+        sep = _separation(A, B, ax)
+        if sep >= 0:
+            return sep
+    return None
+
+
+# T_0's vertices in affine barycentric coordinates: the last one is dropped
+AFFINE_T0 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
+
+
+def t0_frame_vertices(string) -> list:
+    """Every vertex of a chain, indexed by its age, as integers over 3^max(0, age - 3).
+
+    These are affine barycentric coordinates over T_0, from the vertex walk
+    that realizes the chain; SAT verdicts in them are the same as in space.
+    """
+    return [*AFFINE_T0, *vertex_walk(string, AFFINE_T0)]
+
+
+def t0_frame_separation(exact: list, ages: list, i: int, j: int, first: int):
+    """hinted_separation of T_i and T_j (0-based, i < j), all 8 vertices over 3^(j+1)."""
+
+    def scaled(k):  # the vertex of age a is over 3^max(0, a - 3)
+        return [tuple(x * 3 ** (j + 4 - max(3, a)) for x in exact[a]) for a in ages[k]]
+
+    return hinted_separation(scaled(i), scaled(j), first)
+
+
+def verify_embedded_reference(chain) -> EmbeddingVerdict:
+    """The verdict of embedding.verify_embedded, with the float screen on every pair.
+
+    A pair's margin is the float margin, clamped so its sign never
+    contradicts the exact verdict, and exactly 0.0 where the screen's axis
+    shows the pair touching.
+    """
+    tets = chain.tetrahedra
+    adjacency_ok = all(map(_adjacent_share_face, tets, tets[1:]))
+    points = [tuple(tuple(map(float, v)) for v in t.vertices) for t in tets]
+    exact = t0_frame_vertices(chain.string)
+    pairs = sweep_box_pairs(points)
+    violations = []
+    margins = []
+    for i, j in pairs:
+        margin, axis = screen_with_axis(points[i], points[j])
+        sep = t0_frame_separation(exact, chain.ages, i, j, axis)
+        if sep is None:
+            violations.append((i + 1, j + 1))
+            margins.append(min(margin, 0.0))
+        else:
+            margins.append(max(margin, 0.0) if sep else 0.0)
+    return EmbeddingVerdict(
+        embedded=adjacency_ok and not violations,
+        first_violation=min(violations) if violations else None,
+        min_separation_margin=min(margins) if margins else None,
+        pairs_tested=len(pairs),
+        adjacency_ok=adjacency_ok,
+    )

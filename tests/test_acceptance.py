@@ -382,6 +382,19 @@ def test_criterion_06_embedding_verdicts(ctx40):
     )
 
 
+def test_embedding_certified_at_the_exact_length_limit(ctx40):
+    # QH_4999, 19,998 letters, is the longest quadrahelix within bary.MAX_EXACT_LENGTH
+    t0 = time.perf_counter()
+    s = quadrahelix_string(4999)
+    assert len(s) == 19_998 <= bary.MAX_EXACT_LENGTH < len(quadrahelix_string(5000))
+    v = verify_embedded(realize_chain(s, ctx40))
+    assert v.embedded and v.adjacency_ok and v.first_violation is None
+    assert v.pairs_tested == 41_108 and v.min_separation_margin == 0.0
+    dt = time.perf_counter() - t0
+    assert dt < 60
+    print(f"QH_4999 embedded: {v.pairs_tested} pairs tested ({dt:.2f}s)")
+
+
 def test_criterion_07_start_plane_clearance(ctx40):
     t0 = time.perf_counter()
     with ctx40.work():

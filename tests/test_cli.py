@@ -433,6 +433,25 @@ def test_named_chain_refusals(argv, message, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("--kind tetrahelix --L 3 --string 12", "error: --string and --kind name two chains; give one"),
+        ("--kind preset540 --string 12", "error: --string and --kind name two chains; give one"),
+        ("--kind preset540 --L 5", "error: --L needs --kind tetrahelix, quadrahelix or octahelix"),
+        ("--string 12 --L 5", "error: --L needs --kind tetrahelix, quadrahelix or octahelix"),
+        ("--L 5", "error: --L needs --kind tetrahelix, quadrahelix or octahelix"),
+    ],
+)
+@pytest.mark.parametrize("command", ["verify-embed", "gap", "build", "motion"])
+def test_conflicting_chain_selectors_exit_2(command, argv, message, capsys):
+    # each of these used to exit 0 on one selector and silently drop the other
+    assert main([command, *argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
+@pytest.mark.parametrize(
     "L, message",
     [
         # past int()'s 4,300-digit limit: read whole, refused as too long to spell
@@ -499,6 +518,13 @@ PAYLOAD_SHA256 = {
     ),
     "verify-embed --kind octahelix --L 36": (
         "dbb6f89326b7bdbf3107f0c706d57d84176f76e4888c6d70e70016e13a6c3e72"
+    ),
+    # long legs: the verdicts of the sweep-pruned, T_0-frame certificate
+    "verify-embed --kind quadrahelix --L 500": (
+        "d3c783394721925102a838d5fe492987d2b4d8c3513796ab4e6eb80e66b4d279"
+    ),
+    "verify-embed --kind quadrahelix --L 1960": (
+        "70d121c28c70f7b7e86c5d47e4effd7ad8e47488a3867a9acc1ec2ae47d0d542"
     ),
     "table2": (
         "3d615f823cf3bc377679cec5968e3a2957a71e47de707a9c3060183b5bf81089"

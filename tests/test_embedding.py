@@ -9,19 +9,29 @@ from mpmath import mp, mpf
 
 from conftest import valid_strings
 from paper_checks import quadplane_determinant_direct, tetra_interiors_disjoint
-from reference_gap import prefix_products
+from reference_gap import (
+    prefix_products,
+    sweep_box_pairs,
+    t0_frame_vertices,
+    verify_embedded_reference,
+)
 from tetrachain.embedding import (
     _BOX_SLACK,
     _box_pairs,
-    _exact_vertices,
-    _pair_separation,
+    _exact_separation,
+    _local_pairs,
     _screen,
     quadplane_determinant,
     verify_embedded,
 )
 from tetrachain.geometry import Tetrahedron, invisible_t0, realize_chain
 from tetrachain.precision import RealCtx
-from tetrachain.strings import octahelix_string, quadrahelix_string, tetrahelix_string
+from tetrachain.strings import (
+    octahelix_string,
+    preset_540_string,
+    quadrahelix_string,
+    tetrahelix_string,
+)
 
 
 @given(st.integers(3, 200))
@@ -149,21 +159,36 @@ def _reference_margin(a, b, ctx):
         return best
 
 
+def _in_t0_frame(exact, ages, i, y, den):
+    """The point with coordinates y / den in T_i's affine frame, in T_0's frame, as Fractions."""
+    P = [[Fraction(x, 3 ** max(0, a - 3)) for x in exact[a]] for a in ages[i]]
+    return tuple(
+        P[3][d] + sum(Fraction(y[p], den) * (P[p][d] - P[3][d]) for p in range(3))
+        for d in range(3)
+    )
+
+
 @settings(max_examples=15)
 @given(valid_strings(min_size=3, max_size=14))
 def test_exact_verdicts_agree_with_mpf_sat(ctx80, s):
     chain = realize_chain(s, ctx80)
     tets = chain.tetrahedra
-    exact = _exact_vertices(chain.string)
+    exact = t0_frame_vertices(chain.string)
     # the vertex of age a is placed at step a - 3, in slot s[a - 4]
     for a, cols in enumerate(prefix_products(s), start=4):
         assert tuple(exact[a]) == cols[s[a - 4] - 1][:3]
+    pairs = [(i, j) for i, j in itertools.combinations(range(len(tets)), 2) if j > i + 1]
+    local = list(_local_pairs(chain.string, pairs))
+    assert [(i, j) for i, j, _, _ in local] == pairs
     overlaps = []
-    for i, j in itertools.combinations(range(len(tets)), 2):
-        if j == i + 1:
-            continue
-        _, axis = _screen(_float_points(tets[i]), _float_points(tets[j]))
-        sep = _pair_separation(exact, chain.ages, i, j, axis)
+    for i, j, A, B in local:
+        # T_i and T_j in T_i's frame are the same points as in T_0's frame
+        den = 3 ** (j - i)
+        for k, frame in ((i, A), (j, B)):
+            for v, a in zip(frame, chain.ages[k]):
+                point = tuple(Fraction(x, 3 ** max(0, a - 3)) for x in exact[a])
+                assert _in_t0_frame(exact, chain.ages, i, v, den) == point, (s, i, j)
+        sep = _exact_separation(A, B)
         margin = _reference_margin(tets[i], tets[j], ctx80)
         if abs(margin) > mpf(10) ** -30:
             assert (sep is not None) == (margin > 0), (s, i, j, margin)
@@ -210,6 +235,36 @@ def test_box_sweep_matches_brute_force(ctx40, s):
     assert verify_embedded(chain).pairs_tested == len(brute)
 
 
+@pytest.mark.parametrize(
+    "s", [quadrahelix_string(500), octahelix_string(36), preset_540_string()], ids=len
+)
+def test_grid_prune_matches_sweep_on_long_chains(ctx40, s):
+    # long legs lie across every axis; the grid finds the sweep's pairs
+    points = [_float_points(t) for t in realize_chain(s, ctx40).tetrahedra]
+    assert _box_pairs(points) == sweep_box_pairs(points)
+
+
+def _assert_matches_reference(chain):
+    # repr compares all five fields and tells a margin of 0.0 from -0.0
+    assert repr(verify_embedded(chain)) == repr(verify_embedded_reference(chain)), chain.string
+
+
+@given(valid_strings(min_size=3, max_size=60))
+def test_verdict_matches_reference_verifier(ctx40, s):
+    # most random strings overlap somewhere, which exercises the violation margins
+    _assert_matches_reference(realize_chain(s, ctx40))
+
+
+@pytest.mark.parametrize(
+    "s",
+    [quadrahelix_string(L) for L in range(1, 13)]
+    + [octahelix_string(1), octahelix_string(4), preset_540_string()],
+    ids=lambda s: f"{len(s)}-letters",
+)
+def test_named_verdicts_match_reference_verifier(ctx40, s):
+    _assert_matches_reference(realize_chain(s, ctx40))
+
+
 def _exact_margin_bounds(A, B, bits=200):
     """Bounds on the best normalized 44-axis separation of float points, exactly.
 
@@ -246,7 +301,7 @@ def test_screen_margin_within_two_ulps(ctx40, L, pair, exact):
     # the minimum-margin pair of OH_1 and of OH_4, 1-based
     chain = realize_chain(octahelix_string(L), ctx40)
     A, B = (_float_points(chain.tetrahedra[k - 1]) for k in pair)
-    margin, _ = _screen(A, B)
+    margin = _screen(A, B)
     assert margin == verify_embedded(chain).min_separation_margin
     low, high = _exact_margin_bounds(A, B)
     ulp = Fraction(math.ulp(margin))
