@@ -122,15 +122,17 @@ def _walk(cols: _Rows, letters: Sequence[int]) -> _Rows:
     """The numerator columns of a product times M_l for each letter l, one power of 3 each.
 
     Right-multiplying by M_i changes only column i: the new column i is
-    2*(sum of the other columns) - 3*(column i), and the other columns are
-    multiplied by 3.
+    2*(sum of all four) - 5*(column i), and the other columns are tripled.
     """
     for sym in letters:
-        i = sym - 1
-        # 2*(sum of the others) - 3*x, as 2*(sum of all four) - 5*x
-        twice_total = [2 * (a + b + c + d) for a, b, c, d in zip(*cols)]
-        new = tuple(t - 5 * x for t, x in zip(twice_total, cols[i]))
-        cols = tuple(new if j == i else tuple(3 * x for x in col) for j, col in enumerate(cols))
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = cols
+        x0, x1, x2, x3 = cols[sym - 1]
+        new = (2 * (a0 + b0 + c0 + d0) - 5 * x0, 2 * (a1 + b1 + c1 + d1) - 5 * x1,
+               2 * (a2 + b2 + c2 + d2) - 5 * x2, 2 * (a3 + b3 + c3 + d3) - 5 * x3)
+        cols = (new if sym == 1 else (3 * a0, 3 * a1, 3 * a2, 3 * a3),
+                new if sym == 2 else (3 * b0, 3 * b1, 3 * b2, 3 * b3),
+                new if sym == 3 else (3 * c0, 3 * c1, 3 * c2, 3 * c3),
+                new if sym == 4 else (3 * d0, 3 * d1, 3 * d2, 3 * d3))
     return cols
 
 

@@ -103,18 +103,14 @@ def _local_pairs(s, pairs):
     """(i, j, A, B) for sorted pairs: T_i and T_j of string s in T_i's affine frame.
 
     A and B hold the vertices as integers over 3^(j-i).  One walk from T_i's
-    vertices as the unit frame serves every partner j of i: the letters
-    s[i+1 .. j] place each vertex of T_j that T_i lacks, at step k over 3^k.
+    vertices as the unit frame serves every partner j of i: after the
+    letters s[i+1 .. j] it holds T_j.
     """
     for i, group in itertools.groupby(pairs, key=lambda p: p[0]):
         js = {j for _, j in group}
-        letters = s[i + 1 : max(js) + 1]
-        slots = [(v, 0) for v in _UNIT]  # each vertex of T_(i+k) and the step that placed it
-        for k, (sym, new) in enumerate(zip(letters, vertex_walk(letters, _UNIT)), start=1):
-            slots[sym - 1] = (new, k)
+        for k, B in enumerate(vertex_walk(s[i + 1 : max(js) + 1], _UNIT), start=1):
             if i + k in js:
-                A = [tuple(x * 3**k for x in v) for v in _UNIT]
-                yield i, i + k, A, [tuple(x * 3 ** (k - p) for x in v) for v, p in slots]
+                yield i, i + k, [tuple(x * 3**k for x in v) for v in _UNIT], B
 
 
 @dataclass(frozen=True)

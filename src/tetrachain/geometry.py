@@ -89,33 +89,42 @@ def dyadic_ints(xs) -> tuple[list[int], int]:
 def _rounded(n: int, den: int, low: int) -> mpf:
     """n * 2**low / den, rounded once to the working precision.
 
-    The quotient keeps at least prec + 2 bits and one more bit records a
-    nonzero remainder, which is all the rounding needs to be correct.
+    The quotient q of |n| 2^shift by den keeps at least prec + 2 bits and
+    one more bit records a nonzero remainder: all the rounding needs.  The
+    top prec + 64 bits of den, and as many of |n|, bound it strictly between
+    two quotients; where both floor to q it is in (q, q + 1), and elsewhere
+    the whole integers divide.
     """
-    shift = max(0, mp.prec + 3 - n.bit_length() + den.bit_length())
-    q, r = divmod(n << shift, den)
-    man = 2 * q + (r != 0)
-    return mp.make_mpf(from_man_exp(man, low - shift - 1, mp.prec, round_nearest))
+    a = abs(n)
+    for m in (max(0, den.bit_length() - mp.prec - 64), 0):
+        top, d = a >> m, den >> m
+        shift = max(0, mp.prec + 3 - top.bit_length() + d.bit_length())
+        q, r = divmod(top << shift, d + (m > 0))
+        if not m or top and q == (top + 1 << shift) // d:
+            break
+    man = 2 * q + (r != 0 or m > 0)
+    return mp.make_mpf(from_man_exp(man if n >= 0 else -man, low - shift - 1, mp.prec, round_nearest))
 
 
-def vertex_walk(s: Sequence[int], start) -> Iterator[list[int]]:
-    """The vertex each letter of s places, as integers over 3^k at step k = 1, 2, ...
+def vertex_walk(s: Sequence[int], start) -> Iterator[tuple]:
+    """The four vertices after each letter of s, as integer triples over 3^k at step k = 1, 2, ...
 
-    start holds T_0's four vertices as integer triples, in slot order.  Slot
-    j holds its vertex as integers n_j over 3^p_j, p_j the step that placed
-    it (0 for T_0).  Step k replaces slot i by
-    2 sum_{j != i} n_j 3^(k-1-p_j) - n_i 3^(k-p_i) over 3^k.  The step is
-    linear, so it holds in any coordinates affine to space.
+    start holds T_0's four vertices as integer triples, in slot order.  Step
+    k replaces slot i by 2*(sum of all four) - 5*(vertex i) and triples the
+    other three, the column step of bary._walk.  The step is linear, so it
+    holds in any coordinates affine to space.
     """
-    nums = list(start)
-    scale = [1, 1, 1, 1]  # 3^(k-1-p_j) at step k
+    verts = tuple(start)
     for sym in s:
-        i = sym - 1
-        others = [(nums[j], 2 * scale[j]) for j in range(4) if j != i]
-        own = 3 * scale[i]
-        nums[i] = new = [sum(n[d] * f for n, f in others) - nums[i][d] * own for d in range(3)]
-        scale = [1 if j == i else 3 * f for j, f in enumerate(scale)]
-        yield new
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2) = verts
+        x0, x1, x2 = verts[sym - 1]
+        new = (2 * (a0 + b0 + c0 + d0) - 5 * x0, 2 * (a1 + b1 + c1 + d1) - 5 * x1,
+               2 * (a2 + b2 + c2 + d2) - 5 * x2)
+        verts = (new if sym == 1 else (3 * a0, 3 * a1, 3 * a2),
+                 new if sym == 2 else (3 * b0, 3 * b1, 3 * b2),
+                 new if sym == 3 else (3 * c0, 3 * c1, 3 * c2),
+                 new if sym == 4 else (3 * d0, 3 * d1, 3 * d2))
+        yield verts
 
 
 def realize_chain(s: Sequence[int], ctx: RealCtx) -> RealizedChain:
@@ -138,10 +147,10 @@ def realize_chain(s: Sequence[int], ctx: RealCtx) -> RealizedChain:
         age = [0, 1, 2, 3]
         den = 1
         walk = vertex_walk(s, [ints[3 * p : 3 * p + 3] for p in range(4)])
-        for k, (sym, new) in enumerate(zip(s, walk), start=1):
+        for k, (sym, exact) in enumerate(zip(s, walk), start=1):
             i = sym - 1
             den *= 3
-            verts[i] = tuple(_rounded(x, den, low) for x in new)
+            verts[i] = tuple(_rounded(x, den, low) for x in exact[i])
             age = age.copy()
             age[i] = k + 3
             chain.tetrahedra.append(Tetrahedron(tuple(verts)))

@@ -10,26 +10,26 @@ four-legged quadrahelix QH_L, the eight-legged octahelix OH_L, and a fixed
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import ne
 from typing import Iterable, Sequence
 
 from .precision import _decimal_digits
 
 Symbol = int
 String = tuple[Symbol, ...]
+_LETTERS, _DIGITS = frozenset((1, 2, 3, 4)), frozenset("1234")
 
 
 def is_valid(s: Sequence[int]) -> bool:
     """True iff s is nonempty, over {1,2,3,4}, with no two equal neighbors."""
-    if len(s) == 0:
-        return False
-    if any(x not in (1, 2, 3, 4) for x in s):
-        return False
-    return all(a != b for a, b in zip(s, s[1:]))
+    return len(s) > 0 and _LETTERS.issuperset(s) and all(map(ne, s, islice(s, 1, None)))
 
 
 def parse_string(text: str) -> String:
-    """Parse a digit string like '12341' (whitespace ignored) into symbols."""
-    s = tuple(int(ch) for ch in text if not ch.isspace())
+    """Parse a string of the ASCII digits 1-4 like '12341' (whitespace ignored) into symbols."""
+    letters = "".join(text.split())
+    s = tuple(map(int, letters)) if _DIGITS.issuperset(letters) else ()
     if not is_valid(s):
         raise ValueError(f"invalid reflection string {text!r}")
     return s

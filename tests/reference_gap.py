@@ -17,7 +17,10 @@ letter, one column update per reflection, and ``letter_product`` is its
 last prefix.  The package realizes a chain one vertex per step
 (``geometry.vertex_walk``); ``prefix_realization`` places each vertex from
 the prefix product of the whole string so far instead, the same exact
-rational rounded once.
+rational rounded once.  ``vertex_walk_reference`` is the walk the package
+replaced, which keeps each vertex over the power of 3 of the step that
+placed it, and ``rounded_by_divmod`` the rounding it replaced, which
+divides the whole numerator.
 
 The package decides each pair of a chain exactly in the frame of its older
 tetrahedron, prunes pairs on a grid and measures a float margin only where
@@ -33,6 +36,7 @@ import math
 from operator import mul
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
 from tetrachain.bary import BaryMatrix
 from tetrachain.embedding import (
@@ -42,7 +46,7 @@ from tetrachain.embedding import (
     _axis,
     _separation,
 )
-from tetrachain.geometry import Tetrahedron, _rounded, dyadic_ints, invisible_t0, vertex_walk
+from tetrachain.geometry import Tetrahedron, dyadic_ints, invisible_t0
 from tetrachain.metrics import minus_identity
 from tetrachain.motion import homogeneous_t0
 
@@ -94,6 +98,37 @@ def letter_product(s) -> BaryMatrix:
     return BaryMatrix(tuple(zip(*cols)), len(s))
 
 
+def rounded_by_divmod(n: int, den: int, low: int) -> mpf:
+    """n * 2**low / den, rounded once to the working precision, from one exact divmod.
+
+    The quotient keeps at least prec + 2 bits and one more bit records a
+    nonzero remainder, which is all the rounding needs to be correct.
+    """
+    shift = max(0, mp.prec + 3 - n.bit_length() + den.bit_length())
+    q, r = divmod(n << shift, den)
+    man = 2 * q + (r != 0)
+    return mp.make_mpf(from_man_exp(man, low - shift - 1, mp.prec, round_nearest))
+
+
+def vertex_walk_reference(s, start):
+    """The vertex each letter of s places, as integers over 3^k at step k = 1, 2, ...
+
+    start holds T_0's four vertices as integer triples, in slot order.  Slot
+    j holds its vertex as integers n_j over 3^p_j, p_j the step that placed
+    it (0 for T_0).  Step k replaces slot i by
+    2 sum_{j != i} n_j 3^(k-1-p_j) - n_i 3^(k-p_i) over 3^k.
+    """
+    nums = list(start)
+    scale = [1, 1, 1, 1]  # 3^(k-1-p_j) at step k
+    for sym in s:
+        i = sym - 1
+        others = [(nums[j], 2 * scale[j]) for j in range(4) if j != i]
+        own = 3 * scale[i]
+        nums[i] = new = [sum(n[d] * f for n, f in others) - nums[i][d] * own for d in range(3)]
+        scale = [1 if j == i else 3 * f for j, f in enumerate(scale)]
+        yield new
+
+
 def prefix_realization(s, ctx) -> tuple:
     """(tetrahedra, ages) of the chain s; step k places T_0 times a column of prefix product k."""
     with ctx.work():
@@ -107,7 +142,9 @@ def prefix_realization(s, ctx) -> tuple:
         for step, (sym, cols) in enumerate(zip(s, prefix_products(s)), start=4):
             den *= 3
             col = cols[sym - 1]
-            verts[sym - 1] = tuple(_rounded(sum(map(mul, xs, col)), den, low) for xs in axes)
+            verts[sym - 1] = tuple(
+                rounded_by_divmod(sum(map(mul, xs, col)), den, low) for xs in axes
+            )
             age = age.copy()
             age[sym - 1] = step
             tetrahedra.append(Tetrahedron(tuple(verts)))
@@ -286,10 +323,10 @@ AFFINE_T0 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
 def t0_frame_vertices(string) -> list:
     """Every vertex of a chain, indexed by its age, as integers over 3^max(0, age - 3).
 
-    These are affine barycentric coordinates over T_0, from the vertex walk
-    that realizes the chain; SAT verdicts in them are the same as in space.
+    These are affine barycentric coordinates over T_0, from the per-letter
+    vertex walk; SAT verdicts in them are the same as in space.
     """
-    return [*AFFINE_T0, *vertex_walk(string, AFFINE_T0)]
+    return [*AFFINE_T0, *vertex_walk_reference(string, AFFINE_T0)]
 
 
 def t0_frame_separation(exact: list, ages: list, i: int, j: int, first: int):

@@ -220,6 +220,16 @@ def test_chain_matrix_is_the_letter_product(s):
     assert K.num == expected.num
 
 
+@given(valid_strings(min_size=1, max_size=60))
+@example((1,))
+@example((2, 1, 2, 1, 3, 4, 3, 2))
+def test_chain_matrix_is_the_letter_product_on_any_string(s):
+    # the short, mostly unhelical strings of criterion 02 go letter by letter
+    K = chain_matrix(s)
+    assert K.power == len(s)
+    assert K.num == letter_product(s).num
+
+
 @given(helical_strings(), st.integers(2, 40))
 def test_helical_runs_are_the_maximal_one_step_runs(s, shortest):
     steps = [(b - a) % 4 for a, b in zip(s, s[1:])]

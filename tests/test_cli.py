@@ -423,6 +423,9 @@ def test_version_flag():
             ["gap", "--string", "1234", "--loop", "--r0", "3"],
             "error: --loop takes the least lead of every cut; it cannot pin --r0",
         ),
+        # Arabic-Indic 12 used to exit 0 as the string 12, and 12a3 with int()'s message
+        (["gap", "--string", "\u0661\u0662"], "error: invalid reflection string '\u0661\u0662'"),
+        (["gap", "--string", "12a3"], "error: invalid reflection string '12a3'"),
     ],
 )
 def test_named_chain_refusals(argv, message, capsys):
@@ -519,6 +522,10 @@ PAYLOAD_SHA256 = {
     "verify-embed --kind octahelix --L 36": (
         "dbb6f89326b7bdbf3107f0c706d57d84176f76e4888c6d70e70016e13a6c3e72"
     ),
+    # its margin comes from the vertex walk and the one rounding of each vertex
+    "verify-embed --kind quadrahelix --L 60": (
+        "49068f30e05db9670236c758b47650c04c19a4d6accd1b282da86d272809d9e9"
+    ),
     # long legs: the verdicts of the sweep-pruned, T_0-frame certificate
     "verify-embed --kind quadrahelix --L 500": (
         "d3c783394721925102a838d5fe492987d2b4d8c3513796ab4e6eb80e66b4d279"
@@ -574,7 +581,7 @@ def _with_digits(argv, digits):
     command=st.sampled_from(
         [["gap"], ["verify-embed"], ["motion"], ["build", "--format", "json"]]
     ),
-    string=st.none() | st.text("0123456 x", max_size=6),
+    string=st.none() | st.text("0123456 xa\u0661\u0662", max_size=6),
     kind=st.none() | st.sampled_from(["tetrahelix", "quadrahelix", "octahelix"]),
     # past MAX_SPELLED_LENGTH letters a named chain is refused before it is spelled
     L=st.none() | st.integers(-2, 3) | st.sampled_from([10**7, 10**12, 10**40]),

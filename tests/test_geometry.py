@@ -1,14 +1,14 @@
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from conftest import reference_fold, valid_strings
 from paper_checks import bary_coefficients, edge_lengths, tetra_volume, tetrahelix_bary_point
-from reference_gap import prefix_realization
-from tetrachain.geometry import helix_vertex, invisible_t0, realize_chain
+from reference_gap import prefix_realization, rounded_by_divmod, vertex_walk_reference
+from tetrachain.geometry import _rounded, helix_vertex, invisible_t0, realize_chain, vertex_walk
 from tetrachain.strings import preset_540_string, quadrahelix_string
 
 
@@ -145,3 +145,37 @@ def test_realization_equals_prefix_product_realization(ctx40, s):
     tetrahedra, ages = prefix_realization(s, ctx40)
     assert [t.vertices for t in chain.tetrahedra] == [t.vertices for t in tetrahedra]
     assert chain.ages == ages
+
+
+@given(
+    valid_strings(max_size=60),
+    st.lists(st.integers(-(10**30), 10**30), min_size=12, max_size=12),
+)
+@example(quadrahelix_string(20), [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0])
+def test_vertex_walk_is_the_per_letter_walk(s, coords):
+    # the oracle keeps each vertex over the power of 3 of the step that placed it
+    start = [tuple(coords[3 * p : 3 * p + 3]) for p in range(4)]
+    slots = [(v, 0) for v in start]
+    steps = zip(s, vertex_walk(s, start), vertex_walk_reference(s, start))
+    for k, (sym, verts, new) in enumerate(steps, start=1):
+        slots[sym - 1] = (tuple(new), k)
+        assert verts == tuple(tuple(x * 3 ** (k - p) for x in v) for v, p in slots)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_rounded_is_the_rounding_of_the_whole_quotient(data):
+    digits = data.draw(st.integers(30, 300), label="digits")
+    k = data.draw(st.integers(0, 20_000), label="k")
+    low = data.draw(st.integers(-1200, 60), label="low")
+    den = 3**k
+    with mp.workdps(digits):
+        if data.draw(st.booleans(), label="near a half-ulp"):
+            # an odd mantissa of prec + 1 bits is a tie at prec bits; n +- 1 sits just beside it
+            tie = data.draw(st.integers(2**mp.prec, 2 ** (mp.prec + 1) - 1)) | 1
+            n = (tie * den << data.draw(st.integers(0, 64))) + data.draw(st.sampled_from([-1, 0, 1]))
+            n *= data.draw(st.sampled_from([-1, 1]))
+        else:
+            bits = data.draw(st.integers(0, den.bit_length() + 1200), label="bits")
+            n = data.draw(st.integers(-(2**bits), 2**bits), label="n")
+        assert _rounded(n, den, low)._mpf_ == rounded_by_divmod(n, den, low)._mpf_

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import valid_strings
@@ -107,10 +107,33 @@ def test_parse_tolerates_spacing():
     assert parse_string("1 2341 3412") == (1, 2, 3, 4, 1, 3, 4, 1, 2)
 
 
-@pytest.mark.parametrize("bad", ["", "11", "15", "120"])
+# Arabic-Indic, superscript and fullwidth digits are digits to int() but no letters
+@pytest.mark.parametrize(
+    "bad", ["", " ", "11", "15", "120", "12a3", "\u0661\u0662", "12\u00b2", "\uff11\uff12", "+12", "1.2"]
+)
 def test_parse_rejects_invalid(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^invalid reflection string "):
         parse_string(bad)
+
+
+def _valid_by_definition(s):
+    return len(s) > 0 and all(x in (1, 2, 3, 4) for x in s) and all(
+        s[k] != s[k + 1] for k in range(len(s) - 1)
+    )
+
+
+@given(
+    st.one_of(valid_strings(1, 12).map(list), st.lists(st.integers(0, 5), max_size=12)),
+    st.booleans(),
+)
+@example([], True)
+@example([0], False)
+@example([1, 5], True)
+@example([1, 2, 2], False)
+@example([4, 3, 4], True)
+def test_is_valid_is_the_definition(s, as_tuple):
+    s = tuple(s) if as_tuple else s
+    assert is_valid(s) == _valid_by_definition(s)
 
 
 def test_named_chains_refuse_to_spell_past_the_cap(monkeypatch):
