@@ -2,7 +2,7 @@
 """Survey closure gaps over the convergent chain lengths.
 
 Prints one row per convergent L up to --L-max with the reduced angle, the
-measured (or closed-form) gap, and the a-priori bound 5*L*delta^2, plus how
+measured gap (the exact products, or the run product past their limit), and the a-priori bound 5*L*delta^2, plus how
 much slack the bound leaves.
 """
 
@@ -10,9 +10,10 @@ import argparse
 
 from mpmath import mp
 
-from tetrachain.motion import gap_bound_qh, quadrahelix_gap
+from tetrachain.motion import chain_gap, gap_bound_qh
 from tetrachain.precision import RealCtx
 from tetrachain.search import convergent_lengths
+from tetrachain.strings import quadrahelix_runs
 
 
 def main():
@@ -25,7 +26,7 @@ def main():
     print(f"{'L':>9}  {'delta_bar':>13}  {'gap':>13}  {'5*L*d^2':>13}  bound/gap")
     with ctx.work():
         for L in convergent_lengths(ctx, args.L_max):
-            gap = quadrahelix_gap(L, ctx)
+            gap = chain_gap(quadrahelix_runs(L), ctx)
             qb = gap_bound_qh(L, ctx)
             delta, bound = qb.delta_bar, qb.bound
             ratio = bound / gap if gap > 0 else mp.inf

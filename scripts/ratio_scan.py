@@ -10,7 +10,7 @@ import argparse
 
 from mpmath import mp
 
-from tetrachain.motion import asymptotic_ratio, limit_matrix_norm
+from tetrachain.motion import limit_matrix_norm, ratio_terms
 from tetrachain.precision import RealCtx
 from tetrachain.search import continued_fraction_convergents
 
@@ -28,13 +28,13 @@ def main():
         print(f"limit value: {mp.nstr(limit, 12)}\n")
         print("dense sweep:")
         for L in range(4, args.L_max + 1, max(1, args.L_max // 24)):
-            r = asymptotic_ratio(L, ctx)
+            r = ratio_terms(L, ctx)[2]
             print(f"  L={L:>6}  ratio={mp.nstr(r, 8)}")
         print("\nconvergent subsequence:")
         for conv in continued_fraction_convergents(ctx, args.convergents):
             if conv.L < 4:
                 continue
-            r = asymptotic_ratio(conv.L, ctx)
+            r = ratio_terms(conv.L, ctx)[2]
             off = abs(r - limit) / limit
             print(
                 f"  L={conv.L:>8}  ratio={mp.nstr(r, 10)}  "

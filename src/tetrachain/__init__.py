@@ -26,7 +26,6 @@ from .embedding import EmbeddingVerdict, verify_embedded, quadplane_determinant
 from .search import Convergent, DioSolution, continued_fraction_convergents, babai_lll_search
 from .motion import (
     RigidMotion,
-    k_formula,
     closed_form_gap,
     decompose_motion,
     gap_bound_qh,
@@ -64,7 +63,6 @@ __all__ = [
     "continued_fraction_convergents",
     "babai_lll_search",
     "RigidMotion",
-    "k_formula",
     "closed_form_gap",
     "decompose_motion",
     "gap_bound_qh",

@@ -11,19 +11,24 @@ chain_matrix multiplies a string letter by letter, updating one column per
 letter, except along its long helical runs: a run steps by a constant 1, 2
 or 3 mod 4, so it repeats the word of its first four letters, and that word
 is raised to a power by binary powering.  A named chain is a few such runs.
+
+Past MAX_EXACT_LENGTH letters, run_product multiplies the runs in mpf as
+screw powers, from coefficient tables derived exactly on first use.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
-from .precision import RealCtx
-from .strings import is_valid
+from .precision import RealCtx, reduce_theta_multiple
+from .strings import Run, is_valid
 
 _Rows = tuple[tuple[int, int, int, int], ...]
 
@@ -234,6 +239,70 @@ def mat_mul(A, B):
         [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
         for i in range(len(A))
     ]
+
+
+def invert(M):
+    """Inverse of a square matrix of mpf or Fraction rows, by Gauss-Jordan with partial pivoting."""
+    n = len(M)
+    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(A[r][col]))
+        A[col], A[piv] = A[piv], A[col]
+        d = A[col][col]
+        A[col] = [x / d for x in A[col]]
+        for r in range(n):
+            if r != col and A[r][col] != 0:
+                f = A[r][col]
+                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
+    return [row[n:] for row in A]
+
+
+@lru_cache(maxsize=None)
+def _screw_table(step: int) -> tuple:
+    """(den, E0, E1, Ec, Es), flat integer rows with den X^m = E0 + m E1 + cos(m theta) Ec
+    + sin(m theta)/sqrt(5) Es for X = M_1 P^step, P the 4-cycle e_i -> e_(i+1).
+
+    X has the eigenvalues 1, 1 and e^(+-i theta), so every power of X is such a
+    combination (Sylvester's formula; Higham, Functions of Matrices, ch. 1).
+    cos(theta) = -2/3 makes the basis rational at m = 0..3, and the four
+    coefficients follow from X^0..X^3 by one exact solve, on first use.
+    """
+    shift = BaryMatrix(tuple(IDENTITY.num[(i - step) % 4] for i in range(4)), 0)  # P^step
+    X, W, c, s = reflection_matrix(1) @ shift, IDENTITY, Fraction(1), Fraction(0)
+    basis, powers = [], []
+    for m in range(4):
+        basis.append([Fraction(1), Fraction(m), c, s])
+        powers.append([Fraction(x, 3**W.power) for row in W.num for x in row])
+        # one more turn by theta: cos(theta) = -2/3, sin(theta) = sqrt(5)/3
+        W, c, s = W @ X, (-2 * c - 5 * s) / 3, (c - 2 * s) / 3
+    E = mat_mul(invert(basis), powers)
+    den = lcm(*(x.denominator for row in E for x in row))
+    return (den, *(tuple(int(x * den) for x in row) for row in E))
+
+
+def run_product(runs: Sequence[Run], ctx: RealCtx) -> list:
+    """The product of a chain given as runs, as mpf rows at ctx's working precision.
+
+    Relabelling conjugates the reflections, M_(a+1) = P M_a P^-1, so the run
+    (a, step, m) multiplies to P^(a-1) X^m P^(1-a-step m), with X^m from
+    _screw_table at the reduced angle of m theta, and entry (i, j) of P^p A P^q is
+    A[i-p][j+q].  m may have any number of digits.
+    """
+    K, trig = None, {}
+    for a, step, m in runs:
+        if m not in trig:
+            delta, _ = reduce_theta_multiple(m, ctx)
+            with ctx.work():
+                c, s = mp.cos_sin(delta)
+                trig[m] = c, s / mp.sqrt(5)
+        c, s = trig[m]
+        den, E0, E1, Ec, Es = _screw_table(step)
+        with ctx.work():
+            X = [(E0[n] + m * E1[n] + c * Ec[n] + s * Es[n]) / den for n in range(16)]
+            p, q = a - 1, 1 - a - step * m
+            T = [[X[(i - p) % 4 * 4 + (j + q) % 4] for j in range(4)] for i in range(4)]
+            K = mat_mul(K, T) if K else T
+    return K
 
 
 @dataclass(frozen=True)

@@ -14,24 +14,25 @@ import json
 import os
 import sys
 import tempfile
+from operator import itemgetter
 
 from mpmath import mp, mpf
 
 from . import __version__
-from .bary import chain_matrix
+from .bary import check_exact_length
 from .embedding import verify_embedded
 from .geometry import invisible_t0, realize_chain
 from .metrics import gap_report, loop_gap_report
 from .motion import (
+    chain_gap,
+    chain_gap_report,
     decompose_motion,
-    k_formula,
     leg_axis_cosines,
     motion_residuals,
-    quadrahelix_gap,
-    quadrahelix_gap_report,
     ratio_terms,
+    resolve,
 )
-from .precision import PrecisionError, RealCtx, reduce_theta_multiple, target_angle, theta
+from .precision import PrecisionError, RealCtx, certified, reduce_theta_multiple, target_angle, theta
 from .search import (
     babai_lll_search,
     continued_fraction_convergents,
@@ -40,12 +41,13 @@ from .search import (
     lattice_table,
 )
 from .strings import (
+    NAMED_CHAINS,
+    _shown,
     format_string,
-    octahelix_string,
     parse_string,
+    preset_540_runs,
     preset_540_string,
-    quadrahelix_string,
-    tetrahelix_string,
+    quadrahelix_runs,
 )
 
 
@@ -81,13 +83,6 @@ def _nstr(x, digits: int) -> str:
         return mp.nstr(mpf(x), digits, strip_zeros=True)
 
 
-_GENERATORS = {
-    "tetrahelix": tetrahelix_string,
-    "quadrahelix": quadrahelix_string,
-    "octahelix": octahelix_string,
-}
-
-
 def _chain_parameter(text: str) -> int:
     """The integer --L names, of any length: int() refuses past 4,300 digits."""
     body = text.strip()
@@ -105,21 +100,28 @@ def _chain_parameter(text: str) -> int:
 
 
 def _chain(args):
-    """(kind, param, string) of the chain named by --string, or --kind and --L."""
+    """(kind, param, string, runs) of the chain named by --string, or --kind and --L.
+
+    A --string chain is runs of one letter each, which only the exact product
+    takes, so it is refused past MAX_EXACT_LENGTH here.
+    """
     if args.string is not None and args.kind:
         raise ValueError("--string and --kind name two chains; give one")
     if args.L is not None and args.kind in (None, "preset540"):
         raise ValueError("--L needs --kind tetrahelix, quadrahelix or octahelix")
     if args.string:
-        return "string", None, parse_string(args.string)
+        s = parse_string(args.string)
+        check_exact_length(len(s))
+        return "string", None, s, tuple((a, 1, 1) for a in s)
     if args.kind == "preset540":
-        return "preset540", None, preset_540_string()
+        return "preset540", None, preset_540_string(), preset_540_runs()
     if not args.kind:
         raise ValueError("either --string or --kind is required")
     if args.L is None:
         raise ValueError(f"--kind {args.kind} needs --L")
     L = _chain_parameter(args.L)
-    return args.kind, L, _GENERATORS[args.kind](L)
+    string, runs = NAMED_CHAINS[args.kind]
+    return args.kind, L, string(L), runs(L)
 
 
 # --- build --------------------------------------------------------------------
@@ -143,7 +145,7 @@ def _obj_mesh(chain) -> str:
 
 def cmd_build(args) -> int:
     ctx = RealCtx(digits=args.digits)
-    kind, param, s = _chain(args)
+    kind, param, s, _ = _chain(args)
     summary = {"kind": kind, "param": param, "length": len(s)}
     # the gap first: past the exact-product limit it fails before the string is
     # formatted, which costs several times the memory of the spelled letters
@@ -171,7 +173,7 @@ def cmd_build(args) -> int:
 
 def cmd_gap(args) -> int:
     ctx = RealCtx(digits=args.digits)
-    kind, param, s = _chain(args)
+    s, runs = _chain(args)[2:]
     if args.loop:
         if args.r0 is not None:
             raise ValueError("--loop takes the least lead of every cut; it cannot pin --r0")
@@ -181,10 +183,7 @@ def cmd_gap(args) -> int:
         payload = {"string": format_string(s), "length": len(s), "loop": loop.to_json_dict()}
         _emit(_json_text(payload), args.out)
         return 0
-    if kind == "quadrahelix":
-        rep = quadrahelix_gap_report(param, ctx, r0=args.r0)
-    else:
-        rep = gap_report(s, ctx, r0=args.r0)
+    rep = chain_gap_report(runs, ctx, args.r0)
     if args.format == "csv":
         text = rep.CSV_HEADER + "\n" + rep.to_csv_row() + "\n"
     else:
@@ -202,7 +201,7 @@ def cmd_table1(args) -> int:
     lines = ["L,k,delta_bar,gap"]
     for L in convergent_lengths(ctx, args.L_max):
         delta_bar, k = reduce_theta_multiple(L + 1, ctx)
-        gap = quadrahelix_gap(L, ctx)
+        gap = chain_gap(quadrahelix_runs(L), ctx)
         lines.append(f"{L},{k},{_nstr(delta_bar, 8)},{_nstr(gap, 8)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -268,8 +267,9 @@ def cmd_search_lll(args) -> int:
     x, y, err = (payload[k] for k in ("x", "y", "err"))
     if (x, y) != (check["x"], check["y"]) or abs(err - check["err"]) > 1e-12 * check["err"]:
         raise PrecisionError(
-            f"search-lll gives x, y, err = {x}, {y}, {err:.6g} at {args.digits} digits but "
-            f"{check['x']}, {check['y']}, {check['err']:.6g} at {2 * args.digits}"
+            f"search-lll gives x, y, err = {_shown(x)}, {_shown(y)}, {err:.6g} at {args.digits} "
+            f"digits but {_shown(check['x'])}, {_shown(check['y'])}, {check['err']:.6g} at "
+            f"{2 * args.digits}"
         )
     _emit(_json_text(payload), args.out)
     return 0
@@ -301,29 +301,30 @@ def cmd_scan_ratio(args) -> int:
 
 def cmd_motion(args) -> int:
     ctx = RealCtx(digits=args.digits)
-    kind, param, s = _chain(args)
-    if kind == "quadrahelix":
-        K = k_formula(param, ctx)
-    else:
-        K = chain_matrix(s).to_mpf(ctx)
-    with ctx.work():
-        motion = decompose_motion(K, invisible_t0(ctx), ctx)
-        res = motion_residuals(motion, ctx)
-        d = ctx.digits
-        payload = {
-            "string": format_string(s),
+    kind, _, s, runs = _chain(args)
+    if len(s) % 2:
+        raise ValueError(f"an odd chain ({len(s)} letters) reverses orientation: it has no screw axis")
+    d = ctx.digits
+
+    def printed(K, work):
+        # what the payload shows of the motion, and its residuals at work's precision
+        motion = decompose_motion(K, invisible_t0(work), work)
+        shown = {
             "R": [[_nstr(x, d) for x in row] for row in motion.R],
             "t": [_nstr(x, d) for x in motion.t],
             "w": None if motion.w is None else [_nstr(x, d) for x in motion.w],
             "u": None if motion.u is None else [_nstr(x, d) for x in motion.u],
             "angle": _nstr(motion.angle, d),
-            "residuals": {k: float(v) for k, v in res.items()},
         }
-        if kind in ("quadrahelix", "octahelix") and len(s) <= 5000:
-            chain = realize_chain(s, ctx)
-            payload["leg_axis_cosines"] = [
-                _nstr(x, 12) for x in leg_axis_cosines(chain, ctx)
-            ]
+        return shown, motion_residuals(motion, work)
+
+    # the decomposition cancels digits even on an exact K: certify what it prints
+    shown, res = certified(lambda work: resolve(runs, work, printed, itemgetter(0)), 0, d)
+    payload = dict(shown, string=format_string(s), residuals={k: float(v) for k, v in res.items()})
+    if kind in ("quadrahelix", "octahelix") and len(s) <= 5000:
+        chain = realize_chain(s, ctx)
+        with ctx.work():
+            payload["leg_axis_cosines"] = [_nstr(x, 12) for x in leg_axis_cosines(chain, ctx)]
     _emit(_json_text(payload), args.out)
     return 0
 

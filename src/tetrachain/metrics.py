@@ -14,8 +14,8 @@ proj_S is the sort-and-threshold projection onto the probability simplex
 (Held, Wolfe and Crowder 1974; Duchi et al. 2008).  On the numerators of K
 over 3^n it is integer arithmetic and K^-1 needs no solve, so gap^2 is an
 exact rational: leads and cuts are compared exactly, and a gap is rounded
-once, to the working precision, where it is reported.  The closed form's
-mpf K runs the same kernel in mpf.
+once, to the working precision, where it is reported.  The run product's
+mpf K (bary.run_product) runs the same kernel in mpf.
 """
 
 from __future__ import annotations
@@ -249,16 +249,16 @@ def lead_minimized_report(leads: dict, ctx: RealCtx, r0: int | None = None) -> G
         )
 
 
-def gap_report(s, ctx: RealCtx, r0: int | None = None) -> GapReport:
+def gap_report(s, ctx: RealCtx) -> GapReport:
     """Evaluate a printed string on its exact products, its first symbol free.
 
-    All three legal leading faces r0 != s[1] are tried; passing r0 pins one.
+    All three legal leading faces r0 != s[1] are tried.
     """
     s = tuple(s)
     if len(s) < 2:
         raise ValueError("gap_report needs a string of length >= 2")
     K = bary.chain_matrix(s)
-    return lead_minimized_report(bary.lead_matrices(K, s[0], s[1]), ctx, r0)
+    return lead_minimized_report(bary.lead_matrices(K, s[0], s[1]), ctx, None)
 
 
 @dataclass(frozen=True)

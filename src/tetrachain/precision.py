@@ -23,8 +23,8 @@ class PrecisionError(Exception):
 
 GUARD = 15  # decimals carried past the requested digits
 # One working number at 10^7 digits takes about 4 MiB.  The ceiling sits above
-# every precision the package uses (the 230 digits of the closed form at a
-# 99-digit L, search-lll's doubled context, the continued fraction's
+# every precision the package uses (the run product's 5 extra digits per
+# digit of a run, search-lll's doubled context, the continued fraction's
 # 2*digits + GUARD) and above the ~2*10^6 digits a gap below 10^(-10^6) needs;
 # past it an mpf would exhaust memory or overflow int-to-str.
 MAX_DIGITS = 10**7
@@ -58,6 +58,23 @@ class RealCtx:
     def work(self):
         """Context manager setting mpmath's decimal precision to digits+GUARD."""
         return mp.workdps(self.workdps)
+
+
+def certified(evaluate, digits: int, extra: int) -> tuple:
+    """evaluate(work) at digits + extra working digits, the extra doubled until two agree.
+
+    evaluate returns (shown, value), shown being what a caller prints of
+    value; two successive precisions that show the same certify those
+    digits, and the pair of the first of them is returned.  Digits that
+    have not settled by MAX_DIGITS raise PrecisionError.
+    """
+    last = None
+    while digits + extra <= MAX_DIGITS:
+        out = evaluate(RealCtx(digits=digits + extra))
+        if last is not None and out[0] == last[0]:
+            return last
+        last, extra = out, 2 * extra
+    raise PrecisionError(f"the printed digits do not settle within {MAX_DIGITS} working digits")
 
 
 def theta() -> mpf:

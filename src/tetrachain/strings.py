@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import islice
 from operator import ne
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .precision import _decimal_digits
 
@@ -57,9 +57,13 @@ def _check_spelled_length(name: str, n: int, L: int | None = None) -> None:
 Run = tuple[int, int, int]  # (first letter, step +1 or -1, length)
 
 
+def letters(runs: Sequence[Run]) -> Iterator[Symbol]:
+    """The letters of a chain given as runs, one at a time: a, a + step, ... wrapped into 1..4."""
+    return ((a - 1 + step * i) % 4 + 1 for a, step, m in runs for i in range(m))
+
+
 def spell(runs: Sequence[Run]) -> String:
-    """The letters of a chain given as runs: a, a + step, a + 2 step, ... wrapped into 1..4."""
-    return tuple((a - 1 + step * i) % 4 + 1 for a, step, m in runs for i in range(m))
+    return tuple(letters(runs))
 
 
 def _reversed(runs: Sequence[Run]) -> tuple[Run, ...]:
@@ -129,6 +133,14 @@ def octahelix_string(L: int) -> String:
     runs = octahelix_runs(L)
     _check_spelled_length("OH", 8 * L + 4, L)
     return spell(runs)
+
+
+# each named family: its string and its runs, from the parameter
+NAMED_CHAINS = {
+    "tetrahelix": (tetrahelix_string, tetrahelix_runs),
+    "quadrahelix": (quadrahelix_string, quadrahelix_runs),
+    "octahelix": (octahelix_string, octahelix_runs),
+}
 
 
 # b = 1234123434132341213412 as runs

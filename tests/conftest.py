@@ -16,7 +16,7 @@ settings.register_profile(
 settings.load_profile("research")
 
 
-# near-closing quadrahelices far past the exact products, for the closed form
+# near-closing quadrahelices far past the exact products, for the run product
 L_99_DIGITS = int(
     "521269338782055651792691214128196053088348030247372007924246566932"
     "650514801545115813925856156787510"

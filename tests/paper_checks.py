@@ -7,10 +7,14 @@ one by an independent route (an explicit determinant for the start-plane
 clearance, SAT on a pair of mpf tetrahedra), so tests can hold the package
 to it.
 
-The closed form's H1 sin-delta block in ``motion.H1_SIN`` is the variant
-that reproduces the exact rational product; a one-tenth-scaled variant of
-the same block is close enough to be mistaken for correct and is kept here
-as _H1_SIN_REJECTED so the tests can assert that it is not.
+k_formula is the closed form of QH_L's chain matrix, its integer tables
+H0..H3 pinned by hand (docs/closed-form-adjudication.md); the package
+computes QH_L past the exact-product limit by another route, the run
+product, and k_formula is the oracle for it.  Its H1 sin-delta block H1_SIN
+is the variant that reproduces the exact rational product; a
+one-tenth-scaled variant of the same block is close enough to be mistaken
+for correct and is kept here as _H1_SIN_REJECTED so the tests can assert
+that it is not.
 """
 
 from mpmath import mp, mpf
@@ -18,7 +22,7 @@ from mpmath import mp, mpf
 from tetrachain.embedding import _exact_separation
 from tetrachain.geometry import _cross, _sub, dyadic_ints, helix_vertex, invisible_t0
 from tetrachain.metrics import minus_identity
-from tetrachain.motion import decompose_motion, k_formula
+from tetrachain.motion import decompose_motion
 from tetrachain.precision import reduce_theta_multiple, theta
 from tetrachain.strings import format_string, is_valid, octahelix_string
 
@@ -28,6 +32,74 @@ _H1_SIN_REJECTED = (
     (-8, -28, -8, 12),
     (2, 2, 22, -18),
 )
+
+
+# --- the closed form of QH_L ---------------------------------------------------
+
+# K = I + sigma * (4/3125) * (H0 + H1*sigma + H2*sigma^2 + H3*sigma^3) with
+# sigma = sin^2(delta/2) and s = sin(delta); each H is an integer combination
+# of 1, L, sqrt(5)*s and L*sqrt(5)*s
+
+H0_CONST = ((6, 21, 6, -9), (-22, -7, -2, 3), (-2, -7, -2, 3), (18, -7, -2, 3))
+H0_LIN = ((3, 3, 3, 3), (-1, -1, -1, -1), (-1, -1, -1, -1), (-1, -1, -1, -1))
+H0_SIN = ((-1, -6, 9, -6), (7, 2, -3, 2), (-13, 2, -3, 2), (7, 2, -3, 2))
+
+H1_CONST = ((-120, -45, 0, 45), (76, -69, -24, 21), (40, 15, 0, -15), (4, 99, 24, -51))
+H1_LIN = ((0, 0, 0, 0), (-1, -1, -1, -1), (0, 0, 0, 0), (1, 1, 1, 1))
+H1_SIN = (
+    (0, 0, 0, 0),
+    (60, 260, -140, 60),
+    (-80, -280, -80, 120),
+    (20, 20, 220, -180),
+)
+H1_LINSIN = ((0, 0, 0, 0), (1, 1, 1, 1), (-2, -2, -2, -2), (1, 1, 1, 1))
+
+H2_CONST = (
+    (-6, -21, -6, 9),
+    (26, 31, 26, -39),
+    (6, 31, -34, 21),
+    (-26, -41, 14, 9),
+)
+H2_LIN = ((-3, -3, -3, -3), (4, 4, 4, 4), (1, 1, 1, 1), (-2, -2, -2, -2))
+H2_SIN = ((1, 6, -9, 6), (-8, -13, 12, -3), (13, 8, 3, -12), (-6, -1, -6, 9))
+
+H3_CONST = ((4, 3, 0, -3), (-5, -2, -3, 6), (-2, -5, 6, -3), (3, 4, -3, 0))
+
+
+def k_formula(L: int, ctx, delta_bar=None):
+    """Evaluate the closed-form chain matrix K(L) as 4x4 mpf rows.
+
+    delta_bar may be passed in when the caller has already reduced
+    (L+1)*theta; otherwise it is computed here with the exact big-integer
+    reduction, so L may have any number of digits.
+    """
+    if delta_bar is None:
+        delta_bar, _ = reduce_theta_multiple(L + 1, ctx)
+    with ctx.work():
+        d = mpf(delta_bar)
+        sqrt5 = mp.sqrt(5)
+        sig = mp.sin(d / 2) ** 2
+        s = mp.sin(d)
+        Lm = mpf(int(L))
+        rows = []
+        for i in range(4):
+            row = []
+            for j in range(4):
+                h0 = 125 * H0_CONST[i][j] + 250 * H0_LIN[i][j] * Lm + 75 * sqrt5 * H0_SIN[i][j] * s
+                h1 = (
+                    50 * H1_CONST[i][j]
+                    + 1200 * H1_LIN[i][j] * Lm
+                    + 6 * sqrt5 * H1_SIN[i][j] * s
+                    + 240 * sqrt5 * H1_LINSIN[i][j] * Lm * s
+                )
+                h2 = 240 * H2_CONST[i][j] + 480 * H2_LIN[i][j] * Lm + 144 * sqrt5 * H2_SIN[i][j] * s
+                h3 = 1440 * H3_CONST[i][j]
+                val = sig * mpf(4) / 3125 * (h0 + h1 * sig + h2 * sig**2 + h3 * sig**3)
+                if i == j:
+                    val += 1
+                row.append(val)
+            rows.append(row)
+        return rows
 
 
 # --- the seed tetrahedron ----------------------------------------------------
@@ -44,7 +116,7 @@ def seed_vertex_singular_value(ctx):
         return max(mp.svd_r(V, compute_uv=False))
 
 
-# --- the closed form and the screw motion ------------------------------------
+# --- the screw motion -------------------------------------------------------------
 
 
 def left_kernel_residuals(K, w, t0, ctx) -> dict:

@@ -15,27 +15,36 @@ from mpmath import mp, mpf
 import pytest
 
 from conftest import L_17_DIGITS, L_99_DIGITS, reference_fold
-from paper_checks import _H1_SIN_REJECTED, edge_lengths, left_kernel_residuals, limiting_rhombus
+import paper_checks
+from paper_checks import (
+    _H1_SIN_REJECTED,
+    edge_lengths,
+    k_formula,
+    left_kernel_residuals,
+    limiting_rhombus,
+)
 from reference_gap import apply_bary, hausdorff_tetra, motion_eigenvalues, rank_of_k_minus_i
-from tetrachain import bary, motion
+from tetrachain import bary
 from tetrachain.embedding import quadplane_determinant, verify_embedded
 from tetrachain.geometry import invisible_t0, realize_chain
 from tetrachain.metrics import gap2, gap_report, loop_gap_report, root
 from tetrachain.motion import (
-    asymptotic_ratio,
+    chain_gap,
     closed_form_gap,
     decompose_motion,
     gap_bound_oh,
-    k_formula,
     motion_residuals,
+    ratio_terms,
 )
 from tetrachain.precision import RealCtx, reduce_theta_multiple
 from tetrachain.search import continued_fraction_convergents, lattice_table
 from tetrachain.strings import (
     format_string,
     is_valid,
+    octahelix_runs,
     octahelix_string,
     preset_540_string,
+    quadrahelix_runs,
     quadrahelix_string,
 )
 
@@ -62,7 +71,7 @@ DESK_ROWS = [
 # value the paths agree on.  The printed value stays in DESK_ROWS so the
 # discrepancy stays visible; criterion 03 checks an erratum row against both
 # values, so an entry fails as soon as the printed value is reproduced.
-#   L=2: exact products, the closed form and a Householder reflection fold give
+#   L=2: exact products, the run product and a Householder reflection fold give
 #   0.35526391199886911115... for QH_2 = 1231232132
 #   (test_qh2_gap_agrees_across_paths), and no embedded length-10 chain has
 #   a gap within 0.01 of 0.32 (test_length10_gap_minima).
@@ -225,8 +234,9 @@ def test_qh2_gap_agrees_across_paths():
         ctx = RealCtx(digits=digits)
         rep = gap_report(s, ctx)
         assert rep.r0 == s[0]  # the minimizing lead is the printed one
-        closed = closed_form_gap(2, ctx).gap
         with ctx.work():
+            # the run product, the path past the exact-product limit
+            closed = root(gap2(bary.run_product(quadrahelix_runs(2), ctx)))
             realized = _hausdorff_by_projection(
                 invisible_t0(ctx), reference_fold(s, ctx)[-1]
             )
@@ -240,7 +250,7 @@ def test_qh2_gap_agrees_across_paths():
     dt = time.perf_counter() - t0
     assert dt < 30
     print(
-        f"QH_2 gap PASS — exact products, closed form and realization agree on "
+        f"QH_2 gap PASS — exact products, run product and realization agree on "
         f"{mp.nstr(gaps[40], 20)} at 40 and 80 digits ({dt:.2f}s)"
     )
 
@@ -349,7 +359,7 @@ def test_criterion_05_closed_form_identity(ctx60, monkeypatch):
         assert worst < mpf(10) ** -30
         # adjudication guard: the rejected coefficient table must NOT work
         exact10 = bary.chain_matrix(quadrahelix_string(10)).to_mpf(ctx60)
-        monkeypatch.setattr(motion, "H1_SIN", _H1_SIN_REJECTED)
+        monkeypatch.setattr(paper_checks, "H1_SIN", _H1_SIN_REJECTED)
         bad = k_formula(10, ctx60)
         bad_diff = max(
             abs(bad[i][j] - exact10[i][j]) for i in range(4) for j in range(4)
@@ -463,6 +473,16 @@ def test_criterion_10_huge_denominators():
     )
 
 
+def test_least_gap_at_the_99_digit_L(ctx40):
+    # the run product at working digits chosen and certified in code, from 40 requested
+    t0 = time.perf_counter()
+    gap = chain_gap(quadrahelix_runs(L_99_DIGITS), ctx40)
+    assert mp.nstr(gap, 20) == "2.7074923009252955826e-102"
+    dt = time.perf_counter() - t0
+    assert dt < 30
+    print(f"QH_L at the 99-digit L: least gap {mp.nstr(gap, 20)} ({dt:.2f}s)")
+
+
 def test_criterion_11_loop_preset(ctx40):
     t0 = time.perf_counter()
     loop = loop_gap_report(preset_540_string(), ctx40)
@@ -488,7 +508,7 @@ def test_criterion_12_asymptotics_and_rhombus(ctx40):
     with ctx40.work():
         limit = 8 * mp.sqrt(3) / 25
         for L in (1960, 26000):
-            r = asymptotic_ratio(L, ctx40)
+            r = ratio_terms(L, ctx40)[2]
             assert abs(r - limit) / limit < mpf("0.02"), L
         rh = limiting_rhombus(ctx40)
         x = 2 * mp.sqrt(6) / 5
@@ -542,4 +562,29 @@ def test_criterion_14_octahelix_bound(ctx40):
     print(
         f"criterion 14 PASS — 686-loop bound {mp.nstr(bound.bound, 4)}, measured "
         f"gap {mp.nstr(rep.gap, 4)} ({dt:.2f}s)"
+    )
+
+
+def test_table2_octahelix_gaps_within_bound(ctx40):
+    # OH_x for the x of every lattice row, up to 3.47e12 letters: the least gap
+    # at 40 digits agrees with 80 digits and lies below 3 x delta_bar^2
+    t0 = time.perf_counter()
+    ctx80 = RealCtx(digits=80)
+    gaps = {}
+    for x, _, _ in LATTICE_ROWS:
+        gap = chain_gap(octahelix_runs(x), ctx40)
+        again = chain_gap(octahelix_runs(x), ctx80)
+        bound = gap_bound_oh(x, ctx40).bound
+        with ctx80.work():
+            assert abs(gap - again) <= mpf(10) ** -38 * again, x
+            assert 0 < gap <= bound, (x, gap, bound)
+        gaps[x] = gap
+    with ctx40.work():
+        assert mp.nstr(gaps[4], 3) == "0.000372"
+        assert mp.nstr(gaps[434337601428], 4) == "1.559e-10"
+    dt = time.perf_counter() - t0
+    assert dt < 30
+    print(
+        f"table2 octahelices: all {len(gaps)} gaps within 3 x delta_bar^2, OH_4 "
+        f"{mp.nstr(gaps[4], 3)}, OH_434337601428 {mp.nstr(gaps[434337601428], 4)} ({dt:.2f}s)"
     )

@@ -132,7 +132,7 @@ def test_three_leading_matrices(ctx40, s):
     for r, M in leads.items():
         expected = chain_matrix((r,) + s[1:])
         assert (M.num, M.power) == (expected.num, expected.power)
-    # the same rule on mpf rows, as the closed form passes them
+    # the same rule on mpf rows, as the run product passes them
     with ctx40.work():
         rows = lead_matrices(K.to_mpf(ctx40), s[0], s[1])
         assert sorted(rows) == sorted(leads)

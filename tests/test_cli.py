@@ -15,7 +15,11 @@ from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from tetrachain import bary, motion
 from tetrachain.cli import main
+from tetrachain.metrics import gap_report
+from tetrachain.precision import RealCtx
+from tetrachain.strings import octahelix_string
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "schemas")
 
@@ -156,6 +160,21 @@ def test_gap_long_quadrahelix_goes_through_closed_form(capsys):
     assert main(["gap", "--kind", "quadrahelix", "--L", "6000"]) == 0
 
 
+def test_gap_past_the_exact_limit_equals_the_exact_report(capsys, monkeypatch):
+    # OH_2500 spells 20,004 letters: the run product, certified, against the exact
+    # products with the limit moved up
+    payload = _run_json(capsys, ["gap", "--kind", "octahelix", "--L", "2500"])
+    assert payload["length"] == 20_004
+    monkeypatch.setattr(bary, "MAX_EXACT_LENGTH", 30_000)
+    monkeypatch.setattr(motion, "MAX_EXACT_LENGTH", 30_000)
+    exact = gap_report(octahelix_string(2500), RealCtx(digits=40))
+    assert payload["gap_report"] == exact.to_json_dict()
+    assert _run_json(capsys, ["gap", "--kind", "octahelix", "--L", "2500"]) == payload
+    monkeypatch.undo()
+    moved = _run_json(capsys, ["motion", "--kind", "octahelix", "--L", "2500"])
+    assert moved["string"] == payload["string"] and moved["w"] is not None
+
+
 def test_gap_loop_payload(capsys):
     payload = _run_json(
         capsys,
@@ -241,6 +260,16 @@ def test_search_lll_refuses_uncertified_answers(argv, rc, message, capsys):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith(message)
+
+
+@pytest.mark.parametrize("X", ["1e100", "1e400"])
+def test_search_lll_precision_failure_is_short(X, capsys):
+    # x and y have hundreds of digits here; the message shows their digit counts
+    assert main(["search-lll", "--X", X]) == 3
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("precision failure: search-lll gives") and len(line) <= 300
+    assert "-digit number>" in line
 
 
 def test_search_lll_certified_at_sixty_digits(capsys):
@@ -337,6 +366,27 @@ def test_motion_payload(capsys):
     assert cos == pytest.approx([-0.2, 0.2, -0.2], abs=1e-9)
 
 
+def test_motion_prints_certified_digits(capsys):
+    # QH_601944 spells 2,407,778 letters; at 40 working digits its R[0][1] and
+    # angle used to end in wrong digits, and these are the first 40 at 120 digits
+    payload = _run_json(
+        capsys, ["motion", "--kind", "quadrahelix", "--L", "601944"], schema="motion.schema.json"
+    )
+    assert payload["R"][0][1] == "5.665705690530226018940550229691115529592e-19"
+    assert payload["angle"] == "0.000000000001094319868406352593962763919784781877184"
+
+
+@pytest.mark.parametrize("argv", [["--string", "123"], ["--kind", "tetrahelix", "--L", "3"]])
+def test_motion_refuses_odd_chains(argv, capsys):
+    # an odd number of reflections is no rigid motion; its digits would never settle
+    assert main(["motion", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: an odd chain (3 letters) reverses orientation: it has no screw axis"
+    ]
+
+
 # --- failure modes -----------------------------------------------------------------
 
 
@@ -404,8 +454,9 @@ def test_version_flag():
             "error: QH_1000000000000 would spell 4000000000002 letters; "
             "the limit is 10000000",
         ),
+        # realization is exact-only; gap and motion take the run product past the limit
         (
-            ["gap", "--kind", "octahelix", "--L", "2500"],
+            ["verify-embed", "--kind", "octahelix", "--L", "2500"],
             "error: string length 20004 exceeds the exact-product limit 20000",
         ),
         # a lead that is no face at all, and options a loop scan would ignore
@@ -505,7 +556,7 @@ PAYLOAD_SHA256 = {
     "table1 --L-max 20000": (
         "3d71b03492c7a86257cc6268d658fd76db56c51b7692fe43a75f9ea41466e5e1"
     ),
-    # the closed-form norm column, and every cut of the 540-loop
+    # the norm column of the exact products, and every cut of the 540-loop
     "scan-ratio --L-max 200": (
         "376fe5b8ade777f5dd6bd0b1622ba856dbf26460d8051a026417ec8e57c506fb"
     ),
@@ -513,8 +564,9 @@ PAYLOAD_SHA256 = {
         "f6fbebbe90b83fc43de7c7037bba5c423f2ccae3b6736bfa46563ffc8187cdec"
     ),
     # the realization (leg axes, embedding), the lattice table and the CSV row
+    # re-recorded when K became the exact product: only the residuals moved
     "motion --kind quadrahelix --L 29": (
-        "22d12d6188c61cc3499b0b0da2e56079b58dc97a4c625ecb2fc1eab7ab428264"
+        "686fb38fb467fc5d7a3ee33f7258d726f9311323afa6963d3271274bb2b5b35f"
     ),
     "verify-embed --kind quadrahelix --L 10": (
         "2d160b7d5273e3e5d4a7435bbf7b936f062a4a03dd8dca5040217beaa67a6f1f"

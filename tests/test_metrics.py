@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from conftest import L_17_DIGITS, L_99_DIGITS, random_valid_string, valid_strings
+from paper_checks import k_formula
 from reference_gap import (
     apply_bary,
     directed_hausdorff,
@@ -23,13 +24,13 @@ from tetrachain.metrics import (
     gap2,
     gap_report,
     inverse,
+    lead_minimized_report,
     loop_gap_report,
     maxnorm,
     minus_identity,
     norm_gap,
     root,
 )
-from tetrachain.motion import k_formula
 from tetrachain.precision import RealCtx
 from tetrachain.strings import preset_540_string, quadrahelix_string, rotate
 
@@ -151,13 +152,14 @@ def test_gap_report_quadrahelix_10(ctx40):
 def test_gap_report_pinned_lead(ctx40):
     s = quadrahelix_string(4)
     free = gap_report(s, ctx40)
-    pinned = gap_report(s, ctx40, r0=4)
+    leads = bary.lead_matrices(bary.chain_matrix(s), s[0], s[1])
+    pinned = lead_minimized_report(leads, ctx40, 4)
     assert pinned.r0 == 4
     assert pinned.gap >= free.gap  # the free minimum can only be better
     with pytest.raises(ValueError, match="collides with the second symbol"):
-        gap_report(s, ctx40, r0=2)
+        lead_minimized_report(leads, ctx40, 2)
     with pytest.raises(ValueError, match=r"leading face must be 1\.\.4, got 9"):
-        gap_report(s, ctx40, r0=9)
+        lead_minimized_report(leads, ctx40, 9)
 
 
 def test_gap_report_too_short(ctx40):

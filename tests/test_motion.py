@@ -1,14 +1,17 @@
-"""Tests for the closed-form chain matrix and its rigid-motion decomposition."""
+"""Tests for the run product of named chains, the closed-form oracle and the rigid-motion decomposition."""
 
 from mpmath import mp, mpf
 
 import pytest
 from hypothesis import given, strategies as st
 
+import paper_checks
+from conftest import L_17_DIGITS, L_99_DIGITS
 from paper_checks import (
     _H1_SIN_REJECTED,
     axis_point_norm_bound,
     corollary_angle_checks,
+    k_formula,
     left_kernel_residuals,
     limiting_rhombus,
 )
@@ -21,35 +24,92 @@ from reference_gap import (
 )
 from tetrachain import bary, motion
 from tetrachain.geometry import invisible_t0, realize_chain
-from tetrachain.metrics import gap2, gap_report, root
+from tetrachain.metrics import gap2, gap_report, norm_gap, root
 from tetrachain.motion import (
-    asymptotic_ratio,
+    chain_gap_report,
     closed_form_gap,
     decompose_motion,
     gap_bound_oh,
     gap_bound_qh,
     homogeneous_t0,
-    k_formula,
     leg_axis_cosines,
     limit_matrix_norm,
     motion_residuals,
-    quadrahelix_gap_report,
+    ratio_terms,
 )
 from tetrachain.precision import (
-    PrecisionError,
     RealCtx,
     reduce_angle,
     reduce_theta_multiple,
 )
 from tetrachain.search import convergent_lengths
-from tetrachain.strings import octahelix_string, quadrahelix_string
+from tetrachain.strings import (
+    octahelix_runs,
+    octahelix_string,
+    quadrahelix_runs,
+    quadrahelix_string,
+    spell,
+    tetrahelix_runs,
+)
 
 
 def _maxdiff(A, B):
     return max(abs(A[i][j] - B[i][j]) for i in range(4) for j in range(4))
 
 
-# --- closed form vs exact rational product -----------------------------------
+# --- the run product vs the exact rational product ----------------------------
+
+
+@pytest.mark.parametrize("step", [1, -1])
+@pytest.mark.parametrize("a", [1, 2, 3, 4])
+def test_run_product_of_one_run_matches_exact_product(a, step, ctx40):
+    # X^m from the derived tables is exact at m = 0..3 by construction; beyond, by Sylvester
+    for m in range(1, 40):
+        runs = ((a, step, m),)
+        exact = bary.chain_matrix(spell(runs)).to_mpf(ctx40)
+        K = bary.run_product(runs, ctx40)
+        with ctx40.work():
+            assert _maxdiff(K, exact) < mpf(10) ** -45, m
+
+
+@given(
+    runs=st.one_of(
+        st.integers(1, 4999).map(quadrahelix_runs),
+        st.integers(1, 2499).map(octahelix_runs),
+        st.integers(1, 20_000).map(tetrahelix_runs),
+    )
+)
+def test_run_product_matches_exact_product(runs, ctx40):
+    exact = bary.chain_matrix(spell(runs)).to_mpf(ctx40)
+    K = bary.run_product(runs, ctx40)
+    with ctx40.work():
+        # entries grow like the run length m, and so do their rounding errors
+        assert _maxdiff(K, exact) < mpf(10) ** -45 * max(m for _, _, m in runs) ** 2
+
+
+# the closed form at enough digits for each L: ~1e98 seed-edges out at the
+# generic 99-digit L, a gap ~1e-102 at the convergent one
+@pytest.mark.parametrize(
+    "L, digits",
+    [(L_17_DIGITS, 60), (L_99_DIGITS, 300), (2 * 10**98 // 3, 300)],
+    ids=["17-digit", "99-digit", "generic-99-digit"],
+)
+def test_closed_form_gap_matches_the_closed_form_oracle(L, digits, ctx40):
+    cf = closed_form_gap(L, ctx40)
+    ctx = RealCtx(digits=digits)
+    K = k_formula(L, ctx)
+    with ctx.work():
+        for got, want in ((cf.gap, root(gap2(K))), (cf.norm_gap, norm_gap(K))):
+            assert abs(got - want) < mpf(10) ** -38 * want
+
+
+def test_closed_form_gap_at_a_generic_99_digit_L(ctx40):
+    # the chain end lies ~1e97 seed-edges out; the working digits grow to resolve it
+    cf = closed_form_gap(2 * 10**98 // 3, ctx40)
+    assert mp.nstr(cf.gap, 20) == "2.7025074662780178834e+97"
+
+
+# --- the closed-form oracle vs exact rational product ---------------------------
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 10, 29])
@@ -72,7 +132,7 @@ def test_k_formula_matches_exact_product_random(L, ctx40):
 def test_rejected_coefficient_variant_disagrees(ctx60, monkeypatch):
     # the one-tenth-scaled sin block is close but measurably wrong
     exact = bary.chain_matrix(quadrahelix_string(10)).to_mpf(ctx60)
-    monkeypatch.setattr(motion, "H1_SIN", _H1_SIN_REJECTED)
+    monkeypatch.setattr(paper_checks, "H1_SIN", _H1_SIN_REJECTED)
     K_bad = k_formula(10, ctx60)
     with ctx60.work():
         assert _maxdiff(K_bad, exact) > mpf(10) ** -10
@@ -114,8 +174,8 @@ def test_quadrahelix_gap_report_below_float_range():
     ctx = RealCtx(digits=400)
     floor = 10**320
     L = min(L for L in convergent_lengths(ctx, 10 * floor) if L >= floor)
-    rep = quadrahelix_gap_report(L, ctx)
-    _, _, K = motion._closed_form_matrix(L, ctx)
+    rep = chain_gap_report(quadrahelix_runs(L), ctx, None)
+    K = k_formula(L, ctx)
     t0 = invisible_t0(ctx)
     with ctx.work():
         leads = bary.lead_matrices(K, 1, 2)
@@ -140,21 +200,14 @@ def test_closed_form_kernel_matches_exact_kernel(ctx40):
 
 @pytest.mark.parametrize("r0", [None, 1, 3, 4])
 def test_quadrahelix_gap_report_paths_agree(r0, ctx40, monkeypatch):
-    # the exact products against the closed form with its leads M_r0 M_1 K
-    exact = quadrahelix_gap_report(10, ctx40, r0=r0)
+    # the exact products against the run product with its leads M_r0 M_1 K
+    exact = chain_gap_report(quadrahelix_runs(10), ctx40, r0)
     monkeypatch.setattr(motion, "MAX_EXACT_LENGTH", 0)
-    closed = quadrahelix_gap_report(10, ctx40, r0=r0)
+    closed = chain_gap_report(quadrahelix_runs(10), ctx40, r0)
     assert closed.r0 == exact.r0 == (r0 or 1)
     with ctx40.work():
         for field in ("gap", "norm_gap", "maxnorm_gap", "discrete_gap"):
             assert abs(getattr(closed, field) - getattr(exact, field)) < mpf(10) ** -35
-
-
-def test_closed_form_gap_refuses_unresolvable_scale(ctx40):
-    # a generic 99-digit L parks the chain end ~1e98 seed-edges away, and
-    # 40 digits cannot see a unit tetrahedron at that range
-    with pytest.raises(PrecisionError, match="digits"):
-        closed_form_gap(2 * 10**98 // 3, ctx40)
 
 
 # --- rigid-motion decomposition -----------------------------------------------
@@ -273,7 +326,7 @@ def test_oh_gap_bound_686(ctx40):
 def test_asymptotic_ratio_approaches_limit(ctx40):
     with ctx40.work():
         limit = 8 * mp.sqrt(3) / 25
-        r = asymptotic_ratio(1960, ctx40)
+        r = ratio_terms(1960, ctx40)[2]
         assert abs(r - limit) / limit < mpf("0.02")
         assert abs(limit_matrix_norm(ctx40) - limit) < mpf(10) ** -35
 

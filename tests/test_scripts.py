@@ -39,5 +39,8 @@ def test_ratio_scan():
 
 def test_lattice_rows():
     lines = _run_script("lattice_rows.py", "--trials", "5")
-    assert lines[4].split() == ["3162.28", "64708", "-23692", "-5.48", "gamma_plus"]
+    # the last two columns: the least gap of OH_64708 and its bound 3 x delta_bar^2
+    assert lines[4].split() == [
+        "3162.28", "64708", "-23692", "-5.48", "gamma_plus", "1.963e-7", "2.125e-6"
+    ]
     assert lines[-1].startswith("random health check: 5/5 inside the bound")
