@@ -26,6 +26,7 @@ from math import lcm
 from typing import Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
 from .precision import RealCtx, reduce_theta_multiple
 from .strings import Run, is_valid
@@ -35,10 +36,15 @@ _Rows = tuple[tuple[int, int, int, int], ...]
 
 @dataclass(frozen=True)
 class BaryMatrix:
-    """A 4x4 matrix with entries num[i][j] / 3**power, held exactly."""
+    """A 4x4 matrix with entries num[i][j] / 3**power, held exactly.
+
+    exact is False for a real product rounded to this form (run_product): its
+    arithmetic is exact, but it only approximates a product of reflections.
+    """
 
     num: _Rows
     power: int
+    exact: bool = True
 
     def __matmul__(self, other: "BaryMatrix") -> "BaryMatrix":
         """The product in lowest terms: common factors of 3 are divided out."""
@@ -51,7 +57,7 @@ class BaryMatrix:
         while power > 0 and all(x % 3 == 0 for row in rows for x in row):
             rows = tuple(tuple(x // 3 for x in row) for row in rows)
             power -= 1
-        return BaryMatrix(rows, power)
+        return BaryMatrix(rows, power, self.exact and other.exact)
 
     def to_mpf(self, ctx: RealCtx) -> list[list[mpf]]:
         """Entries as mpf at ctx working precision."""
@@ -280,29 +286,36 @@ def _screw_table(step: int) -> tuple:
     return (den, *(tuple(int(x * den) for x in row) for row in E))
 
 
-def run_product(runs: Sequence[Run], ctx: RealCtx) -> list:
-    """The product of a chain given as runs, as mpf rows at ctx's working precision.
+def run_product(runs: Sequence[Run], ctx: RealCtx) -> BaryMatrix:
+    """The product of a chain given as runs, rounded to entries over 3^k below ctx's precision.
 
     Relabelling conjugates the reflections, M_(a+1) = P M_a P^-1, so the run
     (a, step, m) multiplies to P^(a-1) X^m P^(1-a-step m), with X^m from
     _screw_table at the reduced angle of m theta, and entry (i, j) of P^p A P^q is
-    A[i-p][j+q].  m may have any number of digits.
+    A[i-p][j+q].  m may have any number of digits.  The factors multiply on
+    integers over 2^bits, bits binary places cut after each product, and the
+    result is rounded once to a BaryMatrix over 3^k, 3^-k < 2^-bits, on
+    which the metrics take the integer kernel of the exact products.
     """
-    K, trig = None, {}
+    bits = dps_to_prec(ctx.workdps)
+    N, dens, trig = None, 1, {}
     for a, step, m in runs:
         if m not in trig:
             delta, _ = reduce_theta_multiple(m, ctx)
             with ctx.work():
                 c, s = mp.cos_sin(delta)
-                trig[m] = c, s / mp.sqrt(5)
+                trig[m] = int(mp.ldexp(c, bits)), int(mp.ldexp(s / mp.sqrt(5), bits))
         c, s = trig[m]
         den, E0, E1, Ec, Es = _screw_table(step)
-        with ctx.work():
-            X = [(E0[n] + m * E1[n] + c * Ec[n] + s * Es[n]) / den for n in range(16)]
-            p, q = a - 1, 1 - a - step * m
-            T = [[X[(i - p) % 4 * 4 + (j + q) % 4] for j in range(4)] for i in range(4)]
-            K = mat_mul(K, T) if K else T
-    return K
+        X = [((E0[n] + m * E1[n]) << bits) + c * Ec[n] + s * Es[n] for n in range(16)]
+        p, q = a - 1, 1 - a - step * m
+        T = [[X[(i - p) % 4 * 4 + (j + q) % 4] for j in range(4)] for i in range(4)]
+        N = [[x >> bits for x in row] for row in mat_mul(N, T)] if N else T
+        dens *= den
+    k = bits * 631 // 1000 + 1  # log(2) / log(3) = 0.63093...
+    one = 3**k
+    rows = tuple(tuple((x * one // dens) >> bits for x in row) for row in N)
+    return BaryMatrix(rows, k, exact=False)
 
 
 @dataclass(frozen=True)

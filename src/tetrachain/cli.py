@@ -32,7 +32,7 @@ from .motion import (
     ratio_terms,
     resolve,
 )
-from .precision import PrecisionError, RealCtx, certified, reduce_theta_multiple, target_angle, theta
+from .precision import PrecisionError, RealCtx, reduce_theta_multiple, target_angle, theta
 from .search import (
     babai_lll_search,
     continued_fraction_convergents,
@@ -307,19 +307,26 @@ def cmd_motion(args) -> int:
     d = ctx.digits
 
     def printed(K, work):
-        # what the payload shows of the motion, and its residuals at work's precision
+        # what the payload shows of the motion, and its residuals, at work's
+        # precision; a value below 10^-d of the motion's scale (1, or a longer
+        # translation) is printed as 0, since its digits are rounding noise
         motion = decompose_motion(K, invisible_t0(work), work)
+        tiny = mpf(10) ** -d * max(1, *map(abs, motion.t))
+
+        def digits(v):
+            return [_nstr(x if abs(x) >= tiny else 0, d) for x in v]
+
         shown = {
-            "R": [[_nstr(x, d) for x in row] for row in motion.R],
-            "t": [_nstr(x, d) for x in motion.t],
-            "w": None if motion.w is None else [_nstr(x, d) for x in motion.w],
-            "u": None if motion.u is None else [_nstr(x, d) for x in motion.u],
-            "angle": _nstr(motion.angle, d),
+            "R": [digits(row) for row in motion.R],
+            "t": digits(motion.t),
+            "w": None if motion.w is None else digits(motion.w),
+            "u": None if motion.u is None else digits(motion.u),
+            "angle": digits([motion.angle])[0],
         }
         return shown, motion_residuals(motion, work)
 
     # the decomposition cancels digits even on an exact K: certify what it prints
-    shown, res = certified(lambda work: resolve(runs, work, printed, itemgetter(0)), 0, d)
+    shown, res = resolve(runs, ctx, printed, itemgetter(0), settle=True)
     payload = dict(shown, string=format_string(s), residuals={k: float(v) for k, v in res.items()})
     if kind in ("quadrahelix", "octahelix") and len(s) <= 5000:
         chain = realize_chain(s, ctx)

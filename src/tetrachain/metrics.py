@@ -14,8 +14,9 @@ proj_S is the sort-and-threshold projection onto the probability simplex
 (Held, Wolfe and Crowder 1974; Duchi et al. 2008).  On the numerators of K
 over 3^n it is integer arithmetic and K^-1 needs no solve, so gap^2 is an
 exact rational: leads and cuts are compared exactly, and a gap is rounded
-once, to the working precision, where it is reported.  The run product's
-mpf K (bary.run_product) runs the same kernel in mpf.
+once, to the working precision, where it is reported.  The run product
+(bary.run_product) is rounded to numerators over 3^k and runs the same
+integer kernel; mpf rows run it in mpf.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ def inverse(N, d: int) -> list:
     J = I - (1/4) 1 1^T,  K^-1 = c 1^T + J K^T (I - K c 1^T).  On the row
     sums r of N, entry (i, j) is N[j][i] + (d - r_j + b_i) / 4 with
     b_i = (|r|^2 - 4 (N^T r)_i) / (4 d).  For an integer N both divisions
-    are exact, since K^-1 is a product of reflections over the same d.
+    are exact, since K^-1 is a product of reflections over the same d; on a
+    rounded run product they floor, a unit of 1/d off.
     """
     r = [sum(row) for row in N]
     r2 = sum(x * x for x in r)
@@ -84,7 +86,7 @@ def _inverse(K):
     N, d = _numerators(K)
     inv = inverse(N, d)
     if isinstance(K, bary.BaryMatrix):
-        return bary.BaryMatrix(tuple(map(tuple, inv)), K.power)
+        return bary.BaryMatrix(tuple(map(tuple, inv)), K.power, K.exact)
     return inv
 
 
@@ -170,11 +172,12 @@ def norm_gap(K) -> mpf:
     motion) and the roots of x^2 - P x + Q, with P = tr G - s^2 and
     Q = e2(G) - s^2 P; interlacing with G's block on the plane puts the
     larger root on top.  tr K and det K = +-1 are exact on integer
-    numerators, where det N = +-3^(4p) = +-1 mod 4; G is formed in mpf from
+    numerators, where det N = +-3^(4p) = +-1 mod 4 for an exact product
+    (a rounded one takes the sign of det N); G is formed in mpf from
     K - I, subtracted on the numerators first.
     """
     N, d = _numerators(K)
-    if isinstance(K, bary.BaryMatrix):
+    if isinstance(K, bary.BaryMatrix) and K.exact:
         sign = 2 - bary.det([[x % 4 for x in row] for row in N]) % 4
     else:
         sign = 1 if bary.det(N) > 0 else -1

@@ -47,26 +47,31 @@ LIMIT_MATRIX_NUM = ((3, 3, 3, 3), (-1, -1, -1, -1), (-1, -1, -1, -1), (-1, -1, -
 LIMIT_MATRIX_SCALE = (2, 25)  # 2/25
 
 
-def resolve(runs, ctx: RealCtx, value, shown):
+def resolve(runs, ctx: RealCtx, value, shown, settle: bool = False):
     """value(K, work) at work's precision, for the matrix K of the chain given as runs.
 
     While the letters fit MAX_EXACT_LENGTH, K is their exact product and value
-    runs once, at ctx.  Beyond, K is the run product, and value runs at
-    ctx.digits plus extra working digits, the extra doubled until
-    shown(value) agrees at two successive precisions.  The extra starts at 5
-    digits per digit of the longest run m: 3 for the cancellation among the
-    product's terms linear in m, and 2 for the rotation angle of a
-    near-closing chain, 4 - tr K, which is about 1/m^2.
+    runs once, at ctx; with settle, for a value that cancels digits even on
+    an exact K, at ctx.digits doubled until shown(value) agrees at two
+    successive precisions.  Beyond, K is the run product, and value runs at
+    ctx.digits plus extra working digits, the extra doubled until shown(value)
+    agrees so.  The extra starts at 5 digits per digit of the longest run m:
+    3 for the cancellation among the product's terms linear in m, and 2 for
+    the rotation angle of a near-closing chain, 4 - tr K, which is about 1/m^2.
     """
-    if sum(m for _, _, m in runs) <= MAX_EXACT_LENGTH:
+    exact = sum(m for _, _, m in runs) <= MAX_EXACT_LENGTH
+    K = chain_matrix(spell(runs)) if exact else None
+    if exact and not settle:
         with ctx.work():
-            return value(chain_matrix(spell(runs)), ctx)
+            return value(K, ctx)
 
     def evaluate(work):
         with work.work():
-            out = value(run_product(runs, work), work)
+            out = value(K if exact else run_product(runs, work), work)
         return shown(out), out
 
+    if exact:
+        return certified(evaluate, 0, ctx.digits)[1]
     return certified(evaluate, ctx.digits, 5 * _decimal_digits(max(m for _, _, m in runs)))[1]
 
 
@@ -91,7 +96,10 @@ def chain_gap_report(runs, ctx: RealCtx, r0: int | None) -> GapReport:
         runs,
         ctx,
         lambda K, work: lead_minimized_report(lead_matrices(K, *head), work, r0),
-        GapReport.to_json_dict,
+        lambda rep: (
+            _digits(ctx)((rep.gap, rep.norm_gap, rep.maxnorm_gap, rep.discrete_gap)),
+            rep.r0,
+        ),
     )
 
 
@@ -147,7 +155,9 @@ def _norm(v):
 
 def homogeneous_t0(t0: Tetrahedron):
     """The 4x4 vertex matrix: columns are vertices with an appended 1-row."""
-    return [[t0.vertices[j][i] for j in range(4)] for i in range(3)] + [[mpf(1)] * 4]
+    return [
+        [t0.vertices[j][i] for j in range(4)] for i in range(3)
+    ] + [[mpf(1)] * 4]
 
 
 def decompose_motion(K, t0: Tetrahedron, ctx: RealCtx) -> RigidMotion:
@@ -155,8 +165,10 @@ def decompose_motion(K, t0: Tetrahedron, ctx: RealCtx) -> RigidMotion:
 
     The homogeneous vertex matrix conjugates barycentric K into Cartesian
     form; the axis direction is the normalized cross product of the two
-    largest columns of R - I, and the axis point solves u - R u = t in the
-    plane orthogonal to w (coordinates Q = [t/|t|, w x t/|t|]).
+    largest columns of R - I.  R turns the plane orthogonal to w by the
+    angle phi (cos phi from the trace, sin phi about w from the skew part of
+    R), so in that plane, with w x as the imaginary unit, the axis point
+    u - R u = t solves as u = t / (1 - e^(i phi)); t's slide along w drops out.
     """
     if isinstance(K, BaryMatrix):
         K = K.to_mpf(ctx)
@@ -166,45 +178,44 @@ def decompose_motion(K, t0: Tetrahedron, ctx: RealCtx) -> RigidMotion:
         R = tuple(tuple(RR[i][:3]) for i in range(3))
         t = tuple(RR[i][3] for i in range(3))
         RmI = minus_identity(R)
-        if maxnorm(RmI) < mpf(10) ** (-ctx.digits // 2):
+        tol = mpf(10) ** (-ctx.digits // 2)
+        if maxnorm(RmI) < tol:
             return RigidMotion(R=R, t=t, w=None, u=None, angle=mpf(0))
         colnorms = [_norm([RmI[i][j] for i in range(3)]) for j in range(3)]
-        i1, i2 = sorted(range(3), key=lambda j: -colnorms[j])[:2]
-        w = _cross([RmI[i][i1] for i in range(3)], [RmI[i][i2] for i in range(3)])
+        # equal norms (an axis along a coordinate) take the same pair at any precision
+        i1, i2 = sorted(range(3), key=lambda j: (-mp.nint(colnorms[j] / tol), j))[:2]
+        w = _cross(
+            [RmI[i][i1] for i in range(3)], [RmI[i][i2] for i in range(3)]
+        )
         w = tuple(x / _norm(w) for x in w)
-        tn = _norm(t)
-        ts = tuple(x / tn for x in t)
-        q2 = _cross(w, ts)
-        Q = [(ts[i], q2[i]) for i in range(3)]
-        QtRQ = [
-            [sum(Q[a][i] * R[a][b] * Q[b][j] for a in range(3) for b in range(3)) for j in range(2)]
-            for i in range(2)
-        ]
-        M2 = [[(1 if i == j else 0) - QtRQ[i][j] for j in range(2)] for i in range(2)]
-        det = M2[0][0] * M2[1][1] - M2[0][1] * M2[1][0]
-        qt_t = [sum(Q[a][i] * t[a] for a in range(3)) for i in range(2)]
-        y0 = (M2[1][1] * qt_t[0] - M2[0][1] * qt_t[1]) / det
-        y1 = (-M2[1][0] * qt_t[0] + M2[0][0] * qt_t[1]) / det
-        u = tuple(Q[i][0] * y0 + Q[i][1] * y1 for i in range(3))
-        trace = R[0][0] + R[1][1] + R[2][2]
-        cosang = (trace - 1) / 2
-        cosang = max(mpf(-1), min(mpf(1), cosang))
-        return RigidMotion(R=R, t=t, w=w, u=u, angle=mp.acos(cosang))
+        c = (R[0][0] + R[1][1] + R[2][2] - 1) / 2
+        skew = (R[2][1] - R[1][2], R[0][2] - R[2][0], R[1][0] - R[0][1])
+        s = sum(a * b for a, b in zip(w, skew)) / 2
+        slide = sum(a * b for a, b in zip(w, t))
+        t_plane = [x - slide * y for x, y in zip(t, w)]
+        n = (1 - c) ** 2 + s * s
+        u = tuple(((1 - c) * x + s * y) / n for x, y in zip(t_plane, _cross(w, t_plane)))
+        return RigidMotion(R=R, t=t, w=w, u=u, angle=mp.atan2(abs(s), c))
 
 
 def motion_residuals(m: RigidMotion, ctx: RealCtx) -> dict:
     """Numerical residuals of the defining invariants of a screw motion."""
     with ctx.work():
         R, t = m.R, m.t
-        rtr = [[sum(R[k][i] * R[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+        rtr = [
+            [sum(R[k][i] * R[k][j] for k in range(3)) for j in range(3)]
+            for i in range(3)
+        ]
         orth = maxnorm(minus_identity(rtr))
         out = {"orthogonality": orth, "det_minus_1": abs(det(R) - 1)}
         if m.w is not None:
             wR = [sum(m.w[i] * R[i][j] for i in range(3)) for j in range(3)]
             out["axis_invariance"] = max(abs(wR[j] - m.w[j]) for j in range(3))
-            out["w_dot_t"] = abs(sum(a * b for a, b in zip(m.w, t)))
+            slide = sum(a * b for a, b in zip(m.w, t))
+            out["w_dot_t"] = abs(slide)
             Ru = [sum(R[i][j] * m.u[j] for j in range(3)) for i in range(3)]
-            out["axis_point"] = max(abs(m.u[i] - Ru[i] - t[i]) for i in range(3))
+            # a screw's slide along its axis is no residual: u - R u is t less it
+            out["axis_point"] = max(abs(m.u[i] - Ru[i] - t[i] + slide * m.w[i]) for i in range(3))
         return out
 
 
@@ -244,8 +255,12 @@ def gap_bound_oh(L: int, ctx: RealCtx) -> OhGapBound:
         cands.append((abs(d), d, name))
     _, delta_bar, name = min(cands)
     with ctx.work():
-        bound = 3 * mpf(int(L)) * delta_bar**2
-        return OhGapBound(L=int(L), delta_bar=delta_bar, target=name, bound=bound)
+        return OhGapBound(
+            L=int(L),
+            delta_bar=delta_bar,
+            target=name,
+            bound=3 * mpf(int(L)) * delta_bar**2,
+        )
 
 
 def ratio_terms(L: int, ctx: RealCtx) -> tuple:
@@ -284,9 +299,15 @@ def leg_axis_cosines(chain: RealizedChain, ctx: RealCtx) -> list:
         for _, end in helical_runs(chain.string, 4):
             tet = chain.tetrahedra[end - 1]
             ages = chain.ages[end - 1]
-            W = [tet.vertices[p] for p in sorted(range(4), key=lambda p: ages[p])]
-            D = [[W[k + 1][axis] - W[k][axis] for axis in range(3)] for k in range(3)]
+            order = sorted(range(4), key=lambda p: ages[p])
+            W = [tet.vertices[p] for p in order]
+            D = [
+                [W[k + 1][axis] - W[k][axis] for axis in range(3)] for k in range(3)
+            ]
             u = [h * sum(row) for row in invert(D)]
             n = _norm(u)
             axes.append(tuple(x / n for x in u))
-        return [sum(a * b for a, b in zip(axes[i], axes[i + 1])) for i in range(len(axes) - 1)]
+        return [
+            sum(a * b for a, b in zip(axes[i], axes[i + 1]))
+            for i in range(len(axes) - 1)
+        ]

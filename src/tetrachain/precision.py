@@ -13,6 +13,7 @@ at their own working precision rather than caching a value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from mpmath import mp, mpf
 
@@ -34,9 +35,9 @@ MAX_DIGITS = 10**7
 class RealCtx:
     """Working-precision carrier: `digits` significant decimals plus GUARD digits.
 
-    Making one checks theta at that precision: a residual |cos(theta) + 2/3|
-    above 10^-digits indicates a precision bug somewhere below us and raises
-    :class:`PrecisionError`.
+    Making one checks theta at that precision (once per precision): a
+    residual |cos(theta) + 2/3| above 10^-digits indicates a precision bug
+    somewhere below us and raises :class:`PrecisionError`.
     """
 
     digits: int = 40
@@ -44,12 +45,7 @@ class RealCtx:
     def __post_init__(self):
         if not 30 <= self.digits <= MAX_DIGITS:
             raise ValueError(f"digits must be in 30..{MAX_DIGITS}, got {self.digits}")
-        with self.work():
-            if (residual := abs(mp.cos(theta()) + mpf(2) / 3)) > mpf(10) ** (-self.digits):
-                raise PrecisionError(
-                    f"theta residual |cos(theta) + 2/3| = {mp.nstr(residual, 3)} "
-                    f"> 1e-{self.digits}"
-                )
+        _check_theta(theta, self.digits)
 
     @property
     def workdps(self) -> int:
@@ -58,6 +54,16 @@ class RealCtx:
     def work(self):
         """Context manager setting mpmath's decimal precision to digits+GUARD."""
         return mp.workdps(self.workdps)
+
+
+@lru_cache(maxsize=None)
+def _check_theta(turn, digits: int) -> None:
+    """The residual check of RealCtx, made once per turn-angle function and digits."""
+    with mp.workdps(digits + GUARD):
+        if (residual := abs(mp.cos(turn()) + mpf(2) / 3)) > mpf(10) ** (-digits):
+            raise PrecisionError(
+                f"theta residual |cos(theta) + 2/3| = {mp.nstr(residual, 3)} > 1e-{digits}"
+            )
 
 
 def certified(evaluate, digits: int, extra: int) -> tuple:

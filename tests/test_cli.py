@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from tetrachain import bary, motion
+from tetrachain import bary, cli, motion
 from tetrachain.cli import main
 from tetrachain.metrics import gap_report
 from tetrachain.precision import RealCtx
@@ -376,6 +376,35 @@ def test_motion_prints_certified_digits(capsys):
     assert payload["angle"] == "0.000000000001094319868406352593962763919784781877184"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "tetrahelix", "--L", "4"],
+        ["--string", "4321"],
+        # past the exact-product limit: the run product
+        ["--kind", "tetrahelix", "--L", "40000"],
+    ],
+)
+def test_motion_of_a_tetrahelix_settles_at_once(argv, capsys, monkeypatch):
+    # a tetrahelix screws along the z axis: R, t, w and u have exact zeros,
+    # whose rounding noise differs at every precision, and R - I two columns of
+    # one norm; the zeros print as 0 and two evaluations settle the payload
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return motion.decompose_motion(*args)
+
+    monkeypatch.setattr(cli, "decompose_motion", counted)
+    payload = _run_json(capsys, ["motion", *argv], schema="motion.schema.json")
+    assert len(calls) == 2
+    assert payload["R"][2] == ["0.0", "0.0", "1.0"]
+    assert [row[2] for row in payload["R"][:2]] == ["0.0", "0.0"]
+    assert payload["t"][:2] == ["0.0", "0.0"] and payload["t"][2] != "0.0"
+    assert payload["w"][:2] == ["0.0", "0.0"] and payload["w"][2] in ("1.0", "-1.0")
+    assert payload["u"] == ["0.0", "0.0", "0.0"]
+
+
 @pytest.mark.parametrize("argv", [["--string", "123"], ["--kind", "tetrahelix", "--L", "3"]])
 def test_motion_refuses_odd_chains(argv, capsys):
     # an odd number of reflections is no rigid motion; its digits would never settle
@@ -564,9 +593,10 @@ PAYLOAD_SHA256 = {
         "f6fbebbe90b83fc43de7c7037bba5c423f2ccae3b6736bfa46563ffc8187cdec"
     ),
     # the realization (leg axes, embedding), the lattice table and the CSV row
-    # re-recorded when K became the exact product: only the residuals moved
+    # re-recorded when K became the exact product, and when the axis point
+    # came to solve in the plane orthogonal to w: only the residuals moved
     "motion --kind quadrahelix --L 29": (
-        "686fb38fb467fc5d7a3ee33f7258d726f9311323afa6963d3271274bb2b5b35f"
+        "3b60e8f210285dacd805b3699058683584193f7d464974cf248c866c09f6678c"
     ),
     "verify-embed --kind quadrahelix --L 10": (
         "2d160b7d5273e3e5d4a7435bbf7b936f062a4a03dd8dca5040217beaa67a6f1f"
@@ -636,7 +666,7 @@ def _with_digits(argv, digits):
     string=st.none() | st.text("0123456 xa\u0661\u0662", max_size=6),
     kind=st.none() | st.sampled_from(["tetrahelix", "quadrahelix", "octahelix"]),
     # past MAX_SPELLED_LENGTH letters a named chain is refused before it is spelled
-    L=st.none() | st.integers(-2, 3) | st.sampled_from([10**7, 10**12, 10**40]),
+    L=st.none() | st.integers(-2, 8) | st.sampled_from([10**7, 10**12, 10**40]),
     digits=DIGITS,
 )
 def test_chain_commands_keep_exit_contract(command, string, kind, L, digits):

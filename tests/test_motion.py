@@ -46,6 +46,7 @@ from tetrachain.search import convergent_lengths
 from tetrachain.strings import (
     octahelix_runs,
     octahelix_string,
+    parse_string,
     quadrahelix_runs,
     quadrahelix_string,
     spell,
@@ -67,7 +68,7 @@ def test_run_product_of_one_run_matches_exact_product(a, step, ctx40):
     for m in range(1, 40):
         runs = ((a, step, m),)
         exact = bary.chain_matrix(spell(runs)).to_mpf(ctx40)
-        K = bary.run_product(runs, ctx40)
+        K = bary.run_product(runs, ctx40).to_mpf(ctx40)
         with ctx40.work():
             assert _maxdiff(K, exact) < mpf(10) ** -45, m
 
@@ -81,7 +82,7 @@ def test_run_product_of_one_run_matches_exact_product(a, step, ctx40):
 )
 def test_run_product_matches_exact_product(runs, ctx40):
     exact = bary.chain_matrix(spell(runs)).to_mpf(ctx40)
-    K = bary.run_product(runs, ctx40)
+    K = bary.run_product(runs, ctx40).to_mpf(ctx40)
     with ctx40.work():
         # entries grow like the run length m, and so do their rounding errors
         assert _maxdiff(K, exact) < mpf(10) ** -45 * max(m for _, _, m in runs) ** 2
@@ -169,7 +170,7 @@ def test_closed_form_gap_beyond_str_limit():
 
 def test_quadrahelix_gap_report_below_float_range():
     # the first convergent L past 10^320: the K - I of its printed lead and
-    # its gap lie below 1e-308, out of float64's range; the mpf kernel's
+    # its gap lie below 1e-308, out of float64's range; the run product's
     # choice of lead and its gap against the Cartesian reference on every lead
     ctx = RealCtx(digits=400)
     floor = 10**320
@@ -184,6 +185,33 @@ def test_quadrahelix_gap_report_below_float_range():
         assert rep.r0 == r0
         assert abs(rep.gap - gaps[r0]) < mpf(10) ** -60 * gaps[r0]
         assert 0 < rep.gap < mpf(10) ** -308
+
+
+def test_gap_report_settles_on_its_digits_below_float_range(monkeypatch):
+    # the run path certifies a report on the mpf digits of its four metrics,
+    # not on their floats, which all read 0.0 below 1e-308
+    shown = []
+    certified = motion.certified
+
+    def recording(evaluate, digits, extra):
+        def evaluate_and_record(work):
+            out = evaluate(work)
+            shown.append(out[0])
+            return out
+
+        return certified(evaluate_and_record, digits, extra)
+
+    monkeypatch.setattr(motion, "certified", recording)
+    ctx = RealCtx(digits=400)
+    floor = 10**320
+    L = min(L for L in convergent_lengths(ctx, 10 * floor) if L >= floor)
+    rep = chain_gap_report(quadrahelix_runs(L), ctx, None)
+    assert len(shown) == 2 and shown[0] == shown[1]
+    metrics, r0 = shown[0]
+    assert r0 == rep.r0 and len(metrics) == 4
+    with ctx.work():
+        assert 0 < mp.make_mpf(metrics[0]) < mpf(10) ** -308
+        assert abs(mp.make_mpf(metrics[0]) - rep.gap) < mpf(10) ** -399 * rep.gap
 
 
 def test_closed_form_kernel_matches_exact_kernel(ctx40):
@@ -242,6 +270,20 @@ def test_motion_from_exact_matrix(ctx40):
     res = motion_residuals(m, ctx40)
     with ctx40.work():
         assert all(v < mpf(10) ** -40 for v in res.values())
+
+
+@pytest.mark.parametrize("s", ["1234", "4321", "12341234", "1213", "123142"])
+def test_axis_point_lies_on_the_axis_of_a_screw(s, ctx40):
+    # u - R u is t less its slide along w, and u is the axis point nearest the
+    # origin; a tetrahelix slides along an axis through the origin
+    m = decompose_motion(bary.chain_matrix(parse_string(s)), invisible_t0(ctx40), ctx40)
+    res = motion_residuals(m, ctx40)
+    with ctx40.work():
+        assert res["axis_point"] < mpf(10) ** -50
+        assert abs(sum(a * b for a, b in zip(m.u, m.w))) < mpf(10) ** -50
+        if s.startswith(("1234", "4321")):
+            assert max(abs(x) for x in m.u) < mpf(10) ** -50
+            assert abs(res["w_dot_t"] - mp.sqrt(sum(x * x for x in m.t))) < mpf(10) ** -50
 
 
 def test_motion_eigenvalue_structure(qh10_motion, ctx40):
