@@ -7,7 +7,7 @@ import time
 from tetrachain.embedding import verify_embedded
 from tetrachain.geometry import realize_chain
 from tetrachain.precision import RealCtx
-from tetrachain.strings import octahelix_string, quadrahelix_string
+from tetrachain.strings import octahelix_runs, quadrahelix_runs, spell
 
 
 def _verdict_line(label, chain):
@@ -34,7 +34,7 @@ def main():
 
     print("open chains:")
     for L in range(1, args.qh_max + 1):
-        chain = realize_chain(quadrahelix_string(L), ctx)
+        chain = realize_chain(spell(quadrahelix_runs(L)), ctx)
         v = verify_embedded(chain)
         if not v.embedded:
             print(f"  QH {L}: OVERLAP at {v.first_violation}")
@@ -44,7 +44,7 @@ def main():
 
     print("loops:")
     for L in args.oh:
-        _verdict_line(f"OH {L}", realize_chain(octahelix_string(L), ctx))
+        _verdict_line(f"OH {L}", realize_chain(spell(octahelix_runs(L)), ctx))
 
 
 if __name__ == "__main__":

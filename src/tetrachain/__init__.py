@@ -7,18 +7,7 @@ and searches for nearly-closed chains via continued fractions and lattice
 reduction.
 """
 
-from .precision import (
-    RealCtx,
-    reduce_angle,
-    reduce_theta_multiple,
-    PrecisionError,
-)
-from .strings import (
-    tetrahelix_string,
-    quadrahelix_string,
-    octahelix_string,
-    preset_540_string,
-)
+from .precision import RealCtx, reduce_theta_multiple, PrecisionError
 from .bary import BaryMatrix, reflection_matrix, chain_matrix, divisibility_witness
 from .geometry import Tetrahedron, RealizedChain, helix_vertex, invisible_t0, realize_chain
 from .metrics import GapReport, gap_report, norm_gap
@@ -36,13 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RealCtx",
-    "reduce_angle",
     "reduce_theta_multiple",
     "PrecisionError",
-    "tetrahelix_string",
-    "quadrahelix_string",
-    "octahelix_string",
-    "preset_540_string",
     "BaryMatrix",
     "reflection_matrix",
     "chain_matrix",

@@ -204,39 +204,27 @@ def _pair(r: int, s: int) -> BaryMatrix:
     return reflection_matrix(r) @ reflection_matrix(s)
 
 
-def _pair_rows(r: int, s: int) -> list:
-    """M_r M_s as mpf rows at the current working precision."""
-    return [[mpf(x) / 9 for x in row] for row in _pair(r, s).num]
-
-
-def lead_matrices(K, s0: int, s1: int) -> dict:
+def lead_matrices(K: BaryMatrix, s0: int, s1: int) -> dict:
     """Chain matrix of every legal lead r != s1, for K the product of a string s0, s1, ...
 
     An open chain's first tetrahedron may be reflected in any face but the
     one the second letter uses.  Reflections are involutions, so lead r has
-    M_r M_s0 K, which is K itself for r = s0.  K is a BaryMatrix, or mpf
-    rows multiplied at the current working precision.
+    M_r M_s0 K, which is K itself for r = s0.
     """
     leads = {s0: K}
     for r in (1, 2, 3, 4):
-        if r in (s0, s1):
-            continue
-        if isinstance(K, BaryMatrix):
+        if r not in (s0, s1):
             leads[r] = _pair(r, s0) @ K
-        else:
-            leads[r] = mat_mul(_pair_rows(r, s0), K)
     return dict(sorted(leads.items()))
 
 
-def times_pair(A, q: int, r: int):
-    """A M_q M_r, for A a BaryMatrix or mpf rows at the current working precision.
+def times_pair(A: BaryMatrix, q: int, r: int) -> BaryMatrix:
+    """A M_q M_r.
 
     For A the inverse of lead q this is the inverse of lead r:
     (M_r M_q K)^-1 = K^-1 M_q M_r.
     """
-    if isinstance(A, BaryMatrix):
-        return A @ _pair(q, r)
-    return mat_mul(A, _pair_rows(q, r))
+    return A @ _pair(q, r)
 
 
 def mat_mul(A, B):

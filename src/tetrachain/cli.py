@@ -43,11 +43,12 @@ from .search import (
 from .strings import (
     NAMED_CHAINS,
     _shown,
+    check_spelled_length,
     format_string,
     parse_string,
     preset_540_runs,
-    preset_540_string,
     quadrahelix_runs,
+    spell,
 )
 
 
@@ -100,7 +101,7 @@ def _chain_parameter(text: str) -> int:
 
 
 def _chain(args):
-    """(kind, param, string, runs) of the chain named by --string, or --kind and --L.
+    """(kind, param, runs) of the chain named by --string, or --kind and --L.
 
     A --string chain is runs of one letter each, which only the exact product
     takes, so it is refused past MAX_EXACT_LENGTH here.
@@ -112,16 +113,27 @@ def _chain(args):
     if args.string:
         s = parse_string(args.string)
         check_exact_length(len(s))
-        return "string", None, s, tuple((a, 1, 1) for a in s)
+        return "string", None, tuple((a, 1, 1) for a in s)
     if args.kind == "preset540":
-        return "preset540", None, preset_540_string(), preset_540_runs()
+        return "preset540", None, preset_540_runs()
     if not args.kind:
         raise ValueError("either --string or --kind is required")
     if args.L is None:
         raise ValueError(f"--kind {args.kind} needs --L")
     L = _chain_parameter(args.L)
-    string, runs = NAMED_CHAINS[args.kind]
-    return args.kind, L, string(L), runs(L)
+    return args.kind, L, NAMED_CHAINS[args.kind](L)
+
+
+def _letters(kind: str, param: int | None, runs, realized: bool = False):
+    """The letters of the chain, for a payload or a realization that reads them.
+
+    The run lengths are checked before a letter is spelled: against
+    MAX_SPELLED_LENGTH, and for a realization against the exact-product limit.
+    """
+    check_spelled_length(kind, param, runs)
+    if realized:
+        check_exact_length(sum(m for _, _, m in runs))
+    return spell(runs)
 
 
 # --- build --------------------------------------------------------------------
@@ -145,10 +157,9 @@ def _obj_mesh(chain) -> str:
 
 def cmd_build(args) -> int:
     ctx = RealCtx(digits=args.digits)
-    kind, param, s, _ = _chain(args)
+    kind, param, runs = _chain(args)
+    s = _letters(kind, param, runs, realized=True)
     summary = {"kind": kind, "param": param, "length": len(s)}
-    # the gap first: past the exact-product limit it fails before the string is
-    # formatted, which costs several times the memory of the spelled letters
     if kind == "preset540":
         loop = loop_gap_report(s, ctx)
         summary["gap_report"] = loop.best.to_json_dict()
@@ -173,7 +184,9 @@ def cmd_build(args) -> int:
 
 def cmd_gap(args) -> int:
     ctx = RealCtx(digits=args.digits)
-    s, runs = _chain(args)[2:]
+    kind, param, runs = _chain(args)
+    # a CSV row prints no letters, so it takes a named chain of any length
+    s = _letters(kind, param, runs) if args.loop or args.format == "json" else None
     if args.loop:
         if args.r0 is not None:
             raise ValueError("--loop takes the least lead of every cut; it cannot pin --r0")
@@ -280,7 +293,7 @@ def cmd_search_lll(args) -> int:
 
 def cmd_verify_embed(args) -> int:
     ctx = RealCtx(digits=args.digits)
-    s = _chain(args)[2]
+    s = _letters(*_chain(args), realized=True)
     chain = realize_chain(s, ctx)
     verdict = verify_embedded(chain)
     payload = {"string": format_string(s), "length": len(s)}
@@ -301,7 +314,8 @@ def cmd_scan_ratio(args) -> int:
 
 def cmd_motion(args) -> int:
     ctx = RealCtx(digits=args.digits)
-    kind, _, s, runs = _chain(args)
+    kind, param, runs = _chain(args)
+    s = _letters(kind, param, runs)
     if len(s) % 2:
         raise ValueError(f"an odd chain ({len(s)} letters) reverses orientation: it has no screw axis")
     d = ctx.digits

@@ -16,7 +16,7 @@ over 3^n it is integer arithmetic and K^-1 needs no solve, so gap^2 is an
 exact rational: leads and cuts are compared exactly, and a gap is rounded
 once, to the working precision, where it is reported.  The run product
 (bary.run_product) is rounded to numerators over 3^k and runs the same
-integer kernel; mpf rows run it in mpf.
+integer kernel.
 """
 
 from __future__ import annotations
@@ -33,16 +33,9 @@ from .precision import RealCtx
 from .strings import rotate
 
 
-def _numerators(K) -> tuple:
-    """(N, d) with K = N / d: integer rows for a BaryMatrix, mpf rows over 1 otherwise."""
-    if isinstance(K, bary.BaryMatrix):
-        return K.num, 3**K.power
-    return K, 1
-
-
-def _ratio(q, den):
-    """q / den: a Fraction for an integer q, an mpf otherwise."""
-    return Fraction(q, den) if isinstance(q, int) else q / den
+def _numerators(K: bary.BaryMatrix) -> tuple:
+    """(N, d) with K = N / d."""
+    return K.num, 3**K.power
 
 
 def inverse(N, d: int) -> list:
@@ -57,11 +50,8 @@ def inverse(N, d: int) -> list:
     """
     r = [sum(row) for row in N]
     r2 = sum(x * x for x in r)
-    b = [r2 - 4 * sum(N[k][i] * r[k] for k in range(4)) for i in range(4)]
-    if isinstance(N[0][0], int):
-        b = [x // (4 * d) for x in b]
-        return [[N[j][i] + (d - r[j] + b[i]) // 4 for j in range(4)] for i in range(4)]
-    return [[N[j][i] + (d - r[j] + b[i] / (4 * d)) / 4 for j in range(4)] for i in range(4)]
+    b = [(r2 - 4 * sum(N[k][i] * r[k] for k in range(4))) // (4 * d) for i in range(4)]
+    return [[N[j][i] + (d - r[j] + b[i]) // 4 for j in range(4)] for i in range(4)]
 
 
 def _dist2(col, d):
@@ -81,13 +71,9 @@ def _dist2(col, d):
     return 144 // rho * (top - d) ** 2 + 144 * sum(x * x for x in u[rho:])
 
 
-def _inverse(K):
-    """K^-1 in the kind of K: a BaryMatrix over the same power of 3, or mpf rows."""
-    N, d = _numerators(K)
-    inv = inverse(N, d)
-    if isinstance(K, bary.BaryMatrix):
-        return bary.BaryMatrix(tuple(map(tuple, inv)), K.power, K.exact)
-    return inv
+def _inverse(K: bary.BaryMatrix) -> bary.BaryMatrix:
+    """K^-1 over the same power of 3."""
+    return bary.BaryMatrix(tuple(map(tuple, inverse(*_numerators(K)))), K.power, K.exact)
 
 
 def _gap_terms(K, Kinv) -> tuple:
@@ -101,12 +87,12 @@ def _gap_terms(K, Kinv) -> tuple:
     return q, 288 * d * d
 
 
-def gap2(K):
-    """The squared gap of the chain matrix K, a BaryMatrix (a Fraction) or mpf rows (an mpf)."""
-    return _ratio(*_gap_terms(K, _inverse(K)))
+def gap2(K: bary.BaryMatrix) -> Fraction:
+    """The squared gap of the chain matrix K."""
+    return Fraction(*_gap_terms(K, _inverse(K)))
 
 
-def discrete_gap2(K):
+def discrete_gap2(K: bary.BaryMatrix) -> Fraction:
     """The squared vertex-set Hausdorff distance of T_0 and T_0 K.
 
     Vertex i of T_0 and vertex j of T_0 K lie |K e_j - e_i|^2 / 2 apart
@@ -116,7 +102,7 @@ def discrete_gap2(K):
     norms = [sum(x * x for x in col) + d * d for col in zip(*N)]
     far = [[norms[j] - 2 * d * N[i][j] for j in range(4)] for i in range(4)]
     q = max(max(min(row) for row in far), max(min(col) for col in zip(*far)))
-    return _ratio(q, 2 * d * d)
+    return Fraction(q, 2 * d * d)
 
 
 def least_gap(leads: dict) -> tuple:
@@ -135,13 +121,11 @@ def least_gap(leads: dict) -> tuple:
         q, den = _gap_terms(leads[r], bary.times_pair(inv, first, r))
         if q * best_den < best_q * den:
             best_q, best_den, best = q, den, r
-    return _ratio(best_q, best_den), best
+    return Fraction(best_q, best_den), best
 
 
-def root(x) -> mpf:
-    """sqrt(x) at the working precision; a Fraction is rounded once, to nearest."""
-    if not isinstance(x, Fraction):
-        return mp.sqrt(x)
+def root(x: Fraction) -> mpf:
+    """sqrt(x) at the working precision, rounded once, to nearest."""
     p, q = x.numerator, x.denominator
     if p == 0:
         return mpf(0)
@@ -163,8 +147,8 @@ def maxnorm(M) -> mpf:
     return max(abs(x) for row in M for x in row)
 
 
-def norm_gap(K) -> mpf:
-    """||K - I||_2 of the chain matrix K, a BaryMatrix or mpf rows, in closed form.
+def norm_gap(K: bary.BaryMatrix) -> mpf:
+    """||K - I||_2 of the chain matrix K, in closed form.
 
     K - I maps R^4 into the plane sum x = 0, on which T_0 is sqrt(1/2) times
     an isometry.  So G = (K - I)^T (K - I) has the eigenvalues 0,
@@ -177,7 +161,7 @@ def norm_gap(K) -> mpf:
     K - I, subtracted on the numerators first.
     """
     N, d = _numerators(K)
-    if isinstance(K, bary.BaryMatrix) and K.exact:
+    if K.exact:
         sign = 2 - bary.det([[x % 4 for x in row] for row in N]) % 4
     else:
         sign = 1 if bary.det(N) > 0 else -1
@@ -191,7 +175,7 @@ def norm_gap(K) -> mpf:
     return mp.sqrt((P + mp.sqrt(max(P * P - 4 * Q, 0))) / 2)
 
 
-def maxnorm_gap(K) -> mpf:
+def maxnorm_gap(K: bary.BaryMatrix) -> mpf:
     """max |(K - I)_ij| of the chain matrix K, taken on its numerators."""
     N, d = _numerators(K)
     return mpf(maxnorm(minus_identity(N, d))) / mpf(d)
@@ -231,9 +215,9 @@ class GapReport:
 def lead_minimized_report(leads: dict, ctx: RealCtx, r0: int | None = None) -> GapReport:
     """Gap metrics minimized over the leading faces in leads (face -> chain matrix).
 
-    The chain matrices are BaryMatrix or mpf rows.  The report carries the
-    least gap (ties broken by smallest face), the discrete gap of that lead
-    and the minimum norms; passing r0 pins the leading face instead.
+    The report carries the least gap (ties broken by smallest face), the
+    discrete gap of that lead and the minimum norms; passing r0 pins the
+    leading face instead.
     """
     if r0 is not None:
         if r0 not in (1, 2, 3, 4):

@@ -160,7 +160,7 @@ def homogeneous_t0(t0: Tetrahedron):
     ] + [[mpf(1)] * 4]
 
 
-def decompose_motion(K, t0: Tetrahedron, ctx: RealCtx) -> RigidMotion:
+def decompose_motion(K: BaryMatrix, t0: Tetrahedron, ctx: RealCtx) -> RigidMotion:
     """Split the chain map into rotation R, translation t, and screw axis (w, u).
 
     The homogeneous vertex matrix conjugates barycentric K into Cartesian
@@ -170,11 +170,9 @@ def decompose_motion(K, t0: Tetrahedron, ctx: RealCtx) -> RigidMotion:
     R), so in that plane, with w x as the imaginary unit, the axis point
     u - R u = t solves as u = t / (1 - e^(i phi)); t's slide along w drops out.
     """
-    if isinstance(K, BaryMatrix):
-        K = K.to_mpf(ctx)
     with ctx.work():
         T = homogeneous_t0(t0)
-        RR = mat_mul(mat_mul(T, [list(r) for r in K]), invert(T))
+        RR = mat_mul(mat_mul(T, K.to_mpf(ctx)), invert(T))
         R = tuple(tuple(RR[i][:3]) for i in range(3))
         t = tuple(RR[i][3] for i in range(3))
         RmI = minus_identity(R)

@@ -6,8 +6,9 @@ global state for longer than a single operation.  RealCtx is the one
 precision carrier: every function that computes at a requested precision
 takes a ``ctx: RealCtx`` and nothing else for it.  This module is the one
 home of the angles: :func:`theta` and :func:`target_angle` define them once,
-and the helix, the reductions and the continued fraction each evaluate them
-at their own working precision rather than caching a value.
+and the helix, the reductions and the continued fraction each take them at
+their own working precision.  theta is evaluated once per binary precision
+and cached, since a long reduction asks for it at tens of thousands of digits.
 """
 
 from __future__ import annotations
@@ -85,7 +86,13 @@ def certified(evaluate, digits: int, extra: int) -> tuple:
 
 def theta() -> mpf:
     """The helix turn angle arccos(-2/3) at mpmath's current precision."""
-    return mp.acos(mpf(-2) / 3)
+    return _theta(mp.prec)
+
+
+@lru_cache(maxsize=None)
+def _theta(prec: int) -> mpf:
+    with mp.workprec(prec):
+        return mp.acos(mpf(-2) / 3)
 
 
 def target_angle(name: str) -> mpf:
@@ -94,30 +101,6 @@ def target_angle(name: str) -> mpf:
     if name not in signs:
         raise ValueError(f"unknown offset {name!r}")
     return mp.acos((-3 + signs[name] * 5 * mp.sqrt(3)) / 12)
-
-
-def reduce_angle(alpha, ctx: RealCtx):
-    """Reduce alpha to the unique congruent value in [-pi, pi) modulo 2*pi.
-
-    Raises PrecisionError when |alpha| is so large relative to ctx.digits
-    that the subtraction would cancel catastrophically; huge multiples of
-    theta should go through :func:`reduce_theta_multiple` instead.
-    """
-    with ctx.work():
-        alpha = mpf(alpha)
-        if abs(alpha) / (2 * mp.pi) > mpf(10) ** (ctx.digits - GUARD):
-            raise PrecisionError(
-                f"|alpha| ~ 1e{mp.nstr(mp.log10(abs(alpha)), 3)} exceeds the reducible "
-                f"range at {ctx.digits} digits"
-            )
-        k = mp.floor((alpha + mp.pi) / (2 * mp.pi))
-        out = alpha - 2 * mp.pi * k
-        # guard the half-open boundary against rounding
-        if out >= mp.pi:
-            out -= 2 * mp.pi
-        if out < -mp.pi:
-            out += 2 * mp.pi
-        return out
 
 
 def _decimal_digits(n: int) -> int:

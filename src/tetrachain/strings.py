@@ -3,9 +3,9 @@
 A chain of face-to-face unit tetrahedra is encoded by a sequence over
 {1,2,3,4}: symbol i reflects the current tetrahedron in its i-th face (the
 face opposite vertex i).  Consecutive symbols are never equal ("no doubling
-back").  This module generates the strings for the straight tetrahelix, the
-four-legged quadrahelix QH_L, the eight-legged octahelix OH_L, and a fixed
-540-step closed loop.
+back").  This module defines the straight tetrahelix, the four-legged
+quadrahelix QH_L, the eight-legged octahelix OH_L and a fixed 540-step closed
+loop as a few helical runs each; spell turns runs into letters.
 """
 
 from __future__ import annotations
@@ -47,14 +47,19 @@ def _shown(n: int) -> str:
     return str(n) if n.bit_length() <= 256 else f"<{_decimal_digits(n)}-digit number>"
 
 
-def _check_spelled_length(name: str, n: int, L: int | None = None) -> None:
-    """Refuse to spell the named chain name_L of n letters, before allocating it."""
-    if n > MAX_SPELLED_LENGTH:
-        label = name if L is None else f"{name}_{_shown(L)}"
-        raise ValueError(f"{label} would spell {_shown(n)} letters; the limit is {MAX_SPELLED_LENGTH}")
-
-
 Run = tuple[int, int, int]  # (first letter, step +1 or -1, length)
+
+
+def check_spelled_length(kind: str, L: int | None, runs: Sequence[Run]) -> None:
+    """Refuse to spell the chain of kind and parameter L past MAX_SPELLED_LENGTH letters.
+
+    The length is read from the runs, so nothing is allocated first.
+    """
+    n = sum(m for _, _, m in runs)
+    if n > MAX_SPELLED_LENGTH:
+        name = {"quadrahelix": "QH", "octahelix": "OH"}.get(kind)
+        label = f"{name}_{_shown(L)}" if name else f"the {kind}"
+        raise ValueError(f"{label} would spell {_shown(n)} letters; the limit is {MAX_SPELLED_LENGTH}")
 
 
 def letters(runs: Sequence[Run]) -> Iterator[Symbol]:
@@ -63,6 +68,7 @@ def letters(runs: Sequence[Run]) -> Iterator[Symbol]:
 
 
 def spell(runs: Sequence[Run]) -> String:
+    """The letters of a chain given as runs."""
     return tuple(letters(runs))
 
 
@@ -83,13 +89,6 @@ def tetrahelix_runs(m: int) -> tuple[Run, ...]:
     return ((1, 1, m),)
 
 
-def tetrahelix_string(m: int) -> String:
-    """m symbols cycling 1, 2, 3, 4, 1, ..."""
-    runs = tetrahelix_runs(m)
-    _check_spelled_length("the tetrahelix", m)
-    return spell(runs)
-
-
 def quadrahelix_runs(L: int) -> tuple[Run, ...]:
     """The four runs of QH_L = 1 sigma j rev(sigma).
 
@@ -108,13 +107,6 @@ def quadrahelix_runs(L: int) -> tuple[Run, ...]:
     )
 
 
-def quadrahelix_string(L: int) -> String:
-    """The 4L+2 symbol string of the four-legged near-loop QH_L."""
-    runs = quadrahelix_runs(L)
-    _check_spelled_length("QH", 4 * L + 2, L)
-    return spell(runs)
-
-
 def octahelix_runs(L: int) -> tuple[Run, ...]:
     """The eight runs of OH_L: S_{L+1} rev(S_L) p(S_{L+1}) p(rev(S_L)), twice.
 
@@ -128,18 +120,11 @@ def octahelix_runs(L: int) -> tuple[Run, ...]:
     return part + part
 
 
-def octahelix_string(L: int) -> String:
-    """The 8L+4 symbol string of the eight-legged near-loop OH_L."""
-    runs = octahelix_runs(L)
-    _check_spelled_length("OH", 8 * L + 4, L)
-    return spell(runs)
-
-
-# each named family: its string and its runs, from the parameter
+# each named family's runs, from its parameter
 NAMED_CHAINS = {
-    "tetrahelix": (tetrahelix_string, tetrahelix_runs),
-    "quadrahelix": (quadrahelix_string, quadrahelix_runs),
-    "octahelix": (octahelix_string, octahelix_runs),
+    "tetrahelix": tetrahelix_runs,
+    "quadrahelix": quadrahelix_runs,
+    "octahelix": octahelix_runs,
 }
 
 
@@ -158,13 +143,6 @@ def preset_540_runs() -> tuple[Run, ...]:
     p1 = _relabeled(u)
     p3 = _relabeled(_relabeled(p1))
     return (u + p1 + u + p3) * 3
-
-
-def preset_540_string() -> String:
-    """The 540-loop of preset_540_runs, spelled."""
-    out = spell(preset_540_runs())
-    assert len(out) == 540 and is_valid(out)
-    return out
 
 
 def rotate(s: Sequence[int], i: int) -> String:

@@ -10,7 +10,9 @@ to it.
 k_formula is the closed form of QH_L's chain matrix, its integer tables
 H0..H3 pinned by hand (docs/closed-form-adjudication.md); the package
 computes QH_L past the exact-product limit by another route, the run
-product, and k_formula is the oracle for it.  Its H1 sin-delta block H1_SIN
+product, and k_formula is the oracle for it.  The package's metrics take a
+BaryMatrix, so as_bary rounds the oracle's rows once, as the run product
+rounds its own.  Its H1 sin-delta block H1_SIN
 is the variant that reproduces the exact rational product; a
 one-tenth-scaled variant of the same block is close enough to be mistaken
 for correct and is kept here as _H1_SIN_REJECTED so the tests can assert
@@ -18,13 +20,15 @@ that it is not.
 """
 
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
+from tetrachain.bary import BaryMatrix
 from tetrachain.embedding import _exact_separation
 from tetrachain.geometry import _cross, _sub, dyadic_ints, helix_vertex, invisible_t0
 from tetrachain.metrics import minus_identity
 from tetrachain.motion import decompose_motion
 from tetrachain.precision import reduce_theta_multiple, theta
-from tetrachain.strings import format_string, is_valid, octahelix_string
+from tetrachain.strings import format_string, is_valid, octahelix_runs, spell
 
 _H1_SIN_REJECTED = (
     (0, 0, 0, 0),
@@ -102,6 +106,18 @@ def k_formula(L: int, ctx, delta_bar=None):
         return rows
 
 
+def as_bary(rows, ctx) -> BaryMatrix:
+    """mpf rows rounded once to numerators over 3^k, 3^-k below ctx's working precision.
+
+    Marked inexact, like bary.run_product's result, so the metrics treat it alike.
+    """
+    k = dps_to_prec(ctx.workdps) * 631 // 1000 + 1  # log(2) / log(3) = 0.63093...
+    one = 3**k
+    with mp.workprec(dps_to_prec(ctx.workdps) + one.bit_length()):
+        num = tuple(tuple(int(mp.nint(x * one)) for x in row) for row in rows)
+    return BaryMatrix(num, k, exact=False)
+
+
 # --- the seed tetrahedron ----------------------------------------------------
 
 
@@ -150,7 +166,7 @@ def corollary_angle_checks(L: int, ctx) -> dict:
         dot_direct = sum(a * (x - y) for a, x, y in zip(A, va, vb))
         rho0 = mp.acos(sin_rho)
         K = k_formula(L, ctx, delta_bar=delta_bar)
-        motion = decompose_motion(K, invisible_t0(ctx), ctx)
+        motion = decompose_motion(as_bary(K, ctx), invisible_t0(ctx), ctx)
         # ||R - I||_2 = sqrt(2 - 2 cos(angle)), and tr K = tr R + 1 = 2 + 2 cos(angle)
         r_norm = mp.sqrt(4 - sum(K[i][i] for i in range(4)))
         return {
@@ -298,13 +314,13 @@ OCTAHELIX_4_LITERAL = "12341432123412341432123414321234143212341432"
 
 
 def octahelix_literal_check() -> dict:
-    """Compare octahelix_string(4) against the 44-symbol literal fixture.
+    """Compare the spelled OH_4 against the 44-symbol literal fixture.
 
     The two disagree (36 vs 44 symbols); this helper reports the mismatch
     rather than silently preferring either.  The grammar string is what the
     package uses.
     """
-    grammar = format_string(octahelix_string(4))
+    grammar = format_string(spell(octahelix_runs(4)))
     literal = OCTAHELIX_4_LITERAL
     return {
         "grammar": grammar,

@@ -42,10 +42,9 @@ from tetrachain.strings import (
     format_string,
     is_valid,
     octahelix_runs,
-    octahelix_string,
-    preset_540_string,
+    preset_540_runs,
     quadrahelix_runs,
-    quadrahelix_string,
+    spell,
 )
 
 from conftest import random_valid_string
@@ -126,9 +125,9 @@ def _relabel(s, perm):
 
 def test_criterion_01_named_strings(ctx40):
     t0 = time.perf_counter()
-    assert format_string(quadrahelix_string(4)) == QH4
-    assert format_string(quadrahelix_string(10)) == QH10
-    loop = preset_540_string()
+    assert format_string(spell(quadrahelix_runs(4))) == QH4
+    assert format_string(spell(quadrahelix_runs(10))) == QH10
+    loop = spell(preset_540_runs())
     assert len(loop) == 540
     assert is_valid(loop) and loop[0] != loop[-1]
     dt = time.perf_counter() - t0
@@ -163,7 +162,7 @@ def test_criterion_02_no_exact_closure():
 @pytest.mark.parametrize("L,gap_printed,delta_printed", DESK_ROWS)
 def test_criterion_03_desk_table_row(L, gap_printed, delta_printed, ctx40):
     t0 = time.perf_counter()
-    rep = gap_report(quadrahelix_string(L), ctx40)
+    rep = gap_report(spell(quadrahelix_runs(L)), ctx40)
     delta_bar, _ = reduce_theta_multiple(L + 1, ctx40)
     corrected = DESK_GAP_ERRATA.get(L)
     with ctx40.work():
@@ -227,7 +226,7 @@ def _hausdorff_by_projection(a, b):
 
 def test_qh2_gap_agrees_across_paths():
     t0 = time.perf_counter()
-    s = quadrahelix_string(2)
+    s = spell(quadrahelix_runs(2))
     assert format_string(s) == "1231232132"
     gaps = {}
     for digits in (40, 80):
@@ -313,7 +312,7 @@ def test_length10_gap_minima(ctx40):
         assert _within_display_unit(gap_emb, "0.3364221582"), mp.nstr(gap_emb, 12)
         assert gap_emb > mpf("0.33")  # no embedded chain within 0.01 of 0.32
     assert not verdicts[mirror_key(s_min)].embedded
-    qh2 = quadrahelix_string(2)
+    qh2 = spell(quadrahelix_runs(2))
     assert qh2 in reps
     assert verify_embedded(realize_chain(qh2, ctx40)).embedded
     dt = time.perf_counter() - t0
@@ -328,7 +327,7 @@ def test_length10_gap_minima(ctx40):
 
 def test_criterion_04_gap_norm_inequalities(ctx40):
     t0 = time.perf_counter()
-    chains = [quadrahelix_string(L) for L, _, _ in DESK_ROWS]
+    chains = [spell(quadrahelix_runs(L)) for L, _, _ in DESK_ROWS]
     rng = random.Random(987654321)
     chains += [random_valid_string(rng, rng.randint(3, 60)) for _ in range(500)]
     slack = mpf(10) ** -20
@@ -350,7 +349,7 @@ def test_criterion_05_closed_form_identity(ctx60, monkeypatch):
     worst = mpf(0)
     with ctx60.work():
         for L in range(4, 51):
-            exact = bary.chain_matrix(quadrahelix_string(L)).to_mpf(ctx60)
+            exact = bary.chain_matrix(spell(quadrahelix_runs(L))).to_mpf(ctx60)
             K = k_formula(L, ctx60)
             diff = max(
                 abs(K[i][j] - exact[i][j]) for i in range(4) for j in range(4)
@@ -358,7 +357,7 @@ def test_criterion_05_closed_form_identity(ctx60, monkeypatch):
             worst = max(worst, diff)
         assert worst < mpf(10) ** -30
         # adjudication guard: the rejected coefficient table must NOT work
-        exact10 = bary.chain_matrix(quadrahelix_string(10)).to_mpf(ctx60)
+        exact10 = bary.chain_matrix(spell(quadrahelix_runs(10))).to_mpf(ctx60)
         monkeypatch.setattr(paper_checks, "H1_SIN", _H1_SIN_REJECTED)
         bad = k_formula(10, ctx60)
         bad_diff = max(
@@ -377,12 +376,12 @@ def test_criterion_05_closed_form_identity(ctx60, monkeypatch):
 def test_criterion_06_embedding_verdicts(ctx40):
     t0 = time.perf_counter()
     for L in range(1, 61):
-        v = verify_embedded(realize_chain(quadrahelix_string(L), ctx40))
+        v = verify_embedded(realize_chain(spell(quadrahelix_runs(L)), ctx40))
         assert v.embedded and v.adjacency_ok and v.first_violation is None, L
-    v4 = verify_embedded(realize_chain(octahelix_string(4), ctx40))
+    v4 = verify_embedded(realize_chain(spell(octahelix_runs(4)), ctx40))
     assert not v4.embedded and v4.first_violation == (13, 31)
     for L in (5, 6, 36):
-        v = verify_embedded(realize_chain(octahelix_string(L), ctx40))
+        v = verify_embedded(realize_chain(spell(octahelix_runs(L)), ctx40))
         assert v.embedded and v.adjacency_ok, L
     dt = time.perf_counter() - t0
     assert dt < 120
@@ -395,8 +394,8 @@ def test_criterion_06_embedding_verdicts(ctx40):
 def test_embedding_certified_at_the_exact_length_limit(ctx40):
     # QH_4999, 19,998 letters, is the longest quadrahelix within bary.MAX_EXACT_LENGTH
     t0 = time.perf_counter()
-    s = quadrahelix_string(4999)
-    assert len(s) == 19_998 <= bary.MAX_EXACT_LENGTH < len(quadrahelix_string(5000))
+    s = spell(quadrahelix_runs(4999))
+    assert len(s) == 19_998 <= bary.MAX_EXACT_LENGTH < len(spell(quadrahelix_runs(5000)))
     v = verify_embedded(realize_chain(s, ctx40))
     assert v.embedded and v.adjacency_ok and v.first_violation is None
     assert v.pairs_tested == 41_108 and v.min_separation_margin == 0.0
@@ -485,7 +484,7 @@ def test_least_gap_at_the_99_digit_L(ctx40):
 
 def test_criterion_11_loop_preset(ctx40):
     t0 = time.perf_counter()
-    loop = loop_gap_report(preset_540_string(), ctx40)
+    loop = loop_gap_report(spell(preset_540_runs()), ctx40)
     with ctx40.work():
         assert loop.best.gap < mpf(10) ** -17
         assert mpf("3.5e-18") <= loop.best.gap <= mpf("1.4e-17")
@@ -527,8 +526,9 @@ def test_criterion_12_asymptotics_and_rhombus(ctx40):
 @pytest.mark.parametrize("L", [10, 29])
 def test_criterion_13_screw_motion(L, ctx40):
     t0 = time.perf_counter()
-    K = bary.chain_matrix(quadrahelix_string(L)).to_mpf(ctx40)
-    m = decompose_motion(K, invisible_t0(ctx40), ctx40)
+    exact = bary.chain_matrix(spell(quadrahelix_runs(L)))
+    K = exact.to_mpf(ctx40)
+    m = decompose_motion(exact, invisible_t0(ctx40), ctx40)
     res = motion_residuals(m, ctx40)
     kern = left_kernel_residuals(K, m.w, invisible_t0(ctx40), ctx40)
     eigs = motion_eigenvalues(K, ctx40)
@@ -552,7 +552,7 @@ def test_criterion_13_screw_motion(L, ctx40):
 def test_criterion_14_octahelix_bound(ctx40):
     t0 = time.perf_counter()
     bound = gap_bound_oh(686, ctx40)
-    rep = gap_report(octahelix_string(686), ctx40)
+    rep = gap_report(spell(octahelix_runs(686)), ctx40)
     with ctx40.work():
         assert mpf("1.5e-4") <= bound.bound <= mpf("6e-4")
         assert mpf("0.8e-5") <= rep.gap <= mpf("3.2e-5")

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from tetrachain import bary, cli, motion
+from tetrachain import bary, cli, motion, strings
 from tetrachain.cli import main
 from tetrachain.metrics import gap_report
+from tetrachain.motion import chain_gap, gap_bound_oh
 from tetrachain.precision import RealCtx
-from tetrachain.strings import octahelix_string
+from tetrachain.strings import octahelix_runs, spell
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "schemas")
 
@@ -167,12 +168,61 @@ def test_gap_past_the_exact_limit_equals_the_exact_report(capsys, monkeypatch):
     assert payload["length"] == 20_004
     monkeypatch.setattr(bary, "MAX_EXACT_LENGTH", 30_000)
     monkeypatch.setattr(motion, "MAX_EXACT_LENGTH", 30_000)
-    exact = gap_report(octahelix_string(2500), RealCtx(digits=40))
+    exact = gap_report(spell(octahelix_runs(2500)), RealCtx(digits=40))
     assert payload["gap_report"] == exact.to_json_dict()
     assert _run_json(capsys, ["gap", "--kind", "octahelix", "--L", "2500"]) == payload
     monkeypatch.undo()
     moved = _run_json(capsys, ["motion", "--kind", "octahelix", "--L", "2500"])
     assert moved["string"] == payload["string"] and moved["w"] is not None
+
+
+def _forbid_spelling(monkeypatch):
+    """Make strings.spell raise, in every module that holds it."""
+
+    def refuse(runs):
+        raise AssertionError("a chain was spelled")
+
+    spell = strings.spell
+    for mod in (strings, cli, motion):
+        assert mod.spell is spell
+        monkeypatch.setattr(mod, "spell", refuse)
+
+
+@pytest.mark.parametrize("kind, L", [("quadrahelix", 2_499_999), ("octahelix", 434_337_601_428)])
+def test_gap_csv_of_a_named_chain_spells_no_letter(kind, L, capsys, monkeypatch):
+    # a CSV row prints no letters; the JSON payload does, so it still refuses
+    # a chain too long to spell, from its run lengths
+    _forbid_spelling(monkeypatch)
+    assert main(["gap", "--kind", kind, "--L", str(L), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("gap,")
+    assert main(["gap", "--kind", "quadrahelix", "--L", str(10**12)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: QH_1000000000000 would spell 4000000000002 letters; the limit is 10000000"
+    ]
+
+
+def test_gap_csv_of_a_table2_octahelix(capsys):
+    # OH_434337601428 (3.47e12 letters), a table2 row, used to be refused as too long to spell
+    L = 434_337_601_428
+    assert main(["gap", "--kind", "octahelix", "--L", str(L), "--format", "csv"]) == 0
+    gap = float(capsys.readouterr().out.splitlines()[1].split(",")[0])
+    ctx = RealCtx(digits=40)
+    want = chain_gap(octahelix_runs(L), ctx)
+    assert gap == float(want)
+    with ctx.work():
+        assert 0 < want <= gap_bound_oh(L, ctx).bound
+
+
+@pytest.mark.parametrize("command", [["build", "--format", "json"], ["verify-embed"]])
+def test_realization_past_the_exact_limit_is_refused_before_spelling(command, capsys, monkeypatch):
+    # QH_2499999 spells 9,999,998 letters, which used to be spelled only to be refused
+    _forbid_spelling(monkeypatch)
+    assert main([*command, "--kind", "quadrahelix", "--L", "2499999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: string length 9999998 exceeds the exact-product limit 20000"
+    ]
 
 
 def test_gap_loop_payload(capsys):
@@ -620,6 +670,10 @@ PAYLOAD_SHA256 = {
     ),
     "gap --string 12 --format csv": (
         "f2fff4c202b792ca277c4567f9666bdbafa653ccb07402617a223fb5574ab482"
+    ),
+    # a table2 row of 3.47e12 letters: a CSV row spells none
+    "gap --kind octahelix --L 434337601428 --format csv": (
+        "6c435f9879bf0977f3776be8a6093562722ac46e92b6df9e38e8cc3f29c67547"
     ),
 }
 

@@ -26,12 +26,7 @@ from tetrachain.embedding import (
 )
 from tetrachain.geometry import Tetrahedron, invisible_t0, realize_chain
 from tetrachain.precision import RealCtx
-from tetrachain.strings import (
-    octahelix_string,
-    preset_540_string,
-    quadrahelix_string,
-    tetrahelix_string,
-)
+from tetrachain.strings import octahelix_runs, preset_540_runs, quadrahelix_runs, spell
 
 
 @given(st.integers(3, 200))
@@ -86,7 +81,7 @@ def test_adjacent_tetrahedra_disjoint(ctx40):
 
 @pytest.mark.parametrize("L", [1, 2, 5, 12])
 def test_quadrahelix_embedded(L, ctx40):
-    chain = realize_chain(quadrahelix_string(L), ctx40)
+    chain = realize_chain(spell(quadrahelix_runs(L)), ctx40)
     verdict = verify_embedded(chain)
     assert verdict.embedded and verdict.adjacency_ok
     assert verdict.first_violation is None
@@ -94,7 +89,7 @@ def test_quadrahelix_embedded(L, ctx40):
 
 
 def test_octahelix_4_not_embedded(ctx40):
-    chain = realize_chain(octahelix_string(4), ctx40)
+    chain = realize_chain(spell(octahelix_runs(4)), ctx40)
     verdict = verify_embedded(chain)
     assert not verdict.embedded
     assert verdict.first_violation == (13, 31)
@@ -102,7 +97,7 @@ def test_octahelix_4_not_embedded(ctx40):
 
 
 def test_octahelix_1_not_embedded(ctx40):
-    chain = realize_chain(octahelix_string(1), ctx40)
+    chain = realize_chain(spell(octahelix_runs(1)), ctx40)
     verdict = verify_embedded(chain)
     assert not verdict.embedded
     assert verdict.first_violation == (4, 10)
@@ -110,13 +105,13 @@ def test_octahelix_1_not_embedded(ctx40):
 
 
 def test_octahelix_5_embedded(ctx40):
-    chain = realize_chain(octahelix_string(5), ctx40)
+    chain = realize_chain(spell(octahelix_runs(5)), ctx40)
     verdict = verify_embedded(chain)
     assert verdict.embedded and verdict.adjacency_ok
 
 
 def test_verdict_json_shape(ctx40):
-    chain = realize_chain(quadrahelix_string(1), ctx40)
+    chain = realize_chain(spell(quadrahelix_runs(1)), ctx40)
     d = verify_embedded(chain).to_json_dict()
     assert d["embedded"] is True
     assert {"embedded", "first_violation", "min_separation_margin", "pairs_tested", "adjacency_ok"} <= set(d)
@@ -211,7 +206,7 @@ def _float_points(t):
 )
 def test_pairs_tested_pinned(ctx40, kind, L, pairs):
     # recorded with the former numpy broadcast prune
-    s = quadrahelix_string(L) if kind == "quadrahelix" else octahelix_string(L)
+    s = spell((quadrahelix_runs if kind == "quadrahelix" else octahelix_runs)(L))
     verdict = verify_embedded(realize_chain(s, ctx40))
     assert verdict.embedded and verdict.pairs_tested == pairs
 
@@ -236,7 +231,9 @@ def test_box_sweep_matches_brute_force(ctx40, s):
 
 
 @pytest.mark.parametrize(
-    "s", [quadrahelix_string(500), octahelix_string(36), preset_540_string()], ids=len
+    "s",
+    [spell(quadrahelix_runs(500)), spell(octahelix_runs(36)), spell(preset_540_runs())],
+    ids=len,
 )
 def test_grid_prune_matches_sweep_on_long_chains(ctx40, s):
     # long legs lie across every axis; the grid finds the sweep's pairs
@@ -257,8 +254,8 @@ def test_verdict_matches_reference_verifier(ctx40, s):
 
 @pytest.mark.parametrize(
     "s",
-    [quadrahelix_string(L) for L in range(1, 13)]
-    + [octahelix_string(1), octahelix_string(4), preset_540_string()],
+    [spell(quadrahelix_runs(L)) for L in range(1, 13)]
+    + [spell(octahelix_runs(1)), spell(octahelix_runs(4)), spell(preset_540_runs())],
     ids=lambda s: f"{len(s)}-letters",
 )
 def test_named_verdicts_match_reference_verifier(ctx40, s):
@@ -299,7 +296,7 @@ def _exact_margin_bounds(A, B, bits=200):
 )
 def test_screen_margin_within_two_ulps(ctx40, L, pair, exact):
     # the minimum-margin pair of OH_1 and of OH_4, 1-based
-    chain = realize_chain(octahelix_string(L), ctx40)
+    chain = realize_chain(spell(octahelix_runs(L)), ctx40)
     A, B = (_float_points(chain.tetrahedra[k - 1]) for k in pair)
     margin = _screen(A, B)
     assert margin == verify_embedded(chain).min_separation_margin

@@ -9,7 +9,7 @@ from conftest import reference_fold, valid_strings
 from paper_checks import bary_coefficients, edge_lengths, tetra_volume, tetrahelix_bary_point
 from reference_gap import prefix_realization, rounded_by_divmod, vertex_walk_reference
 from tetrachain.geometry import _rounded, helix_vertex, invisible_t0, realize_chain, vertex_walk
-from tetrachain.strings import preset_540_string, quadrahelix_string
+from tetrachain.strings import preset_540_runs, quadrahelix_runs, spell
 
 
 def _dist(a, b):
@@ -72,7 +72,7 @@ def test_realize_rejects_colliding_lead(ctx40):
 
 
 @given(valid_strings(max_size=40))
-@example(quadrahelix_string(60))
+@example(spell(quadrahelix_runs(60)))
 def test_realization_matches_barycentric_product(ctx40, s):
     # the prefix-product realization against step-by-step Cartesian
     # reflections, on every tetrahedron of the chain
@@ -134,7 +134,7 @@ _RNG = random.Random(20261019)
 
 @pytest.mark.parametrize(
     "s",
-    [quadrahelix_string(1960), preset_540_string()]
+    [spell(quadrahelix_runs(1960)), spell(preset_540_runs())]
     + [_back_and_forth(_RNG, n) for n in (2, 50, 400, 1500)],
     ids=["QH_1960", "preset540", "back-and-forth-2", "back-and-forth-50",
          "back-and-forth-400", "back-and-forth-1500"],
@@ -151,7 +151,7 @@ def test_realization_equals_prefix_product_realization(ctx40, s):
     valid_strings(max_size=60),
     st.lists(st.integers(-(10**30), 10**30), min_size=12, max_size=12),
 )
-@example(quadrahelix_string(20), [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0])
+@example(spell(quadrahelix_runs(20)), [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0])
 def test_vertex_walk_is_the_per_letter_walk(s, coords):
     # the oracle keeps each vertex over the power of 3 of the step that placed it
     start = [tuple(coords[3 * p : 3 * p + 3]) for p in range(4)]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from conftest import L_17_DIGITS, L_99_DIGITS, random_valid_string, valid_strings
-from paper_checks import k_formula
+from paper_checks import as_bary, k_formula
 from reference_gap import (
     apply_bary,
     directed_hausdorff,
@@ -32,7 +32,7 @@ from tetrachain.metrics import (
     root,
 )
 from tetrachain.precision import RealCtx
-from tetrachain.strings import preset_540_string, quadrahelix_string, rotate
+from tetrachain.strings import preset_540_runs, quadrahelix_runs, rotate, spell
 
 TRI = ((mpf(0),) * 3, (mpf(1), mpf(0), mpf(0)), (mpf(0), mpf(1), mpf(0)))
 
@@ -84,7 +84,7 @@ def test_hausdorff_of_translates(ctx40):
 
 def test_discrete_bounds_solid(ctx40):
     t0 = invisible_t0(ctx40)
-    chain = realize_chain(quadrahelix_string(4), ctx40)
+    chain = realize_chain(spell(quadrahelix_runs(4)), ctx40)
     with ctx40.work():
         tn = chain.tetrahedra[-1]
         solid = hausdorff_tetra(t0, tn)
@@ -103,7 +103,7 @@ def test_norms():
 
 def _assert_norm_matches_eigensolver(K, ctx, rel=mpf(10) ** -35):
     """The closed-form ||K - I||_2 against mpmath's eigensolver on K - I rounded once."""
-    N, d = (K.num, 3**K.power) if isinstance(K, bary.BaryMatrix) else (K, 1)
+    N, d = K.num, 3**K.power
     with ctx.work():
         want = spectral_norm([[mpf(x) / d for x in row] for row in minus_identity(N, d)], ctx)
         assert abs(norm_gap(K) - want) <= rel * want
@@ -120,7 +120,7 @@ def test_norm_gap_matches_eigensolver_on_every_lead(ctx40, parity, data):
 
 def test_norm_gap_matches_eigensolver_on_540_loop_cuts(ctx40):
     # near-closures: K - I is about 1e-17 at the best cuts
-    s = preset_540_string()
+    s = spell(preset_540_runs())
     K = bary.chain_matrix(s)
     for sym in s:
         _assert_norm_matches_eigensolver(K, ctx40)
@@ -130,7 +130,7 @@ def test_norm_gap_matches_eigensolver_on_540_loop_cuts(ctx40):
 @pytest.mark.parametrize("L, digits", [(1960, 40), (12019, 40), (L_17_DIGITS, 40), (L_99_DIGITS, 230)])
 def test_norm_gap_matches_eigensolver_on_closed_form(L, digits):
     ctx = RealCtx(digits=digits)
-    _assert_norm_matches_eigensolver(k_formula(L, ctx), ctx)
+    _assert_norm_matches_eigensolver(as_bary(k_formula(L, ctx), ctx), ctx)
 
 
 def test_norm_gap_of_identity_and_reflections(ctx40):
@@ -142,7 +142,7 @@ def test_norm_gap_of_identity_and_reflections(ctx40):
 
 
 def test_gap_report_quadrahelix_10(ctx40):
-    rep = gap_report(quadrahelix_string(10), ctx40)
+    rep = gap_report(spell(quadrahelix_runs(10)), ctx40)
     assert abs(rep.gap - mpf("0.0775081010798830")) < 1e-13
     assert rep.r0 == 1
     with ctx40.work():
@@ -150,7 +150,7 @@ def test_gap_report_quadrahelix_10(ctx40):
 
 
 def test_gap_report_pinned_lead(ctx40):
-    s = quadrahelix_string(4)
+    s = spell(quadrahelix_runs(4))
     free = gap_report(s, ctx40)
     leads = bary.lead_matrices(bary.chain_matrix(s), s[0], s[1])
     pinned = lead_minimized_report(leads, ctx40, 4)
@@ -168,7 +168,7 @@ def test_gap_report_too_short(ctx40):
 
 
 def test_json_and_csv_round(ctx40):
-    rep = gap_report(quadrahelix_string(2), ctx40)
+    rep = gap_report(spell(quadrahelix_runs(2)), ctx40)
     d = rep.to_json_dict()
     assert set(d) == {"gap", "norm_gap", "maxnorm_gap", "discrete_gap", "r0", "delta_bar"}
     row = rep.to_csv_row()
@@ -218,7 +218,7 @@ def test_loop_scan_takes_cut_67_at_every_precision():
     # six cuts of the 540-loop tie exactly at the least gap (67, 68, 247,
     # 248, 427, 428); rounded gaps used to pick 67 or 68 by the digits, and
     # to count 246 or 249 cuts below the printed one
-    s = preset_540_string()
+    s = spell(preset_540_runs())
     for digits in (30, 40, 50, 60, 80):
         loop = loop_gap_report(s, RealCtx(digits=digits))
         assert (loop.best_cut, loop.n_cuts_below_printed) == (67, 246), digits
@@ -247,12 +247,12 @@ def test_exact_gap_matches_reference_hausdorff(ctx40):
 
 @pytest.mark.parametrize("L", [2, 10, 29, 70, 1960])
 def test_exact_gap_matches_reference_on_quadrahelix(L, ctx40):
-    _assert_gaps_match_reference(quadrahelix_string(L), ctx40)
+    _assert_gaps_match_reference(spell(quadrahelix_runs(L)), ctx40)
 
 
 def test_exact_gap_matches_reference_on_540_loop_cuts(ctx40):
     # near-closures: K - I and the gaps are about 1e-17
-    s = preset_540_string()
+    s = spell(preset_540_runs())
     for cut in random.Random(540).sample(range(len(s)), 20):
         _assert_gaps_match_reference(rotate(s, cut), ctx40)
 
@@ -262,7 +262,7 @@ def test_discrete_gap_matches_reference_vertex_distance(ctx40):
     t0 = invisible_t0(ctx40)
     strings = [random_valid_string(rng, rng.randint(2, 60)) for _ in range(100)]
     with ctx40.work():
-        for s in strings + [quadrahelix_string(10)]:
+        for s in strings + [spell(quadrahelix_runs(10))]:
             K = bary.chain_matrix(s)
             want = discrete_hausdorff(t0, apply_bary(t0, K.to_mpf(ctx40)))
             assert abs(root(discrete_gap2(K)) - want) <= mpf(10) ** -35 * want, s
@@ -270,7 +270,7 @@ def test_discrete_gap_matches_reference_vertex_distance(ctx40):
 
 def test_inverse_is_the_reversed_product():
     rng = random.Random(3)
-    strings = [preset_540_string()] + [random_valid_string(rng, rng.randint(1, 60)) for _ in range(200)]
+    strings = [spell(preset_540_runs())] + [random_valid_string(rng, rng.randint(1, 60)) for _ in range(200)]
     for s in strings:
         K = bary.chain_matrix(s)
         assert tuple(map(tuple, inverse(K.num, 3**K.power))) == bary.chain_matrix(s[::-1]).num

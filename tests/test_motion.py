@@ -9,6 +9,7 @@ import paper_checks
 from conftest import L_17_DIGITS, L_99_DIGITS
 from paper_checks import (
     _H1_SIN_REJECTED,
+    as_bary,
     axis_point_norm_bound,
     corollary_angle_checks,
     k_formula,
@@ -37,18 +38,12 @@ from tetrachain.motion import (
     motion_residuals,
     ratio_terms,
 )
-from tetrachain.precision import (
-    RealCtx,
-    reduce_angle,
-    reduce_theta_multiple,
-)
+from tetrachain.precision import RealCtx, reduce_theta_multiple
 from tetrachain.search import convergent_lengths
 from tetrachain.strings import (
     octahelix_runs,
-    octahelix_string,
     parse_string,
     quadrahelix_runs,
-    quadrahelix_string,
     spell,
     tetrahelix_runs,
 )
@@ -98,7 +93,7 @@ def test_run_product_matches_exact_product(runs, ctx40):
 def test_closed_form_gap_matches_the_closed_form_oracle(L, digits, ctx40):
     cf = closed_form_gap(L, ctx40)
     ctx = RealCtx(digits=digits)
-    K = k_formula(L, ctx)
+    K = as_bary(k_formula(L, ctx), ctx)
     with ctx.work():
         for got, want in ((cf.gap, root(gap2(K))), (cf.norm_gap, norm_gap(K))):
             assert abs(got - want) < mpf(10) ** -38 * want
@@ -115,7 +110,7 @@ def test_closed_form_gap_at_a_generic_99_digit_L(ctx40):
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 10, 29])
 def test_k_formula_matches_exact_product(L, ctx60):
-    s = quadrahelix_string(L)
+    s = spell(quadrahelix_runs(L))
     exact = bary.chain_matrix(s).to_mpf(ctx60)
     K = k_formula(L, ctx60)
     with ctx60.work():
@@ -124,7 +119,7 @@ def test_k_formula_matches_exact_product(L, ctx60):
 
 @given(L=st.integers(min_value=1, max_value=60))
 def test_k_formula_matches_exact_product_random(L, ctx40):
-    exact = bary.chain_matrix(quadrahelix_string(L)).to_mpf(ctx40)
+    exact = bary.chain_matrix(spell(quadrahelix_runs(L))).to_mpf(ctx40)
     K = k_formula(L, ctx40)
     with ctx40.work():
         assert _maxdiff(K, exact) < mpf(10) ** -40
@@ -132,7 +127,7 @@ def test_k_formula_matches_exact_product_random(L, ctx40):
 
 def test_rejected_coefficient_variant_disagrees(ctx60, monkeypatch):
     # the one-tenth-scaled sin block is close but measurably wrong
-    exact = bary.chain_matrix(quadrahelix_string(10)).to_mpf(ctx60)
+    exact = bary.chain_matrix(spell(quadrahelix_runs(10))).to_mpf(ctx60)
     monkeypatch.setattr(paper_checks, "H1_SIN", _H1_SIN_REJECTED)
     K_bad = k_formula(10, ctx60)
     with ctx60.work():
@@ -141,7 +136,7 @@ def test_rejected_coefficient_variant_disagrees(ctx60, monkeypatch):
 
 def test_closed_form_gap_matches_direct_report(ctx40):
     cf = closed_form_gap(10, ctx40)
-    direct = gap_report(quadrahelix_string(10), ctx40)
+    direct = gap_report(spell(quadrahelix_runs(10)), ctx40)
     assert cf.L == 10 and cf.k == 4
     with ctx40.work():
         assert abs(cf.gap - direct.gap) < mpf(10) ** -35
@@ -176,11 +171,11 @@ def test_quadrahelix_gap_report_below_float_range():
     floor = 10**320
     L = min(L for L in convergent_lengths(ctx, 10 * floor) if L >= floor)
     rep = chain_gap_report(quadrahelix_runs(L), ctx, None)
-    K = k_formula(L, ctx)
+    K = as_bary(k_formula(L, ctx), ctx)
     t0 = invisible_t0(ctx)
     with ctx.work():
         leads = bary.lead_matrices(K, 1, 2)
-        gaps = {r: hausdorff_tetra(t0, apply_bary(t0, M)) for r, M in leads.items()}
+        gaps = {r: hausdorff_tetra(t0, apply_bary(t0, M.to_mpf(ctx))) for r, M in leads.items()}
         r0 = min(gaps, key=lambda r: (gaps[r], r))
         assert rep.r0 == r0
         assert abs(rep.gap - gaps[r0]) < mpf(10) ** -60 * gaps[r0]
@@ -215,11 +210,11 @@ def test_gap_report_settles_on_its_digits_below_float_range(monkeypatch):
 
 
 def test_closed_form_kernel_matches_exact_kernel(ctx40):
-    # the mpf kernel on the closed form's K against the exact kernel on the
-    # exact products, on every lead of QH_10
-    exact = bary.lead_matrices(bary.chain_matrix(quadrahelix_string(10)), 1, 2)
+    # the kernel on the closed form's K, rounded once, against the kernel on
+    # the exact products, on every lead of QH_10
+    exact = bary.lead_matrices(bary.chain_matrix(spell(quadrahelix_runs(10))), 1, 2)
     with ctx40.work():
-        closed = bary.lead_matrices(k_formula(10, ctx40), 1, 2)
+        closed = bary.lead_matrices(as_bary(k_formula(10, ctx40), ctx40), 1, 2)
         assert closed.keys() == exact.keys()
         for r, K in exact.items():
             want = root(gap2(K))
@@ -244,7 +239,7 @@ def test_quadrahelix_gap_report_paths_agree(r0, ctx40, monkeypatch):
 @pytest.fixture(scope="module")
 def qh10_motion(ctx40):
     K = k_formula(10, ctx40)
-    return K, decompose_motion(K, invisible_t0(ctx40), ctx40)
+    return K, decompose_motion(as_bary(K, ctx40), invisible_t0(ctx40), ctx40)
 
 
 def test_motion_residuals_tiny(qh10_motion, ctx40):
@@ -265,7 +260,7 @@ def test_motion_residuals_tiny(qh10_motion, ctx40):
 def test_motion_from_exact_matrix(ctx40):
     # the decomposition accepts the exact rational product directly
     m = decompose_motion(
-        bary.chain_matrix(quadrahelix_string(4)), invisible_t0(ctx40), ctx40
+        bary.chain_matrix(spell(quadrahelix_runs(4))), invisible_t0(ctx40), ctx40
     )
     res = motion_residuals(m, ctx40)
     with ctx40.work():
@@ -316,8 +311,7 @@ def test_left_kernel_rows(qh10_motion, ctx40):
 
 
 def test_identity_matrix_is_pure_translation(ctx40):
-    ident = [[mpf(1 if i == j else 0) for j in range(4)] for i in range(4)]
-    m = decompose_motion(ident, invisible_t0(ctx40), ctx40)
+    m = decompose_motion(bary.IDENTITY, invisible_t0(ctx40), ctx40)
     assert m.w is None and m.u is None
     assert m.angle == 0
     res = motion_residuals(m, ctx40)
@@ -340,7 +334,7 @@ def test_corollary_angle_identity(ctx40):
         assert abs(out["rho0"] - mpf("1.5634815")) < mpf(10) ** -7
         assert abs(out["sin_rho"] - mpf("0.0073147164")) < mpf(10) ** -10
         # the screw angle is the wrap of four copies of the half-turn angle
-        wrapped = abs(reduce_angle(4 * out["rho0"], ctx40))
+        wrapped = abs(4 * out["rho0"] - 2 * mp.pi)
         assert abs(out["motion_angle"] - wrapped) < mpf(10) ** -30
         assert out["norm_bound_ok"]
         assert out["r_norm"] <= out["delta_bar"] ** 2
@@ -349,7 +343,7 @@ def test_corollary_angle_identity(ctx40):
 @pytest.mark.parametrize("L", [29, 40, 70, 182, 253])
 def test_qh_gap_bound_dominates_measured_gap(L, ctx40):
     b = gap_bound_qh(L, ctx40)
-    report = gap_report(quadrahelix_string(L), ctx40)
+    report = gap_report(spell(quadrahelix_runs(L)), ctx40)
     with ctx40.work():
         # the paper's intermediate inequality, 3.51 L delta_bar^2
         tight_bound = mpf("3.51") * (mpf(L) * b.delta_bar**2)
@@ -390,7 +384,7 @@ def test_axis_point_within_bound(qh10_motion, ctx40):
 
 
 def test_leg_axis_cosines_quadrahelix(ctx40):
-    chain = realize_chain(quadrahelix_string(4), ctx40)
+    chain = realize_chain(spell(quadrahelix_runs(4)), ctx40)
     cos = leg_axis_cosines(chain, ctx40)
     assert len(cos) == 3
     with ctx40.work():
@@ -400,7 +394,7 @@ def test_leg_axis_cosines_quadrahelix(ctx40):
 
 
 def test_leg_axis_cosines_octahelix(ctx40):
-    chain = realize_chain(octahelix_string(4), ctx40)
+    chain = realize_chain(spell(octahelix_runs(4)), ctx40)
     cos = leg_axis_cosines(chain, ctx40)
     assert len(cos) == 7
     with ctx40.work():

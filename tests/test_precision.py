@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from paper_checks import seed_vertex_singular_value
@@ -12,7 +10,6 @@ from tetrachain.precision import (
     PrecisionError,
     RealCtx,
     _decimal_digits,
-    reduce_angle,
     reduce_theta_multiple,
     target_angle,
     theta,
@@ -80,35 +77,12 @@ def test_constants_deterministic(ctx40):
         assert target_angle("gamma_plus") == target_angle("gamma_plus")
 
 
-@given(st.floats(-1e6, 1e6, allow_nan=False))
-def test_reduce_angle_range_and_congruence(x):
-    ctx = RealCtx(digits=40)
-    with ctx.work():
-        alpha = mpf(x)
-        red = reduce_angle(alpha, ctx)
-        assert -mp.pi <= red < mp.pi
-        k = (alpha - red) / (2 * mp.pi)
-        assert abs(k - mp.nint(k)) < mpf(10) ** -25
-
-
-def test_reduce_angle_fixed_points(ctx40):
-    with ctx40.work():
-        assert reduce_angle(mpf(0), ctx40) == 0
-        assert abs(reduce_angle(mp.pi / 3, ctx40) - mp.pi / 3) < mpf(10) ** -45
-        # -pi is in range, +pi wraps to -pi
-        assert abs(reduce_angle(mp.pi, ctx40) + mp.pi) < mpf(10) ** -40
-
-
-def test_reduce_angle_overflow_guard(ctx40):
-    with pytest.raises(PrecisionError):
-        reduce_angle(mpf(10) ** 60, ctx40)
-
-
 def test_reduce_theta_multiple_matches_direct(ctx40):
     for mult in (1, 2, 11, 30, 71, 254):
         d, k = reduce_theta_multiple(mult, ctx40)
         with ctx40.work():
-            direct = reduce_angle(mult * theta(), ctx40)
+            t = mult * theta()
+            direct = t - 2 * mp.pi * mp.nint(t / (2 * mp.pi))
             assert abs(d - direct) < mpf(10) ** -40
             assert abs(mult * theta() - 2 * mp.pi * k - d) < mpf(10) ** -38
 

@@ -7,17 +7,16 @@ from paper_checks import octahelix_literal_check
 from tetrachain import strings
 from tetrachain.strings import (
     MAX_SPELLED_LENGTH,
+    check_spelled_length,
     format_string,
     is_valid,
     octahelix_runs,
-    octahelix_string,
     parse_string,
-    preset_540_string,
+    preset_540_runs,
     quadrahelix_runs,
-    quadrahelix_string,
     rotate,
     spell,
-    tetrahelix_string,
+    tetrahelix_runs,
 )
 
 QH4 = "123413412321431432"
@@ -26,8 +25,8 @@ OH4 = "123414321234121432123414321234121432"
 
 
 def test_quadrahelix_fixtures():
-    assert format_string(quadrahelix_string(4)) == QH4
-    assert format_string(quadrahelix_string(10)) == QH10
+    assert format_string(spell(quadrahelix_runs(4))) == QH4
+    assert format_string(spell(quadrahelix_runs(10))) == QH10
 
 
 @pytest.mark.parametrize(
@@ -45,12 +44,12 @@ def test_named_chains_are_few_runs():
 
 
 def test_tetrahelix_cycles():
-    assert format_string(tetrahelix_string(7)) == "1234123"
+    assert format_string(spell(tetrahelix_runs(7))) == "1234123"
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 10, 17, 40])
 def test_quadrahelix_shape(L):
-    s = quadrahelix_string(L)
+    s = spell(quadrahelix_runs(L))
     assert len(s) == 4 * L + 2
     assert is_valid(s)
     assert s[0] == 1
@@ -62,14 +61,14 @@ def test_quadrahelix_shape(L):
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 36, 50])
 def test_octahelix_shape(L):
-    s = octahelix_string(L)
+    s = spell(octahelix_runs(L))
     assert len(s) == 8 * L + 4
     assert is_valid(s)
 
 
 def test_octahelix_rejects_nonpositive():
     with pytest.raises(ValueError):
-        octahelix_string(0)
+        octahelix_runs(0)
 
 
 def test_octahelix_literal_discrepancy():
@@ -83,7 +82,7 @@ def test_octahelix_literal_discrepancy():
 
 
 def test_preset_540():
-    s = preset_540_string()
+    s = spell(preset_540_runs())
     assert len(s) == 540
     assert is_valid(s)
     assert s[0] != s[-1]  # cyclically valid loop
@@ -92,7 +91,7 @@ def test_preset_540():
 
 
 def test_rotate_roundtrip():
-    s = preset_540_string()
+    s = spell(preset_540_runs())
     assert rotate(rotate(s, 68), 540 - 68) == s
     assert rotate(s, 0) == s
 
@@ -137,22 +136,22 @@ def test_is_valid_is_the_definition(s, as_tuple):
 
 
 def test_named_chains_refuse_to_spell_past_the_cap(monkeypatch):
-    # refused from the length alone, long before the letters would be allocated
+    # refused from the run lengths alone, long before the letters would be allocated
     message = r"^QH_2500000 would spell 10000002 letters; the limit is 10000000$"
     with pytest.raises(ValueError, match=message):
-        quadrahelix_string(2_500_000)
+        check_spelled_length("quadrahelix", 2_500_000, quadrahelix_runs(2_500_000))
     with pytest.raises(ValueError, match=r"^OH_1250000 would spell"):
-        octahelix_string(1_250_000)
+        check_spelled_length("octahelix", 1_250_000, octahelix_runs(1_250_000))
+    m = MAX_SPELLED_LENGTH + 1
     with pytest.raises(ValueError, match=r"^the tetrahelix would spell"):
-        tetrahelix_string(MAX_SPELLED_LENGTH + 1)
-    # the cap is inclusive: a chain of exactly MAX_SPELLED_LENGTH letters is spelled
+        check_spelled_length("tetrahelix", m, tetrahelix_runs(m))
+    # the cap is inclusive: a chain of exactly MAX_SPELLED_LENGTH letters passes
     monkeypatch.setattr(strings, "MAX_SPELLED_LENGTH", 42)
-    assert len(quadrahelix_string(10)) == 42
-    with pytest.raises(ValueError):
-        quadrahelix_string(11)
-    assert len(octahelix_string(4)) == 36
-    with pytest.raises(ValueError):
-        octahelix_string(5)
-    assert len(tetrahelix_string(42)) == 42
-    with pytest.raises(ValueError):
-        tetrahelix_string(43)
+    for kind, named, passes in (
+        ("quadrahelix", quadrahelix_runs, 10),
+        ("octahelix", octahelix_runs, 4),
+        ("tetrahelix", tetrahelix_runs, 42),
+    ):
+        check_spelled_length(kind, passes, named(passes))
+        with pytest.raises(ValueError):
+            check_spelled_length(kind, passes + 1, named(passes + 1))
