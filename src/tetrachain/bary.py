@@ -19,23 +19,20 @@ screw powers, from coefficient tables derived exactly on first use.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
-from .precision import RealCtx, reduce_theta_multiple
+from .precision import RealCtx, _reduce_once
 from .strings import Run, is_valid
 
 _Rows = tuple[tuple[int, int, int, int], ...]
 
 
-@dataclass(frozen=True)
-class BaryMatrix:
+class BaryMatrix(NamedTuple):
     """A 4x4 matrix with entries num[i][j] / 3**power, held exactly.
 
     exact is False for a real product rounded to this form (run_product): its
@@ -48,15 +45,17 @@ class BaryMatrix:
 
     def __matmul__(self, other: "BaryMatrix") -> "BaryMatrix":
         """The product in lowest terms: common factors of 3 are divided out."""
-        a, b = self.num, other.num
-        rows = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
-            for i in range(4)
-        )
-        power = self.power + other.power
-        while power > 0 and all(x % 3 == 0 for row in rows for x in row):
-            rows = tuple(tuple(x // 3 for x in row) for row in rows)
-            power -= 1
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = other.num
+        rows = tuple([
+            (x0 * a0 + x1 * b0 + x2 * c0 + x3 * d0, x0 * a1 + x1 * b1 + x2 * c1 + x3 * d1,
+             x0 * a2 + x1 * b2 + x2 * c2 + x3 * d2, x0 * a3 + x1 * b3 + x2 * c3 + x3 * d3)
+            for x0, x1, x2, x3 in self.num
+        ])
+        power, d = self.power + other.power, 1
+        while power > 0 and all(x % (3 * d) == 0 for row in rows for x in row):
+            power, d = power - 1, 3 * d
+        if d > 1:
+            rows = tuple([(x0 // d, x1 // d, x2 // d, x3 // d) for x0, x1, x2, x3 in rows])
         return BaryMatrix(rows, power, self.exact and other.exact)
 
     def to_mpf(self, ctx: RealCtx) -> list[list[mpf]]:
@@ -148,14 +147,14 @@ def _walk(cols: _Rows, letters: Sequence[int]) -> _Rows:
 
 
 def _power(W: BaryMatrix, q: int) -> BaryMatrix:
-    """W^q by binary powering."""
-    out = IDENTITY
-    while q:
+    """W^q, q >= 1, by binary powering from the lowest set bit of q."""
+    while not q & 1:
+        W, q = W @ W, q >> 1
+    out = W
+    while q := q >> 1:
+        W = W @ W
         if q & 1:
             out = out @ W
-        q >>= 1
-        if q:
-            W = W @ W
     return out
 
 
@@ -261,6 +260,8 @@ def _screw_table(step: int) -> tuple:
     cos(theta) = -2/3 makes the basis rational at m = 0..3, and the four
     coefficients follow from X^0..X^3 by one exact solve, on first use.
     """
+    from fractions import Fraction  # only the run product needs it
+
     shift = BaryMatrix(tuple(IDENTITY.num[(i - step) % 4] for i in range(4)), 0)  # P^step
     X, W, c, s = reflection_matrix(1) @ shift, IDENTITY, Fraction(1), Fraction(0)
     basis, powers = [], []
@@ -289,7 +290,7 @@ def run_product(runs: Sequence[Run], ctx: RealCtx) -> BaryMatrix:
     N, dens, trig = None, 1, {}
     for a, step, m in runs:
         if m not in trig:
-            delta, _ = reduce_theta_multiple(m, ctx)
+            delta, _ = _reduce_once(m, ctx)  # cos and sin need its absolute error only
             with ctx.work():
                 c, s = mp.cos_sin(delta)
                 trig[m] = int(mp.ldexp(c, bits)), int(mp.ldexp(s / mp.sqrt(5), bits))
@@ -306,8 +307,7 @@ def run_product(runs: Sequence[Run], ctx: RealCtx) -> BaryMatrix:
     return BaryMatrix(rows, k, exact=False)
 
 
-@dataclass(frozen=True)
-class DivisibilityWitness:
+class DivisibilityWitness(NamedTuple):
     is_permutation: bool
     row: int  # 1-based row of the witness entry
     col: int  # 1-based column (the last symbol of the string)

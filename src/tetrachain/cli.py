@@ -5,6 +5,9 @@ identical bytes.  Output files are written atomically (temp file + rename).
 
 Exit codes: 0 success, 2 bad configuration, 3 precision failure,
 4 verification failure.
+
+Each command imports the layers it runs when it runs; only the strings
+layer, pure Python with no mpmath, loads with this module.
 """
 
 from __future__ import annotations
@@ -13,33 +16,8 @@ import argparse
 import json
 import os
 import sys
-import tempfile
-from operator import itemgetter
-
-from mpmath import mp, mpf
 
 from . import __version__
-from .bary import check_exact_length
-from .embedding import verify_embedded
-from .geometry import invisible_t0, realize_chain
-from .metrics import gap_report, loop_gap_report
-from .motion import (
-    chain_gap,
-    chain_gap_report,
-    decompose_motion,
-    leg_axis_cosines,
-    motion_residuals,
-    ratio_terms,
-    resolve,
-)
-from .precision import PrecisionError, RealCtx, reduce_theta_multiple, target_angle, theta
-from .search import (
-    babai_lll_search,
-    continued_fraction_convergents,
-    convergent_lengths,
-    fixup_negative_x,
-    lattice_table,
-)
 from .strings import (
     NAMED_CHAINS,
     _shown,
@@ -54,6 +32,7 @@ from .strings import (
 
 def _write_atomic(path: str, text: str) -> None:
     """Write by a temp file beside path and a rename; errors name path, not the temp file."""
+    import tempfile
     tmp = None
     try:
         d = os.path.dirname(os.path.abspath(path))
@@ -80,6 +59,7 @@ def _json_text(obj) -> str:
 
 
 def _nstr(x, digits: int) -> str:
+    from mpmath import mp, mpf
     with mp.workdps(digits + 5):
         return mp.nstr(mpf(x), digits, strip_zeros=True)
 
@@ -106,6 +86,7 @@ def _chain(args):
     A --string chain is runs of one letter each, which only the exact product
     takes, so it is refused past MAX_EXACT_LENGTH here.
     """
+    from .bary import check_exact_length
     if args.string is not None and args.kind:
         raise ValueError("--string and --kind name two chains; give one")
     if args.L is not None and args.kind in (None, "preset540"):
@@ -130,6 +111,7 @@ def _letters(kind: str, param: int | None, runs, realized: bool = False):
     The run lengths are checked before a letter is spelled: against
     MAX_SPELLED_LENGTH, and for a realization against the exact-product limit.
     """
+    from .bary import check_exact_length
     check_spelled_length(kind, param, runs)
     if realized:
         check_exact_length(sum(m for _, _, m in runs))
@@ -155,8 +137,9 @@ def _obj_mesh(chain) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_build(args) -> int:
-    ctx = RealCtx(digits=args.digits)
+def cmd_build(args, ctx) -> int:
+    from .geometry import realize_chain
+    from .metrics import gap_report, loop_gap_report
     kind, param, runs = _chain(args)
     s = _letters(kind, param, runs, realized=True)
     summary = {"kind": kind, "param": param, "length": len(s)}
@@ -182,8 +165,9 @@ def cmd_build(args) -> int:
 # --- gap ----------------------------------------------------------------------
 
 
-def cmd_gap(args) -> int:
-    ctx = RealCtx(digits=args.digits)
+def cmd_gap(args, ctx) -> int:
+    from .metrics import loop_gap_report
+    from .motion import chain_gap_report
     kind, param, runs = _chain(args)
     # a CSV row prints no letters, so it takes a named chain of any length
     s = _letters(kind, param, runs) if args.loop or args.format == "json" else None
@@ -209,8 +193,10 @@ def cmd_gap(args) -> int:
 # --- tables -------------------------------------------------------------------
 
 
-def cmd_table1(args) -> int:
-    ctx = RealCtx(digits=args.digits)
+def cmd_table1(args, ctx) -> int:
+    from .motion import chain_gap
+    from .precision import reduce_theta_multiple
+    from .search import convergent_lengths
     lines = ["L,k,delta_bar,gap"]
     for L in convergent_lengths(ctx, args.L_max):
         delta_bar, k = reduce_theta_multiple(L + 1, ctx)
@@ -220,8 +206,9 @@ def cmd_table1(args) -> int:
     return 0
 
 
-def cmd_table2(args) -> int:
-    ctx = RealCtx(digits=args.digits)
+def cmd_table2(args, ctx) -> int:
+    from mpmath import mp
+    from .search import lattice_table
     lines = ["X,x,y,err,log10_err,kronecker_ok"]
     with ctx.work():
         for X, sol in lattice_table(ctx):
@@ -236,8 +223,8 @@ def cmd_table2(args) -> int:
 # --- searches -----------------------------------------------------------------
 
 
-def cmd_search_cf(args) -> int:
-    ctx = RealCtx(digits=args.digits)
+def cmd_search_cf(args, ctx) -> int:
+    from .search import continued_fraction_convergents
     convs = continued_fraction_convergents(ctx, args.count)
     if args.format == "json":
         payload = [
@@ -253,7 +240,10 @@ def cmd_search_cf(args) -> int:
     return 0
 
 
-def _lll_payload(args, ctx: RealCtx) -> dict:
+def _lll_payload(args, ctx) -> dict:
+    from mpmath import mp, mpf
+    from .precision import target_angle, theta
+    from .search import babai_lll_search, fixup_negative_x
     with ctx.work():
         X = mpf(args.X)
         gamma = target_angle(args.target)
@@ -271,8 +261,9 @@ def _lll_payload(args, ctx: RealCtx) -> dict:
         }
 
 
-def cmd_search_lll(args) -> int:
-    payload = _lll_payload(args, RealCtx(digits=args.digits))
+def cmd_search_lll(args, ctx) -> int:
+    from .precision import PrecisionError, RealCtx
+    payload = _lll_payload(args, ctx)
     if payload["x"] == 0:
         raise ValueError(f"X = {args.X} is too small: the search finds only x = 0")
     # an answer that moves when the working digits double is not certified
@@ -291,8 +282,9 @@ def cmd_search_lll(args) -> int:
 # --- verification and scans ----------------------------------------------------
 
 
-def cmd_verify_embed(args) -> int:
-    ctx = RealCtx(digits=args.digits)
+def cmd_verify_embed(args, ctx) -> int:
+    from .embedding import verify_embedded
+    from .geometry import realize_chain
     s = _letters(*_chain(args), realized=True)
     chain = realize_chain(s, ctx)
     verdict = verify_embedded(chain)
@@ -302,8 +294,8 @@ def cmd_verify_embed(args) -> int:
     return 0 if verdict.embedded and verdict.adjacency_ok else 4
 
 
-def cmd_scan_ratio(args) -> int:
-    ctx = RealCtx(digits=args.digits)
+def cmd_scan_ratio(args, ctx) -> int:
+    from .motion import ratio_terms
     lines = ["L,delta_bar,norm_gap,ratio"]
     for L in range(4, args.L_max + 1):
         delta_bar, norm, ratio = ratio_terms(L, ctx)
@@ -312,8 +304,11 @@ def cmd_scan_ratio(args) -> int:
     return 0
 
 
-def cmd_motion(args) -> int:
-    ctx = RealCtx(digits=args.digits)
+def cmd_motion(args, ctx) -> int:
+    from operator import itemgetter
+    from mpmath import mpf
+    from .geometry import invisible_t0, realize_chain
+    from .motion import decompose_motion, leg_axis_cosines, motion_residuals, resolve
     kind, param, runs = _chain(args)
     s = _letters(kind, param, runs)
     if len(s) % 2:
@@ -435,8 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    from .precision import PrecisionError, RealCtx
     try:
-        return args.func(args)
+        return args.func(args, RealCtx(digits=args.digits))
     except PrecisionError as e:
         print(f"precision failure: {e}", file=sys.stderr)
         return 3

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -113,8 +113,7 @@ def _local_pairs(s, pairs):
                 yield i, i + k, [tuple(x * 3**k for x in v) for v in _UNIT], B
 
 
-@dataclass(frozen=True)
-class EmbeddingVerdict:
+class EmbeddingVerdict(NamedTuple):
     embedded: bool
     first_violation: tuple | None
     min_separation_margin: float | None

@@ -16,8 +16,7 @@ the shared face bit-for-bit equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
@@ -29,15 +28,13 @@ from .strings import is_valid
 Point3 = tuple  # 3 mpf coordinates
 
 
-@dataclass(frozen=True)
-class Tetrahedron:
+class Tetrahedron(NamedTuple):
     """Four ordered vertices; face i is the one opposite vertex i."""
 
     vertices: tuple  # 4 Point3
 
 
-@dataclass
-class RealizedChain:
+class RealizedChain(NamedTuple):
     """A realized chain: its printed string, the visible tetrahedra, and their ages.
 
     ages[k][p] is the step index at which vertex slot p of visible
@@ -47,8 +44,8 @@ class RealizedChain:
     """
 
     string: tuple  # full string including the leading face choice
-    tetrahedra: list = field(default_factory=list)
-    ages: list = field(default_factory=list)
+    tetrahedra: list
+    ages: list
 
 
 def helix_vertex(i: int, ctx: RealCtx) -> Point3:
@@ -142,7 +139,7 @@ def realize_chain(s: Sequence[int], ctx: RealCtx) -> RealizedChain:
     with ctx.work():
         t0 = invisible_t0(ctx)
         ints, low = dyadic_ints(x for v in t0.vertices for x in v)
-        chain = RealizedChain(string=s)
+        tetrahedra, ages = [], []
         verts = list(t0.vertices)
         age = [0, 1, 2, 3]
         den = 1
@@ -153,6 +150,6 @@ def realize_chain(s: Sequence[int], ctx: RealCtx) -> RealizedChain:
             verts[i] = tuple(_rounded(x, den, low) for x in exact[i])
             age = age.copy()
             age[i] = k + 3
-            chain.tetrahedra.append(Tetrahedron(tuple(verts)))
-            chain.ages.append(tuple(age))
-        return chain
+            tetrahedra.append(Tetrahedron(tuple(verts)))
+            ages.append(tuple(age))
+        return RealizedChain(s, tetrahedra, ages)

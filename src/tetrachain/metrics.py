@@ -21,9 +21,9 @@ integer kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
@@ -181,8 +181,7 @@ def maxnorm_gap(K: bary.BaryMatrix) -> mpf:
     return mpf(maxnorm(minus_identity(N, d))) / mpf(d)
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Closure metrics of one chain, minimized over the free leading face."""
 
     gap: mpf
@@ -248,8 +247,7 @@ def gap_report(s, ctx: RealCtx) -> GapReport:
     return lead_minimized_report(bary.lead_matrices(K, s[0], s[1]), ctx, None)
 
 
-@dataclass(frozen=True)
-class LoopGapReport:
+class LoopGapReport(NamedTuple):
     """Gap of a closed loop: the printed cut and the best cyclic cut."""
 
     printed: GapReport

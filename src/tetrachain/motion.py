@@ -10,8 +10,8 @@ for parameters with any number of digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, mpf_pos, round_nearest
@@ -38,8 +38,8 @@ from .metrics import (
     norm_gap,
     root,
 )
-from .precision import RealCtx, _decimal_digits, certified, reduce_theta_multiple
-from .strings import letters, quadrahelix_runs, spell
+from .precision import RealCtx, certified, reduce_theta_multiple
+from .strings import _decimal_digits, letters, quadrahelix_runs, spell
 
 # lim (K - I)/(L*delta^2) as delta -> 0 over convergent L; rank one, with
 # spectral norm 8*sqrt(3)/25
@@ -111,8 +111,7 @@ def chain_gap(runs, ctx: RealCtx) -> mpf:
     )[0]
 
 
-@dataclass(frozen=True)
-class ClosedFormGap:
+class ClosedFormGap(NamedTuple):
     """Gap metrics of QH_L on its printed lead, for L of any size."""
 
     L: int
@@ -134,8 +133,7 @@ def closed_form_gap(L: int, ctx: RealCtx) -> ClosedFormGap:
 # --- rigid-motion decomposition ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class RigidMotion:
+class RigidMotion(NamedTuple):
     """The Cartesian motion carrying the seed tetrahedron to the chain's end.
 
     R is the rotation, t the translation; w spans the rotation axis
@@ -220,8 +218,7 @@ def motion_residuals(m: RigidMotion, ctx: RealCtx) -> dict:
 # --- turn-angle identities and bounds ----------------------------------------
 
 
-@dataclass(frozen=True)
-class QhGapBound:
+class QhGapBound(NamedTuple):
     L: int
     delta_bar: mpf
     bound: mpf  # 5 L delta_bar^2
@@ -234,8 +231,7 @@ def gap_bound_qh(L: int, ctx: RealCtx) -> QhGapBound:
         return QhGapBound(L=int(L), delta_bar=delta_bar, bound=5 * (mpf(int(L)) * delta_bar**2))
 
 
-@dataclass(frozen=True)
-class OhGapBound:
+class OhGapBound(NamedTuple):
     L: int
     delta_bar: mpf
     target: str

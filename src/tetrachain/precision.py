@@ -13,10 +13,11 @@ and cached, since a long reduction asks for it at tens of thousands of digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath import mp, mpf
+
+from .strings import _decimal_digits
 
 
 class PrecisionError(Exception):
@@ -32,7 +33,6 @@ GUARD = 15  # decimals carried past the requested digits
 MAX_DIGITS = 10**7
 
 
-@dataclass(frozen=True)
 class RealCtx:
     """Working-precision carrier: `digits` significant decimals plus GUARD digits.
 
@@ -41,12 +41,13 @@ class RealCtx:
     somewhere below us and raises :class:`PrecisionError`.
     """
 
-    digits: int = 40
+    __slots__ = ("digits",)
 
-    def __post_init__(self):
-        if not 30 <= self.digits <= MAX_DIGITS:
-            raise ValueError(f"digits must be in 30..{MAX_DIGITS}, got {self.digits}")
-        _check_theta(theta, self.digits)
+    def __init__(self, digits: int):
+        if not 30 <= digits <= MAX_DIGITS:
+            raise ValueError(f"digits must be in 30..{MAX_DIGITS}, got {digits}")
+        _check_theta(theta, digits)
+        self.digits = digits
 
     @property
     def workdps(self) -> int:
@@ -103,27 +104,14 @@ def target_angle(name: str) -> mpf:
     return mp.acos((-3 + signs[name] * 5 * mp.sqrt(3)) / 12)
 
 
-def _decimal_digits(n: int) -> int:
-    """len(str(abs(n))) from bit_length, free of str's 4,300-digit limit."""
-    # 0.3010299956 < log10(2): d is the count or one below it for n < 10^(10^9)
-    d = max(1, (abs(n).bit_length() - 1) * 3010299956 // 10**10 + 1)
-    return d + (abs(n) >= 10**d)
+def _reduce_once(mult: int, ctx: RealCtx, offset: str | None = None, lost: int = 0):
+    """(mult*theta minus an optional target angle, reduced to [-pi, pi), nearest multiple k).
 
-
-def reduce_theta_multiple(mult: int, ctx: RealCtx, offset: str | None = None):
-    """Reduce mult*theta (minus an optional target angle) to [-pi, pi).
-
-    `mult` may have any number of digits: theta and pi carry one extra decimal
-    per digit of mult, and the nearest multiple of 2*pi is subtracted as one
-    exact big-integer step, so no error accumulates in a loop.
-
-    offset: None, "gamma_plus", or "gamma_minus".
-
-    Returns (reduced angle as mpf carrying ctx.digits significant digits,
-    nearest-multiple integer k).
+    theta and pi carry one extra decimal per digit of mult and `lost` more, and
+    the multiple is subtracted as one exact big-integer step: the angle is
+    within about 10^-(ctx.workdps + lost), whatever the size of mult.
     """
-    mult = int(mult)
-    with mp.workdps(ctx.workdps + _decimal_digits(mult)):
+    with mp.workdps(ctx.workdps + _decimal_digits(mult) + lost):
         t = mpf(mult) * theta()
         if offset is not None:
             t -= target_angle(offset)
@@ -136,3 +124,31 @@ def reduce_theta_multiple(mult: int, ctx: RealCtx, offset: str | None = None):
             dbar += 2 * mp.pi
             k -= 1
         return +dbar, k
+
+
+def reduce_theta_multiple(mult: int, ctx: RealCtx, offset: str | None = None):
+    """Reduce mult*theta (minus an optional target angle) to [-pi, pi), mult of any size.
+
+    A result below 10^-GUARD lost leading digits to the subtraction: it is
+    recomputed with log10(1/|result|) more, or twice the working digits for
+    a 0, up to MAX_DIGITS.
+
+    offset: None, "gamma_plus", or "gamma_minus".
+
+    Returns (reduced angle as mpf carrying ctx.digits significant digits,
+    nearest-multiple integer k).
+    """
+    mult = int(mult)
+    if not mult and offset is None:
+        return mpf(0), 0
+    lost = 0
+    while True:
+        dbar, k = _reduce_once(mult, ctx, offset, lost)
+        if abs(dbar) >= mpf(10) ** -GUARD:
+            return dbar, k
+        cancelled = int(-mp.log10(abs(dbar))) if dbar else ctx.workdps + lost
+        if cancelled <= lost:
+            return dbar, k
+        lost = cancelled
+        if ctx.workdps + _decimal_digits(mult) + lost > MAX_DIGITS:
+            raise PrecisionError(f"the reduced angle cancels past {MAX_DIGITS} working digits")

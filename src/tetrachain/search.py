@@ -10,16 +10,15 @@ way through); floats appear only when a final error is evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
 from .precision import GUARD, PrecisionError, RealCtx, target_angle, theta
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(NamedTuple):
     k: int  # numerator
     q: int  # denominator; L = q - 1 is the chain parameter
     err: float  # |theta/(2 pi) - k/q|
@@ -29,8 +28,7 @@ class Convergent:
         return self.q - 1
 
 
-@dataclass(frozen=True)
-class DioSolution:
+class DioSolution(NamedTuple):
     x: int
     y: int
     err: float  # |x*alpha + y*beta - gamma|

@@ -14,8 +14,6 @@ from itertools import islice
 from operator import ne
 from typing import Iterable, Iterator, Sequence
 
-from .precision import _decimal_digits
-
 Symbol = int
 String = tuple[Symbol, ...]
 _LETTERS, _DIGITS = frozenset((1, 2, 3, 4)), frozenset("1234")
@@ -37,6 +35,13 @@ def parse_string(text: str) -> String:
 
 def format_string(s: Iterable[int]) -> str:
     return "".join(str(x) for x in s)
+
+
+def _decimal_digits(n: int) -> int:
+    """len(str(abs(n))) from bit_length, free of str's 4,300-digit limit."""
+    # 0.3010299956 < log10(2): d is the count or one below it for n < 10^(10^9)
+    d = max(1, (abs(n).bit_length() - 1) * 3010299956 // 10**10 + 1)
+    return d + (abs(n) >= 10**d)
 
 
 MAX_SPELLED_LENGTH = 10**7  # letters; a spelled chain costs about 90 bytes a letter

@@ -440,12 +440,13 @@ def test_motion_of_a_tetrahelix_settles_at_once(argv, capsys, monkeypatch):
     # whose rounding noise differs at every precision, and R - I two columns of
     # one norm; the zeros print as 0 and two evaluations settle the payload
     calls = []
+    decompose = motion.decompose_motion
 
     def counted(*args):
         calls.append(args)
-        return motion.decompose_motion(*args)
+        return decompose(*args)
 
-    monkeypatch.setattr(cli, "decompose_motion", counted)
+    monkeypatch.setattr(motion, "decompose_motion", counted)
     payload = _run_json(capsys, ["motion", *argv], schema="motion.schema.json")
     assert len(calls) == 2
     assert payload["R"][2] == ["0.0", "0.0", "1.0"]
@@ -784,3 +785,39 @@ def test_cli_does_not_load_numpy():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, present, absent",
+    [
+        (
+            ["verify-embed", "--kind", "quadrahelix", "--L", "1"],
+            "tetrachain.embedding",
+            {"tetrachain.metrics", "tetrachain.motion", "tetrachain.search", "dataclasses"},
+        ),
+        (["--version"], "tetrachain.strings", {"mpmath"}),
+        (None, "tetrachain.bary", {"tetrachain.geometry", "tetrachain.embedding", "tetrachain.motion"}),
+    ],
+    ids=["verify-embed", "version", "import-bary"],
+)
+def test_a_process_loads_only_the_layers_it_runs(argv, present, absent):
+    # each command imports its layers when it runs, and the package resolves
+    # its exports on first use; sys.modules is read as the process exits
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    run = (
+        "import tetrachain.bary"
+        if argv is None
+        else "import runpy; runpy.run_module('tetrachain.cli', run_name='__main__')"
+    )
+    code = f"import atexit, sys; atexit.register(lambda: print(*sys.modules, file=sys.stderr)); {run}"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *(argv or [])],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert present in loaded
+    assert not absent & loaded, sorted(absent & loaded)

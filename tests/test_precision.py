@@ -1,8 +1,10 @@
 import pytest
 from mpmath import mp, mpf
 
+from conftest import L_99_DIGITS
 from paper_checks import seed_vertex_singular_value
 from tetrachain.geometry import helix_vertex
+from tetrachain.motion import gap_bound_qh
 from tetrachain import precision
 from tetrachain.cli import main
 from tetrachain.precision import (
@@ -78,7 +80,7 @@ def test_constants_deterministic(ctx40):
 
 
 def test_reduce_theta_multiple_matches_direct(ctx40):
-    for mult in (1, 2, 11, 30, 71, 254):
+    for mult in (0, 1, 2, 11, 30, 71, 254):
         d, k = reduce_theta_multiple(mult, ctx40)
         with ctx40.work():
             t = mult * theta()
@@ -122,6 +124,28 @@ def test_reduce_theta_multiple_beyond_str_limit(ctx40):
         k_ref = int(mp.nint(t / (2 * mp.pi)))
         assert k == k_ref
         assert abs(d - (t - 2 * mp.pi * k_ref)) < mpf(10) ** -40
+
+
+def test_reduce_theta_multiple_keeps_its_digits_near_a_multiple(ctx40):
+    # (L+1) theta of a 99-digit convergent L lies 1.6e-100 from a multiple of
+    # 2 pi: the subtraction cancels about 100 digits, which used to leave 0.0
+    d, k = reduce_theta_multiple(L_99_DIGITS + 1, ctx40)
+    with mp.workdps(300):
+        t = (L_99_DIGITS + 1) * mp.acos(mpf(-2) / 3)
+        k_ref = int(mp.nint(t / (2 * mp.pi)))
+        ref = t - 2 * mp.pi * k_ref
+        assert k == k_ref
+        assert mp.nstr(ref, 14) == "-1.6280574234987e-100"
+        assert abs(d - ref) < mpf(10) ** -40 * abs(ref)
+    bound = gap_bound_qh(L_99_DIGITS, ctx40).bound
+    with ctx40.work():
+        assert abs(bound - 5 * L_99_DIGITS * ref**2) < mpf(10) ** -40 * bound
+
+
+def test_reduce_theta_multiple_refuses_a_cancellation_past_max_digits(ctx40, monkeypatch):
+    monkeypatch.setattr(precision, "MAX_DIGITS", 200)
+    with pytest.raises(PrecisionError, match="cancels"):
+        reduce_theta_multiple(L_99_DIGITS + 1, ctx40)
 
 
 def test_reduce_theta_multiple_offsets(ctx40):

@@ -3,9 +3,10 @@
 A top-level name of ``src/tetrachain`` that no other statement in ``src/``
 or ``scripts/`` reads, and that ``tetrachain.__all__`` does not export, is
 code only the tests call: an oracle for a paper claim belongs in
-``tests/paper_checks.py`` instead.  Likewise a field of a dataclass in
-``src/`` that no code in ``src/``, ``scripts/`` or ``perfbench/`` reads as
-an attribute is computed for the tests alone.
+``tests/paper_checks.py`` instead.  Likewise a field of a record (a
+dataclass or a NamedTuple) in ``src/`` that no code in ``src/``,
+``scripts/`` or ``perfbench/`` reads as an attribute is computed for the
+tests alone.
 """
 
 import ast
@@ -58,17 +59,18 @@ def test_every_top_level_name_is_run_or_exported():
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
-    """True for @dataclass, @dataclass(...) and @dataclasses.dataclass(...)."""
-    for d in cls.decorator_list:
-        target = d.func if isinstance(d, ast.Call) else d
-        name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
-        if name == "dataclass":
-            return True
-    return False
+    """True for a record: @dataclass, @dataclass(...) or @dataclasses.dataclass(...),
+    or a class based on NamedTuple or typing.NamedTuple."""
+
+    def name(node):
+        target = node.func if isinstance(node, ast.Call) else node
+        return target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+
+    return "dataclass" in map(name, cls.decorator_list) or "NamedTuple" in map(name, cls.bases)
 
 
 def _fields(cls: ast.ClassDef) -> list:
-    """The annotated class-body names of a dataclass, ClassVar excluded."""
+    """The annotated class-body names of a record, ClassVar excluded."""
     return [
         stmt.target.id
         for stmt in cls.body
