@@ -7,8 +7,10 @@ reflections multiplies to a matrix whose entries are integers over 3^n,
 so we store the integer numerator matrix together with the power of 3 and
 never touch floating point until a caller asks for it.
 
-chain_matrix multiplies a string letter by letter, updating one column per
-letter, except along its long helical runs: a run steps by a constant 1, 2
+vertex_walk is the one step of a chain, on the columns of a product or on
+the vertices of a tetrahedron in any affine coordinates.  chain_matrix
+walks the top three rows from FRAME and reads row four from the column
+sums, except along its long helical runs: a run steps by a constant 1, 2
 or 3 mod 4, so it repeats the word of its first four letters, and that word
 is raised to a power by binary powering.  A named chain is a few such runs.
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from math import lcm
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
@@ -88,6 +90,7 @@ def det(rows):
 IDENTITY = BaryMatrix(
     ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), 0
 )
+FRAME = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))  # a tetrahedron in its own affine frame
 
 MAX_EXACT_LENGTH = 20_000  # letters; exact products and realization stop here
 
@@ -128,22 +131,35 @@ def check_exact_length(n: int) -> None:
         raise ValueError(f"string length {n} exceeds the exact-product limit {MAX_EXACT_LENGTH}")
 
 
-def _walk(cols: _Rows, letters: Sequence[int]) -> _Rows:
-    """The numerator columns of a product times M_l for each letter l, one power of 3 each.
+def vertex_walk(s: Sequence[int], start) -> Iterator[tuple]:
+    """The four vertices after each letter of s, as integer triples over 3^k at step k = 1, 2, ...
 
-    Right-multiplying by M_i changes only column i: the new column i is
-    2*(sum of all four) - 5*(column i), and the other columns are tripled.
+    start holds four vertices as integer triples, in slot order.  Step k
+    replaces slot i by 2*(sum of all four) - 5*(vertex i) and triples the
+    other three.  The step is linear, so it holds in any coordinates affine
+    to space; from FRAME it gives the top three rows of the prefix products.
     """
-    for sym in letters:
-        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = cols
-        x0, x1, x2, x3 = cols[sym - 1]
+    verts = tuple(start)
+    for sym in s:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2) = verts
+        x0, x1, x2 = verts[sym - 1]
         new = (2 * (a0 + b0 + c0 + d0) - 5 * x0, 2 * (a1 + b1 + c1 + d1) - 5 * x1,
-               2 * (a2 + b2 + c2 + d2) - 5 * x2, 2 * (a3 + b3 + c3 + d3) - 5 * x3)
-        cols = (new if sym == 1 else (3 * a0, 3 * a1, 3 * a2, 3 * a3),
-                new if sym == 2 else (3 * b0, 3 * b1, 3 * b2, 3 * b3),
-                new if sym == 3 else (3 * c0, 3 * c1, 3 * c2, 3 * c3),
-                new if sym == 4 else (3 * d0, 3 * d1, 3 * d2, 3 * d3))
-    return cols
+               2 * (a2 + b2 + c2 + d2) - 5 * x2)
+        verts = (new if sym == 1 else (3 * a0, 3 * a1, 3 * a2),
+                 new if sym == 2 else (3 * b0, 3 * b1, 3 * b2),
+                 new if sym == 3 else (3 * c0, 3 * c1, 3 * c2),
+                 new if sym == 4 else (3 * d0, 3 * d1, 3 * d2))
+        yield verts
+
+
+def _from_columns(cols, power: int) -> BaryMatrix:
+    """The product over 3^power whose columns have the top three rows cols.
+
+    1^T M_i = 1^T for every reflection, so each column of a product over
+    3^power sums to 3^power, which gives row four.
+    """
+    one = 3**power
+    return BaryMatrix((*zip(*cols), tuple([one - x - y - z for x, y, z in cols])), power)
 
 
 def _power(W: BaryMatrix, q: int) -> BaryMatrix:
@@ -181,21 +197,24 @@ def chain_matrix(s: Sequence[int]) -> BaryMatrix:
     divides 4, so a run of m letters is the word W of its first four letters
     m div 4 times, then at most three letters.  A run of _POWERED_RUN
     letters or more costs W^(m div 4) by binary powering; every other letter
-    is a column update.
+    is a step of vertex_walk on the top three rows.
     """
     check_exact_length(len(s))
     if not is_valid(s):
         raise ValueError(f"invalid reflection string {s!r}")
-    cols, power, done = IDENTITY.num, 0, 0  # the product of s[:done] over 3^power, by columns
+    cols, power, done = FRAME, 0, 0  # top rows of the product of s[:done] over 3^power, by columns
     for start, end in helical_runs(s, _POWERED_RUN):
         start = max(start, done)
         q = (end - start) // 4
-        cols = _walk(cols, s[done:start])
-        # the identity is its own transpose
-        W = BaryMatrix(tuple(zip(*_walk(IDENTITY.num, s[start : start + 4]))), 4)
-        K = BaryMatrix(tuple(zip(*cols)), power + start - done) @ _power(W, q)
-        cols, power, done = tuple(zip(*K.num)), K.power, start + 4 * q
-    return BaryMatrix(tuple(zip(*_walk(cols, s[done:]))), power + len(s) - done)
+        for cols in vertex_walk(s[done:start], cols):
+            pass
+        for W in vertex_walk(s[start : start + 4], FRAME):
+            pass
+        K = _from_columns(cols, power + start - done) @ _power(_from_columns(W, 4), q)
+        cols, power, done = tuple(zip(*K.num[:3])), K.power, start + 4 * q
+    for cols in vertex_walk(s[done:], cols):
+        pass
+    return _from_columns(cols, power + len(s) - done)
 
 
 @lru_cache(maxsize=None)

@@ -4,9 +4,10 @@ Two convex polytopes have disjoint interiors iff a face normal or a cross
 product of two edges is a separating axis (separating axis theorem, SAT).
 Non-adjacent pairs of a chain are pruned with axis-aligned bounding boxes,
 hashed into a uniform grid.  Each surviving pair (T_i, T_j), i < j, is
-decided exactly in the affine frame of T_i: from T_i's vertices as the unit
-frame, the vertex walk of the letters between the two gives T_j's vertices
-as integers over 3^(j-i), and a separating plane survives any affine map.
+decided exactly in the affine frame of T_i: from bary.FRAME, T_i's
+vertices in that frame, bary.vertex_walk over the letters between the two
+gives T_j's vertices as integers over 3^(j-i), the top rows of their chain
+product, and a separating plane survives any affine map.
 The 44 axes are tried in a fixed order, a pair that touches separates by
 exactly 0, and no tolerance enters the verdict.  SAT on float vertices
 measures the margin to report, and runs only where that margin can move
@@ -24,13 +25,13 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .geometry import RealizedChain, Tetrahedron, _cross, _sub, vertex_walk
+from .bary import FRAME, vertex_walk
+from .geometry import RealizedChain, Tetrahedron, _cross, _sub
 from .precision import RealCtx, theta
 
 _FACE_IDX = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 _EDGES = tuple(itertools.combinations(range(4), 2))
 _BOX_SLACK = 1e-9  # bounding boxes this close still count as overlapping
-_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))  # a tetrahedron in its own affine frame
 
 
 def quadplane_determinant(q: int, ctx: RealCtx):
@@ -102,15 +103,15 @@ def _exact_separation(A, B) -> int | None:
 def _local_pairs(s, pairs):
     """(i, j, A, B) for sorted pairs: T_i and T_j of string s in T_i's affine frame.
 
-    A and B hold the vertices as integers over 3^(j-i).  One walk from T_i's
-    vertices as the unit frame serves every partner j of i: after the
+    A and B hold the vertices as integers over 3^(j-i).  One walk from
+    FRAME, T_i in its own frame, serves every partner j of i: after the
     letters s[i+1 .. j] it holds T_j.
     """
     for i, group in itertools.groupby(pairs, key=lambda p: p[0]):
         js = {j for _, j in group}
-        for k, B in enumerate(vertex_walk(s[i + 1 : max(js) + 1], _UNIT), start=1):
+        for k, B in enumerate(vertex_walk(s[i + 1 : max(js) + 1], FRAME), start=1):
             if i + k in js:
-                yield i, i + k, [tuple(x * 3**k for x in v) for v in _UNIT], B
+                yield i, i + k, [tuple(x * 3**k for x in v) for v in FRAME], B
 
 
 class EmbeddingVerdict(NamedTuple):

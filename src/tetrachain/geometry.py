@@ -3,25 +3,24 @@
 The seed helix V_i = (r cos(i*theta), r sin(i*theta), i*h) places unit
 regular tetrahedra {V_i, V_{i+1}, V_{i+2}, V_{i+3}} along a cylinder; the
 invisible starting tetrahedron T_0 is {V_-1, V_0, V_1, V_2}.  A chain is
-walked exactly (vertex_walk): the reflection in face i replaces vertex i by
-2/3 of the sum of the other three minus itself, so every vertex is an
-integer vector over the power of 3 of the step that placed it, in any
-coordinates affine to space.  Realization starts the walk from T_0's
-dyadic Cartesian integers and rounds the vertex placed at step k once,
-from its numerators over 3^k; the embedding certificate starts the same
-walk from the older tetrahedron of each pair, as the unit affine frame.
+walked exactly by bary.vertex_walk, the column step of the chain products:
+the reflection in face i replaces vertex i by 2/3 of the sum of the other
+three minus itself, so every vertex is an integer vector over the power
+of 3 of the step that placed it, in any coordinates affine to space.
+Realization starts the walk from T_0's dyadic Cartesian integers and
+rounds the vertex placed at step k once, from its numerators over 3^k.
 Each step computes one vertex; the other three are copied, which keeps
 the shared face bit-for-bit equal.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .bary import check_exact_length
+from .bary import check_exact_length, vertex_walk
 from .precision import RealCtx, theta
 from .strings import is_valid
 
@@ -101,27 +100,6 @@ def _rounded(n: int, den: int, low: int) -> mpf:
             break
     man = 2 * q + (r != 0 or m > 0)
     return mp.make_mpf(from_man_exp(man if n >= 0 else -man, low - shift - 1, mp.prec, round_nearest))
-
-
-def vertex_walk(s: Sequence[int], start) -> Iterator[tuple]:
-    """The four vertices after each letter of s, as integer triples over 3^k at step k = 1, 2, ...
-
-    start holds T_0's four vertices as integer triples, in slot order.  Step
-    k replaces slot i by 2*(sum of all four) - 5*(vertex i) and triples the
-    other three, the column step of bary._walk.  The step is linear, so it
-    holds in any coordinates affine to space.
-    """
-    verts = tuple(start)
-    for sym in s:
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2) = verts
-        x0, x1, x2 = verts[sym - 1]
-        new = (2 * (a0 + b0 + c0 + d0) - 5 * x0, 2 * (a1 + b1 + c1 + d1) - 5 * x1,
-               2 * (a2 + b2 + c2 + d2) - 5 * x2)
-        verts = (new if sym == 1 else (3 * a0, 3 * a1, 3 * a2),
-                 new if sym == 2 else (3 * b0, 3 * b1, 3 * b2),
-                 new if sym == 3 else (3 * c0, 3 * c1, 3 * c2),
-                 new if sym == 4 else (3 * d0, 3 * d1, 3 * d2))
-        yield verts
 
 
 def realize_chain(s: Sequence[int], ctx: RealCtx) -> RealizedChain:

@@ -30,7 +30,6 @@ from mpmath.libmp import from_man_exp, round_nearest
 
 from . import bary
 from .precision import RealCtx
-from .strings import rotate
 
 
 def _numerators(K: bary.BaryMatrix) -> tuple:
@@ -271,7 +270,8 @@ def loop_gap_report(s, ctx: RealCtx) -> LoopGapReport:
     a legitimate reading of the same loop.  The product of each cut is
     updated incrementally: moving the cut past letter i conjugates it by the
     involution M_i.  Each cut's least gap over its leads is exact, so equal
-    gaps are real ties, and the first of them is the best cut.
+    gaps are real ties, and the first of them is the best cut.  Both cuts
+    are reported from the leads the scan held: one multiplication.
     """
     s = tuple(s)
     n = len(s)
@@ -281,16 +281,17 @@ def loop_gap_report(s, ctx: RealCtx) -> LoopGapReport:
     printed = best = None
     below = 0
     for cut, sym in enumerate(s):
-        gap, _ = least_gap(bary.lead_matrices(K, sym, s[(cut + 1) % n]))
+        leads = bary.lead_matrices(K, sym, s[(cut + 1) % n])
+        gap, _ = least_gap(leads)
         if printed is None:
-            printed = gap
-        below += gap < printed
+            printed = (gap, leads)
+        below += gap < printed[0]
         if best is None or gap < best[0]:
-            best = (gap, cut)
+            best = (gap, leads, cut)
         K = bary.conjugate(K, sym)
     return LoopGapReport(
-        printed=gap_report(s, ctx),
-        best=gap_report(rotate(s, best[1]), ctx),
-        best_cut=best[1],
+        printed=lead_minimized_report(printed[1], ctx, None),
+        best=lead_minimized_report(best[1], ctx, None),
+        best_cut=best[2],
         n_cuts_below_printed=below,
     )

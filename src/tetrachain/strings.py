@@ -148,9 +148,3 @@ def preset_540_runs() -> tuple[Run, ...]:
     p1 = _relabeled(u)
     p3 = _relabeled(_relabeled(p1))
     return (u + p1 + u + p3) * 3
-
-
-def rotate(s: Sequence[int], i: int) -> String:
-    """Cyclic left rotation by i (used to scan cut points of closed loops)."""
-    i %= len(s)
-    return tuple(s[i:]) + tuple(s[:i])

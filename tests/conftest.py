@@ -46,6 +46,12 @@ def valid_strings(draw, min_size=1, max_size=12):
     return tuple(out)
 
 
+def rotate(s, i: int) -> tuple:
+    """Cyclic left rotation by i: the loop s read from cut i."""
+    i %= len(s)
+    return tuple(s[i:]) + tuple(s[:i])
+
+
 def random_valid_string(rng: random.Random, n: int) -> tuple:
     s = [rng.randrange(1, 5)]
     while len(s) < n:

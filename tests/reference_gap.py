@@ -15,7 +15,7 @@ The package multiplies a chain by powering its long helical runs
 (``bary.chain_matrix``); ``prefix_products`` multiplies it letter by
 letter, one column update per reflection, and ``letter_product`` is its
 last prefix.  The package realizes a chain one vertex per step
-(``geometry.vertex_walk``); ``prefix_realization`` places each vertex from
+(``bary.vertex_walk``); ``prefix_realization`` places each vertex from
 the prefix product of the whole string so far instead, the same exact
 rational rounded once.  ``vertex_walk_reference`` is the walk the package
 replaced, which keeps each vertex over the power of 3 of the step that

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import valid_strings
 from reference_gap import letter_product
 from tetrachain.bary import (
+    FRAME,
     IDENTITY,
     MAX_EXACT_LENGTH,
     BaryMatrix,
@@ -19,6 +20,7 @@ from tetrachain.bary import (
     divisibility_witness,
     helical_runs,
     lead_matrices,
+    vertex_walk,
 )
 from tetrachain.geometry import realize_chain
 from tetrachain.strings import (
@@ -220,6 +222,18 @@ def test_chain_matrix_is_the_letter_product_on_any_string(s):
     K = chain_matrix(s)
     assert K.power == len(s)
     assert K.num == letter_product(s).num
+
+
+@given(valid_strings(min_size=1, max_size=60))
+@example(spell(tetrahelix_runs(60)))
+def test_vertex_walk_from_frame_is_the_top_of_every_prefix_product(s):
+    # the embedding's local frames and row four of chain_matrix rest on this
+    for k, cols in enumerate(vertex_walk(s, FRAME), start=1):
+        K = chain_matrix(s[:k])
+        assert K.power == k
+        assert cols == tuple(zip(*K.num[:3]))
+    K = chain_matrix(s)
+    assert all(sum(col) == 3**K.power for col in zip(*K.num))
 
 
 @given(helical_strings(), st.integers(2, 40))

@@ -8,7 +8,8 @@ from mpmath import mp, mpf
 from conftest import reference_fold, valid_strings
 from paper_checks import bary_coefficients, edge_lengths, tetra_volume, tetrahelix_bary_point
 from reference_gap import prefix_realization, rounded_by_divmod, vertex_walk_reference
-from tetrachain.geometry import _rounded, helix_vertex, invisible_t0, realize_chain, vertex_walk
+from tetrachain.bary import vertex_walk
+from tetrachain.geometry import _rounded, helix_vertex, invisible_t0, realize_chain
 from tetrachain.strings import preset_540_runs, quadrahelix_runs, spell
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from conftest import L_17_DIGITS, L_99_DIGITS, random_valid_string, valid_strings
+from conftest import L_17_DIGITS, L_99_DIGITS, random_valid_string, rotate, valid_strings
 from paper_checks import as_bary, k_formula
 from reference_gap import (
     apply_bary,
@@ -32,7 +32,7 @@ from tetrachain.metrics import (
     root,
 )
 from tetrachain.precision import RealCtx
-from tetrachain.strings import preset_540_runs, quadrahelix_runs, rotate, spell
+from tetrachain.strings import preset_540_runs, quadrahelix_runs, spell
 
 TRI = ((mpf(0),) * 3, (mpf(1), mpf(0), mpf(0)), (mpf(0), mpf(1), mpf(0)))
 
@@ -228,6 +228,18 @@ def test_loop_scan_takes_cut_67_at_every_precision():
         gaps.append(min(gap2(L) for L in bary.lead_matrices(K, sym, s[(cut + 1) % len(s)]).values()))
         K = bary.conjugate(K, sym)
     assert [cut for cut, g in enumerate(gaps) if g == min(gaps)] == [67, 68, 247, 248, 427, 428]
+
+
+def test_loop_scan_multiplies_the_loop_once(ctx40, monkeypatch):
+    # the printed and the best cut are reported from the leads the scan held
+    s = spell(preset_540_runs())
+    calls = []
+    chain_matrix = bary.chain_matrix
+    monkeypatch.setattr(bary, "chain_matrix", lambda t: calls.append(t) or chain_matrix(t))
+    loop = loop_gap_report(s, ctx40)
+    assert calls == [s]
+    assert loop.printed == gap_report(s, ctx40)
+    assert loop.best == gap_report(rotate(s, loop.best_cut), ctx40)
 
 
 def _assert_gaps_match_reference(s, ctx, rel=mpf(10) ** -35):

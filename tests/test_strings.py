@@ -14,7 +14,6 @@ from tetrachain.strings import (
     parse_string,
     preset_540_runs,
     quadrahelix_runs,
-    rotate,
     spell,
     tetrahelix_runs,
 )
@@ -88,12 +87,6 @@ def test_preset_540():
     assert s[0] != s[-1]  # cyclically valid loop
     # three identical periods
     assert s[:180] == s[180:360] == s[360:]
-
-
-def test_rotate_roundtrip():
-    s = spell(preset_540_runs())
-    assert rotate(rotate(s, 68), 540 - 68) == s
-    assert rotate(s, 0) == s
 
 
 @given(valid_strings(min_size=2, max_size=30))
