@@ -23,13 +23,12 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from math import lcm
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec
-
-from .precision import RealCtx, _reduce_once
 from .strings import Run, is_valid
+
+if TYPE_CHECKING:
+    from .precision import RealCtx
 
 _Rows = tuple[tuple[int, int, int, int], ...]
 
@@ -60,8 +59,9 @@ class BaryMatrix(NamedTuple):
             rows = tuple([(x0 // d, x1 // d, x2 // d, x3 // d) for x0, x1, x2, x3 in rows])
         return BaryMatrix(rows, power, self.exact and other.exact)
 
-    def to_mpf(self, ctx: RealCtx) -> list[list[mpf]]:
+    def to_mpf(self, ctx: RealCtx) -> list[list]:
         """Entries as mpf at ctx working precision."""
+        from mpmath import mpf
         with ctx.work():
             d = mpf(3) ** self.power
             return [[mpf(x) / d for x in row] for row in self.num]
@@ -305,6 +305,9 @@ def run_product(runs: Sequence[Run], ctx: RealCtx) -> BaryMatrix:
     result is rounded once to a BaryMatrix over 3^k, 3^-k < 2^-bits, on
     which the metrics take the integer kernel of the exact products.
     """
+    from mpmath import mp
+    from mpmath.libmp import dps_to_prec
+    from .precision import _reduce_once
     bits = dps_to_prec(ctx.workdps)
     N, dens, trig = None, 1, {}
     for a, step, m in runs:

@@ -20,7 +20,9 @@ import sys
 from . import __version__
 from .strings import (
     NAMED_CHAINS,
+    PrecisionError,
     _shown,
+    check_digits,
     check_spelled_length,
     format_string,
     parse_string,
@@ -150,7 +152,7 @@ def cmd_build(args, ctx) -> int:
     else:
         summary["gap_report"] = gap_report(s, ctx).to_json_dict()
     summary["string"] = format_string(s)
-    chain = realize_chain(s, ctx)
+    chain = realize_chain(s)
     summary["tetrahedra"] = len(chain.tetrahedra)
     if args.format == "obj":
         out = args.out or f"{kind}_{param or len(s)}.obj"
@@ -262,7 +264,7 @@ def _lll_payload(args, ctx) -> dict:
 
 
 def cmd_search_lll(args, ctx) -> int:
-    from .precision import PrecisionError, RealCtx
+    from .precision import RealCtx
     payload = _lll_payload(args, ctx)
     if payload["x"] == 0:
         raise ValueError(f"X = {args.X} is too small: the search finds only x = 0")
@@ -282,11 +284,11 @@ def cmd_search_lll(args, ctx) -> int:
 # --- verification and scans ----------------------------------------------------
 
 
-def cmd_verify_embed(args, ctx) -> int:
+def cmd_verify_embed(args) -> int:
     from .embedding import verify_embedded
     from .geometry import realize_chain
     s = _letters(*_chain(args), realized=True)
-    chain = realize_chain(s, ctx)
+    chain = realize_chain(s)
     verdict = verify_embedded(chain)
     payload = {"string": format_string(s), "length": len(s)}
     payload.update(verdict.to_json_dict())
@@ -430,8 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    from .precision import PrecisionError, RealCtx
     try:
+        check_digits(args.digits)
+        if args.func is cmd_verify_embed:  # binary64 vertices, exact verdicts: no RealCtx
+            return cmd_verify_embed(args)
+        from .precision import RealCtx
         return args.func(args, RealCtx(digits=args.digits))
     except PrecisionError as e:
         print(f"precision failure: {e}", file=sys.stderr)

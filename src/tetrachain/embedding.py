@@ -21,13 +21,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from typing import NamedTuple
-
-from mpmath import mp, mpf
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bary import FRAME, vertex_walk
 from .geometry import RealizedChain, Tetrahedron, _cross, _sub
-from .precision import RealCtx, theta
+
+if TYPE_CHECKING:
+    from .precision import RealCtx
 
 _FACE_IDX = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 _EDGES = tuple(itertools.combinations(range(4), 2))
@@ -42,6 +42,8 @@ def quadplane_determinant(q: int, ctx: RealCtx):
     on the proper side of the bisecting plane, and the value in fact
     dominates the linear bound 13q - 30.
     """
+    from mpmath import mp, mpf
+    from .precision import theta
     if q < 3:
         raise ValueError("q must be >= 3")
     with ctx.work():

@@ -7,24 +7,25 @@ walked exactly by bary.vertex_walk, the column step of the chain products:
 the reflection in face i replaces vertex i by 2/3 of the sum of the other
 three minus itself, so every vertex is an integer vector over the power
 of 3 of the step that placed it, in any coordinates affine to space.
-Realization starts the walk from T_0's dyadic Cartesian integers and
-rounds the vertex placed at step k once, from its numerators over 3^k.
-Each step computes one vertex; the other three are copied, which keeps
-the shared face bit-for-bit equal.
+cos(theta) = -2/3 and sin(theta) = sqrt(5)/3 make T_0 exactly SEED, so
+realization walks from integers and rounds the vertex placed at step k
+once, to binary64 or to an mpf.  Each step computes one vertex; the other
+three are copied, which keeps the shared face bit-for-bit equal.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
-
-from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest
+from math import isqrt
+from operator import truediv
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .bary import check_exact_length, vertex_walk
-from .precision import RealCtx, theta
 from .strings import is_valid
 
-Point3 = tuple  # 3 mpf coordinates
+if TYPE_CHECKING:
+    from .precision import RealCtx
+
+Point3 = tuple  # 3 float or mpf coordinates
 
 
 class Tetrahedron(NamedTuple):
@@ -49,6 +50,8 @@ class RealizedChain(NamedTuple):
 
 def helix_vertex(i: int, ctx: RealCtx) -> Point3:
     """V_i on the cylinder of radius r = 3*sqrt(3)/10, rising h = 1/sqrt(10) per step."""
+    from mpmath import mp, mpf
+    from .precision import theta
     with ctx.work():
         a = mpf(i) * theta()
         r, h = 3 * mp.sqrt(3) / 10, 1 / mp.sqrt(10)
@@ -71,63 +74,67 @@ def _cross(a, b):
     )
 
 
-def dyadic_ints(xs) -> tuple[list[int], int]:
-    """The mpf values xs as integers n with x = n * 2**low, for one common low.
+# T_0 = {V_-1, V_0, V_1, V_2} exactly, as (sqrt(3) a, sqrt(15) b, sqrt(10) c) / 30
+SEED = ((-6, -3, -3), (9, 0, 0), (-6, 3, 3), (-1, -4, 6))
+SURDS = (3, 15, 10)
+_EXTRA_BITS = 64  # bits the first bracket carries past the format's precision
 
-    An mpf is exactly (-1)^sign * man * 2^exp, so nothing is rounded.
+
+def _rounded(n: int, c: int, den: int, quotient, bits: int):
+    """sqrt(c) * n / den rounded once by quotient, the correctly rounded p / q of a format.
+
+    r = isqrt(c 4^bits) and r + 1 bracket sqrt(c) 2^bits, and the top bits of
+    den and of |n|, cut alike, bracket |n| / den.  For n != 0 the value is
+    irrational, on no rounding boundary: bits double until both ends round alike.
     """
-    parts = [mpf(x)._mpf_ for x in xs]
-    low = min((exp for _, man, exp, _ in parts if man), default=0)
-    ints = [(-1) ** s * (man << (exp - low)) if man else 0 for s, man, exp, _ in parts]
-    return ints, low
+    a, sign = abs(n), (n > 0) - (n < 0)  # signed numerators: an mpf negates at mp.prec
+    while a:
+        m = max(0, den.bit_length() - bits)
+        r, top, d, cut = isqrt(c << 2 * bits), a >> m, den >> m, m > 0
+        lo = quotient(sign * r * top, d + cut << bits)
+        if lo == quotient(sign * (r + 1) * (top + cut), d << bits):
+            return lo
+        bits *= 2
+    return quotient(0, 1)
 
 
-def _rounded(n: int, den: int, low: int) -> mpf:
-    """n * 2**low / den, rounded once to the working precision.
-
-    The quotient q of |n| 2^shift by den keeps at least prec + 2 bits and
-    one more bit records a nonzero remainder: all the rounding needs.  The
-    top prec + 64 bits of den, and as many of |n|, bound it strictly between
-    two quotients; where both floor to q it is in (q, q + 1), and elsewhere
-    the whole integers divide.
-    """
-    a = abs(n)
-    for m in (max(0, den.bit_length() - mp.prec - 64), 0):
-        top, d = a >> m, den >> m
-        shift = max(0, mp.prec + 3 - top.bit_length() + d.bit_length())
-        q, r = divmod(top << shift, d + (m > 0))
-        if not m or top and q == (top + 1 << shift) // d:
-            break
-    man = 2 * q + (r != 0 or m > 0)
-    return mp.make_mpf(from_man_exp(man if n >= 0 else -man, low - shift - 1, mp.prec, round_nearest))
-
-
-def realize_chain(s: Sequence[int], ctx: RealCtx) -> RealizedChain:
+def realize_chain(s: Sequence[int], ctx: RealCtx | None = None) -> RealizedChain:
     """Realize a printed string, its first symbol the leading face.
 
     The visible tetrahedra are T_1 .. T_{len(s)}; T_0 stays invisible.
-    The vertex_walk from T_0's dyadic integers gives the vertex placed at
-    step k exactly, over 3^k: the same column of T_0 times the k-th prefix
-    product, and the one rounding to the working precision.
+    The vertex_walk from SEED gives the vertex placed at step k exactly,
+    over 30 * 3^k: the same column of T_0 times the k-th prefix product.
+    Each coordinate is rounded once: to binary64, or with ctx to an mpf at
+    its working precision.
     """
     check_exact_length(len(s))
     s = tuple(s)
     if not is_valid(s):
         raise ValueError(f"invalid reflection string {s!r}")
-    with ctx.work():
-        t0 = invisible_t0(ctx)
-        ints, low = dyadic_ints(x for v in t0.vertices for x in v)
-        tetrahedra, ages = [], []
-        verts = list(t0.vertices)
-        age = [0, 1, 2, 3]
-        den = 1
-        walk = vertex_walk(s, [ints[3 * p : 3 * p + 3] for p in range(4)])
-        for k, (sym, exact) in enumerate(zip(s, walk), start=1):
-            i = sym - 1
-            den *= 3
-            verts[i] = tuple(_rounded(x, den, low) for x in exact[i])
-            age = age.copy()
-            age[i] = k + 3
-            tetrahedra.append(Tetrahedron(tuple(verts)))
-            ages.append(tuple(age))
-        return RealizedChain(s, tetrahedra, ages)
+    quotient, prec = truediv, 53
+    if ctx is not None:
+        from mpmath import mp
+        from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
+        prec = dps_to_prec(ctx.workdps)
+
+        def quotient(p, q):  # prec + 3 quotient bits or more, and one for a nonzero remainder
+            shift = max(0, prec + 3 - p.bit_length() + q.bit_length())
+            m, rem = divmod(p << shift, q)
+            return mp.make_mpf(from_man_exp(2 * m + (rem > 0), -shift - 1, prec, round_nearest))
+
+    def place(v, den):
+        return tuple(_rounded(x, c, den, quotient, prec + _EXTRA_BITS) for x, c in zip(v, SURDS))
+
+    verts = [place(v, 30) for v in SEED]
+    tetrahedra, ages = [], []
+    age = [0, 1, 2, 3]
+    den = 30
+    for k, (sym, exact) in enumerate(zip(s, vertex_walk(s, SEED)), start=1):
+        i = sym - 1
+        den *= 3
+        verts[i] = place(exact[i], den)
+        age = age.copy()
+        age[i] = k + 3
+        tetrahedra.append(Tetrahedron(tuple(verts)))
+        ages.append(tuple(age))
+    return RealizedChain(s, tetrahedra, ages)

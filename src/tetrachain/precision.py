@@ -17,20 +17,9 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .strings import _decimal_digits
-
-
-class PrecisionError(Exception):
-    """Raised when a result cannot be trusted at the requested precision."""
-
+from .strings import MAX_DIGITS, PrecisionError, _decimal_digits, check_digits
 
 GUARD = 15  # decimals carried past the requested digits
-# One working number at 10^7 digits takes about 4 MiB.  The ceiling sits above
-# every precision the package uses (the run product's 5 extra digits per
-# digit of a run, search-lll's doubled context, the continued fraction's
-# 2*digits + GUARD) and above the ~2*10^6 digits a gap below 10^(-10^6) needs;
-# past it an mpf would exhaust memory or overflow int-to-str.
-MAX_DIGITS = 10**7
 
 
 class RealCtx:
@@ -44,8 +33,7 @@ class RealCtx:
     __slots__ = ("digits",)
 
     def __init__(self, digits: int):
-        if not 30 <= digits <= MAX_DIGITS:
-            raise ValueError(f"digits must be in 30..{MAX_DIGITS}, got {digits}")
+        check_digits(digits)
         _check_theta(theta, digits)
         self.digits = digits
 

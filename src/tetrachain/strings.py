@@ -5,7 +5,8 @@ A chain of face-to-face unit tetrahedra is encoded by a sequence over
 face opposite vertex i).  Consecutive symbols are never equal ("no doubling
 back").  This module defines the straight tetrahelix, the four-legged
 quadrahelix QH_L, the eight-legged octahelix OH_L and a fixed 540-step closed
-loop as a few helical runs each; spell turns runs into letters.
+loop as a few helical runs each; spell turns runs into letters.  The bounds
+of the working precision live here too, checked before mpmath loads.
 """
 
 from __future__ import annotations
@@ -42,6 +43,24 @@ def _decimal_digits(n: int) -> int:
     # 0.3010299956 < log10(2): d is the count or one below it for n < 10^(10^9)
     d = max(1, (abs(n).bit_length() - 1) * 3010299956 // 10**10 + 1)
     return d + (abs(n) >= 10**d)
+
+
+class PrecisionError(Exception):
+    """Raised when a result cannot be trusted at the requested precision."""
+
+
+# One working number at 10^7 digits takes about 4 MiB.  The ceiling sits above
+# every precision the package uses (the run product's 5 extra digits per
+# digit of a run, search-lll's doubled context, the continued fraction's
+# 2*digits + GUARD) and above the ~2*10^6 digits a gap below 10^(-10^6) needs;
+# past it an mpf would exhaust memory or overflow int-to-str.
+MAX_DIGITS = 10**7
+
+
+def check_digits(digits: int) -> None:
+    """Refuse a working precision outside 30..MAX_DIGITS decimal digits."""
+    if not 30 <= digits <= MAX_DIGITS:
+        raise ValueError(f"digits must be in 30..{MAX_DIGITS}, got {digits}")
 
 
 MAX_SPELLED_LENGTH = 10**7  # letters; a spelled chain costs about 90 bytes a letter

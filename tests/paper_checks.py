@@ -22,9 +22,10 @@ that it is not.
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
+from reference_gap import dyadic_ints
 from tetrachain.bary import BaryMatrix
 from tetrachain.embedding import _exact_separation
-from tetrachain.geometry import _cross, _sub, dyadic_ints, helix_vertex, invisible_t0
+from tetrachain.geometry import _cross, _sub, helix_vertex, invisible_t0
 from tetrachain.metrics import minus_identity
 from tetrachain.motion import decompose_motion
 from tetrachain.precision import reduce_theta_multiple, theta

@@ -15,12 +15,16 @@ The package multiplies a chain by powering its long helical runs
 (``bary.chain_matrix``); ``prefix_products`` multiplies it letter by
 letter, one column update per reflection, and ``letter_product`` is its
 last prefix.  The package realizes a chain one vertex per step
-(``bary.vertex_walk``); ``prefix_realization`` places each vertex from
-the prefix product of the whole string so far instead, the same exact
-rational rounded once.  ``vertex_walk_reference`` is the walk the package
+(``bary.vertex_walk``) from the exact seed ``geometry.SEED``, and rounds
+each coordinate sqrt(c) n / den by bracketing it; ``prefix_realization``
+places each vertex from the prefix product of the whole string so far
+instead, and rounds it by ``rounded_surd``, from one integer square root
+of the whole numerator.  ``vertex_walk_reference`` is the walk the package
 replaced, which keeps each vertex over the power of 3 of the step that
-placed it, and ``rounded_by_divmod`` the rounding it replaced, which
-divides the whole numerator.
+placed it.  ``mpf_seed_realization`` is the realization the package
+replaced: T_0 from cos and sin of i*theta in mpf, read exactly as dyadic
+integers by ``dyadic_ints``, and each vertex rounded by
+``rounded_by_divmod``, which divides the whole numerator.
 
 The package decides each pair of a chain exactly in the frame of its older
 tetrahedron, prunes pairs on a grid and measures a float margin only where
@@ -33,12 +37,13 @@ with all eight vertices over 3^(j+1).
 
 import itertools
 import math
+from math import isqrt
 from operator import mul
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
-from tetrachain.bary import BaryMatrix
+from tetrachain.bary import BaryMatrix, vertex_walk
 from tetrachain.embedding import (
     _BOX_SLACK,
     EmbeddingVerdict,
@@ -46,7 +51,7 @@ from tetrachain.embedding import (
     _axis,
     _separation,
 )
-from tetrachain.geometry import Tetrahedron, dyadic_ints, invisible_t0
+from tetrachain.geometry import SEED, SURDS, Tetrahedron, invisible_t0
 from tetrachain.metrics import minus_identity
 from tetrachain.motion import homogeneous_t0
 
@@ -98,6 +103,17 @@ def letter_product(s) -> BaryMatrix:
     return BaryMatrix(tuple(zip(*cols)), len(s))
 
 
+def dyadic_ints(xs) -> tuple[list[int], int]:
+    """The mpf values xs as integers n with x = n * 2**low, for one common low.
+
+    An mpf is exactly (-1)^sign * man * 2^exp, so nothing is rounded.
+    """
+    parts = [mpf(x)._mpf_ for x in xs]
+    low = min((exp for _, man, exp, _ in parts if man), default=0)
+    ints = [(-1) ** s * (man << (exp - low)) if man else 0 for s, man, exp, _ in parts]
+    return ints, low
+
+
 def rounded_by_divmod(n: int, den: int, low: int) -> mpf:
     """n * 2**low / den, rounded once to the working precision, from one exact divmod.
 
@@ -129,27 +145,63 @@ def vertex_walk_reference(s, start):
         yield new
 
 
-def prefix_realization(s, ctx) -> tuple:
-    """(tetrahedra, ages) of the chain s; step k places T_0 times a column of prefix product k."""
+def rounded_surd(n: int, c: int, den: int, ctx=None):
+    """sqrt(c) * n / den rounded once: to binary64, or with ctx to an mpf at its working precision.
+
+    floor(sqrt(X) / den) = floor(isqrt(X) / den) for the integer X = c n^2 4^e,
+    so q below is the floor of the value times 2^e.  For n != 0 the value is
+    irrational and lies strictly between q and q + 1, so 2q + 1 over 2^(e+1),
+    of prec + 3 bits or more, rounds as the value does.
+    """
+    prec = 53 if ctx is None else dps_to_prec(ctx.workdps)
+    x = c * n * n
+    e = max(0, prec + 5 + den.bit_length() - x.bit_length() // 2)
+    man = (2 * (isqrt(x << 2 * e) // den) + 1) * (1 if n > 0 else -1) if n else 0
+    if ctx is None:
+        return man / 2 ** (e + 1)
+    return mp.make_mpf(from_man_exp(man, -e - 1, prec, round_nearest))
+
+
+def prefix_realization(s, ctx=None) -> tuple:
+    """(tetrahedra, ages) of the chain s; step k places SEED times a column of prefix product k.
+
+    Each coordinate is rounded by rounded_surd: to binary64, or with ctx to an mpf.
+    """
+    axes = [[v[axis] for v in SEED] for axis in range(3)]  # one coordinate of each vertex
+
+    def place(col, den):
+        return tuple(rounded_surd(sum(map(mul, xs, col)), c, den, ctx) for xs, c in zip(axes, SURDS))
+
+    verts = [place(col, 30) for col in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+    tetrahedra, ages = [], []
+    age = [0, 1, 2, 3]
+    den = 30
+    for step, (sym, cols) in enumerate(zip(s, prefix_products(s)), start=4):
+        den *= 3
+        verts[sym - 1] = place(cols[sym - 1], den)
+        age = age.copy()
+        age[sym - 1] = step
+        tetrahedra.append(Tetrahedron(tuple(verts)))
+        ages.append(tuple(age))
+    return tetrahedra, ages
+
+
+def mpf_seed_realization(s, ctx) -> list:
+    """The tetrahedra of s as the package realized them before its exact seed.
+
+    T_0 is helix_vertex's mpf vertices at ctx's precision, read exactly as
+    dyadic integers; the walk gives the vertex placed at step k over 3^k,
+    and rounded_by_divmod rounds it once to the working precision.
+    """
     with ctx.work():
         t0 = invisible_t0(ctx)
         ints, low = dyadic_ints(x for v in t0.vertices for x in v)
-        axes = [ints[axis::3] for axis in range(3)]  # one coordinate of each vertex
-        tetrahedra, ages = [], []
-        verts = list(t0.vertices)
-        age = [0, 1, 2, 3]
-        den = 1
-        for step, (sym, cols) in enumerate(zip(s, prefix_products(s)), start=4):
+        verts, den, tetrahedra = list(t0.vertices), 1, []
+        for sym, exact in zip(s, vertex_walk(s, [ints[3 * p : 3 * p + 3] for p in range(4)])):
             den *= 3
-            col = cols[sym - 1]
-            verts[sym - 1] = tuple(
-                rounded_by_divmod(sum(map(mul, xs, col)), den, low) for xs in axes
-            )
-            age = age.copy()
-            age[sym - 1] = step
+            verts[sym - 1] = tuple(rounded_by_divmod(x, den, low) for x in exact[sym - 1])
             tetrahedra.append(Tetrahedron(tuple(verts)))
-            ages.append(tuple(age))
-        return tetrahedra, ages
+        return tetrahedra
 
 
 def point_to_triangle(p, a, b, c):

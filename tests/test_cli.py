@@ -773,6 +773,25 @@ def test_refused_digits_exit_2_on_every_command(argv):
         assert "digits" in err, err
 
 
+def test_verify_embed_ignores_a_huge_digits():
+    # verify-embed has no working precision: --digits is range-checked and read
+    # no further, where a RealCtx at 10^7 digits would evaluate theta for hours
+    argv = ["verify-embed", "--kind", "quadrahelix", "--L", "1"]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "tetrachain.cli", *argv, *extra],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=10,
+        )
+        for extra in ([], ["--digits", "10000000"])
+    ]
+    assert [p.returncode for p in runs] == [0, 0], [p.stderr for p in runs]
+    assert runs[0].stdout == runs[1].stdout and runs[1].stderr == ""
+
+
 def test_cli_does_not_load_numpy():
     # numpy is a test dependency only; a fresh CLI process must not import it
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -793,10 +812,16 @@ def test_cli_does_not_load_numpy():
         (
             ["verify-embed", "--kind", "quadrahelix", "--L", "1"],
             "tetrachain.embedding",
-            {"tetrachain.metrics", "tetrachain.motion", "tetrachain.search", "dataclasses"},
+            {"tetrachain.metrics", "tetrachain.motion", "tetrachain.search", "dataclasses",
+             "mpmath", "tetrachain.precision"},
         ),
         (["--version"], "tetrachain.strings", {"mpmath"}),
-        (None, "tetrachain.bary", {"tetrachain.geometry", "tetrachain.embedding", "tetrachain.motion"}),
+        (
+            None,
+            "tetrachain.bary",
+            {"tetrachain.geometry", "tetrachain.embedding", "tetrachain.motion",
+             "mpmath", "tetrachain.precision"},
+        ),
     ],
     ids=["verify-embed", "version", "import-bary"],
 )

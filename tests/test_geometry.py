@@ -1,4 +1,7 @@
+import math
 import random
+from fractions import Fraction
+from operator import truediv
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,10 +10,26 @@ from mpmath import mp, mpf
 
 from conftest import reference_fold, valid_strings
 from paper_checks import bary_coefficients, edge_lengths, tetra_volume, tetrahelix_bary_point
-from reference_gap import prefix_realization, rounded_by_divmod, vertex_walk_reference
+from reference_gap import (
+    mpf_seed_realization,
+    prefix_products,
+    prefix_realization,
+    rounded_surd,
+    vertex_walk_reference,
+)
+from tetrachain import geometry
 from tetrachain.bary import vertex_walk
-from tetrachain.geometry import _rounded, helix_vertex, invisible_t0, realize_chain
-from tetrachain.strings import preset_540_runs, quadrahelix_runs, spell
+from tetrachain.geometry import (
+    SEED,
+    SURDS,
+    Tetrahedron,
+    _rounded,
+    helix_vertex,
+    invisible_t0,
+    realize_chain,
+)
+from tetrachain.precision import RealCtx
+from tetrachain.strings import octahelix_runs, preset_540_runs, quadrahelix_runs, spell
 
 
 def _dist(a, b):
@@ -19,8 +38,6 @@ def _dist(a, b):
 
 @given(st.integers(-50, 50))
 def test_helix_vertex_on_cylinder(i):
-    from tetrachain.precision import RealCtx
-
     ctx = RealCtx(digits=40)
     with ctx.work():
         v = helix_vertex(i, ctx)
@@ -43,10 +60,21 @@ def test_seed_tetrahedron_regular(ctx40):
         assert abs(tetra_volume(t0) - mp.sqrt(2) / 12) < mpf(10) ** -45
 
 
+def _rounded_seed(ctx):
+    return Tetrahedron(tuple(tuple(map(rounded_surd, v, SURDS, (30,) * 3, (ctx,) * 3)) for v in SEED))
+
+
+def test_exact_seed_is_the_helix(ctx40):
+    # (sqrt(3) a, sqrt(15) b, sqrt(10) c) / 30 is V_-1 .. V_2 from cos and sin of i*theta
+    with ctx40.work():
+        for v, w in zip(_rounded_seed(ctx40).vertices, invisible_t0(ctx40).vertices):
+            assert max(abs(x - y) for x, y in zip(v, w)) < mpf(10) ** -50
+
+
 def test_reflect_tetra_moves_one_vertex(ctx40):
     s = (2, 1, 3, 4, 2, 3, 1)
     chain = realize_chain(s, ctx40)
-    prev = invisible_t0(ctx40)
+    prev = _rounded_seed(ctx40)
     with ctx40.work():  # geometry primitives compute at ambient precision
         vol0 = tetra_volume(prev)
         for sym, cur in zip(s, chain.tetrahedra):
@@ -112,8 +140,6 @@ def test_barycentric_helix_point(q, ctx40):
 
 @given(st.integers(-20, 60))
 def test_bary_coefficients_sum_to_one(q):
-    from tetrachain.precision import RealCtx
-
     ctx = RealCtx(digits=40)
     with ctx.work():
         assert abs(sum(bary_coefficients(q, ctx)) - 1) < mpf(10) ** -42
@@ -133,17 +159,45 @@ def _back_and_forth(rng: random.Random, n: int) -> tuple:
 _RNG = random.Random(20261019)
 
 
-@pytest.mark.parametrize(
+_EMBED_CHAINS = {
+    **{f"QH_{L}": spell(quadrahelix_runs(L)) for L in (1, 4, 10, 29, 60, 1960)},
+    **{f"OH_{L}": spell(octahelix_runs(L)) for L in (4, 5, 6, 36)},
+    "preset540": spell(preset_540_runs()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EMBED_CHAINS))
+def test_binary64_realization_is_the_mpf_one_rounded(ctx40, name):
+    # the vertices verify-embed and build read, against float() of the mpf realization
+    # from helix_vertex's T_0 that they replaced, bit for bit
+    s = _EMBED_CHAINS[name]
+    new = [t.vertices for t in realize_chain(s).tetrahedra]
+    old = [tuple(tuple(map(float, v)) for v in t.vertices) for t in mpf_seed_realization(s, ctx40)]
+    assert new == old
+
+
+_PREFIX_CASES = pytest.mark.parametrize(
     "s",
     [spell(quadrahelix_runs(1960)), spell(preset_540_runs())]
     + [_back_and_forth(_RNG, n) for n in (2, 50, 400, 1500)],
     ids=["QH_1960", "preset540", "back-and-forth-2", "back-and-forth-50",
          "back-and-forth-400", "back-and-forth-1500"],
 )
+
+
+@_PREFIX_CASES
 def test_realization_equals_prefix_product_realization(ctx40, s):
-    # one vertex per step against T_0 times the prefix products, bit for bit
+    # one vertex per step against SEED times the prefix products, bit for bit
     chain = realize_chain(s, ctx40)
     tetrahedra, ages = prefix_realization(s, ctx40)
+    assert [t.vertices for t in chain.tetrahedra] == [t.vertices for t in tetrahedra]
+    assert chain.ages == ages
+
+
+@_PREFIX_CASES
+def test_binary64_realization_equals_prefix_product_realization(s):
+    chain = realize_chain(s)
+    tetrahedra, ages = prefix_realization(s)
     assert [t.vertices for t in chain.tetrahedra] == [t.vertices for t in tetrahedra]
     assert chain.ages == ages
 
@@ -163,20 +217,66 @@ def test_vertex_walk_is_the_per_letter_walk(s, coords):
         assert verts == tuple(tuple(x * 3 ** (k - p) for x in v) for v, p in slots)
 
 
+def _is_binary64_rounding(f: float, n: int, c: int, den: int) -> bool:
+    """f is sqrt(c) n / den rounded to the nearest binary64, decided on integers.
+
+    A nonzero value is irrational, so it must lie strictly inside f's rounding
+    interval: its square c n^2 / den^2 strictly between the squares of the
+    interval's ends, the midpoints from f to its neighbours.
+    """
+    if f == 0 or n == 0:
+        return f == n
+    if (f > 0) != (n > 0):
+        return False
+    f = abs(f)
+    lo, hi = ((Fraction(f) + Fraction(math.nextafter(f, g))) / 2 for g in (0, math.inf))
+    return lo * lo < Fraction(c * n * n, den * den) < hi * hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_strings(max_size=200), st.integers(30, 120))
+def test_realized_coordinates_are_correctly_rounded(s, digits):
+    # binary64: every vertex of every tetrahedron, against the exact SEED times the
+    # prefix product column; mpf: against the rounding of the whole numerator
+    chain = realize_chain(s)
+    den = 30
+    for tet, cols in zip(chain.tetrahedra, prefix_products(s)):
+        den *= 3
+        for v, col in zip(tet.vertices, cols):
+            for x, c, axis in zip(v, SURDS, range(3)):
+                n = sum(p[axis] * w for p, w in zip(SEED, col))
+                assert _is_binary64_rounding(x, n, c, den), (x, n, c, den)
+    ctx = RealCtx(digits)
+    exact = [t.vertices for t in prefix_realization(s, ctx)[0]]
+    assert [t.vertices for t in realize_chain(s, ctx).tetrahedra] == exact
+
+
+@pytest.mark.parametrize("digits, extra", [(None, -50), (40, -180)])
+def test_realization_widens_a_narrow_bracket(digits, extra, monkeypatch):
+    # a first bracket of a few bits rounds apart at nearly every coordinate,
+    # and doubling its bits gives the same vertices as the default start
+    ctx = None if digits is None else RealCtx(digits)
+    s = spell(quadrahelix_runs(29))
+    expected = realize_chain(s, ctx)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return math.isqrt(x)
+
+    monkeypatch.setattr(geometry, "_EXTRA_BITS", extra)
+    monkeypatch.setattr(geometry, "isqrt", counted)
+    assert realize_chain(s, ctx) == expected
+    assert len(calls) > 2 * 3 * (len(s) + 4)
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_rounded_is_the_rounding_of_the_whole_quotient(data):
-    digits = data.draw(st.integers(30, 300), label="digits")
-    k = data.draw(st.integers(0, 20_000), label="k")
-    low = data.draw(st.integers(-1200, 60), label="low")
-    den = 3**k
-    with mp.workdps(digits):
-        if data.draw(st.booleans(), label="near a half-ulp"):
-            # an odd mantissa of prec + 1 bits is a tie at prec bits; n +- 1 sits just beside it
-            tie = data.draw(st.integers(2**mp.prec, 2 ** (mp.prec + 1) - 1)) | 1
-            n = (tie * den << data.draw(st.integers(0, 64))) + data.draw(st.sampled_from([-1, 0, 1]))
-            n *= data.draw(st.sampled_from([-1, 1]))
-        else:
-            bits = data.draw(st.integers(0, den.bit_length() + 1200), label="bits")
-            n = data.draw(st.integers(-(2**bits), 2**bits), label="n")
-        assert _rounded(n, den, low)._mpf_ == rounded_by_divmod(n, den, low)._mpf_
+    # binary64 from any starting bracket, against one square root of the whole numerator
+    c = data.draw(st.sampled_from(SURDS), label="c")
+    den = 30 * 3 ** data.draw(st.integers(0, 20_000), label="k")
+    bits = data.draw(st.integers(0, den.bit_length() + 200), label="bits")
+    n = data.draw(st.integers(-(2**bits), 2**bits), label="n")
+    start = data.draw(st.integers(1, 200), label="start")
+    assert _rounded(n, c, den, truediv, start) == rounded_surd(n, c, den)
