@@ -309,7 +309,7 @@ def cmd_scan_ratio(args, ctx) -> int:
 def cmd_motion(args, ctx) -> int:
     from operator import itemgetter
     from mpmath import mpf
-    from .geometry import invisible_t0, realize_chain
+    from .geometry import invisible_t0
     from .motion import decompose_motion, leg_axis_cosines, motion_residuals, resolve
     kind, param, runs = _chain(args)
     s = _letters(kind, param, runs)
@@ -340,9 +340,7 @@ def cmd_motion(args, ctx) -> int:
     shown, res = resolve(runs, ctx, printed, itemgetter(0), settle=True)
     payload = dict(shown, string=format_string(s), residuals={k: float(v) for k, v in res.items()})
     if kind in ("quadrahelix", "octahelix") and len(s) <= 5000:
-        chain = realize_chain(s, ctx)
-        with ctx.work():
-            payload["leg_axis_cosines"] = [_nstr(x, 12) for x in leg_axis_cosines(chain, ctx)]
+        payload["leg_axis_cosines"] = [_nstr(x, 12) for x in leg_axis_cosines(s, ctx)]
     _emit(_json_text(payload), args.out)
     return 0
 

@@ -9,14 +9,13 @@ three minus itself, so every vertex is an integer vector over the power
 of 3 of the step that placed it, in any coordinates affine to space.
 cos(theta) = -2/3 and sin(theta) = sqrt(5)/3 make T_0 exactly SEED, so
 realization walks from integers and rounds the vertex placed at step k
-once, to binary64 or to an mpf.  Each step computes one vertex; the other
-three are copied, which keeps the shared face bit-for-bit equal.
+once, to binary64.  Each step computes one vertex; the other three are
+copied, which keeps the shared face bit-for-bit equal.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from operator import truediv
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .bary import check_exact_length, vertex_walk
@@ -80,50 +79,40 @@ SURDS = (3, 15, 10)
 _EXTRA_BITS = 64  # bits the first bracket carries past the format's precision
 
 
-def _rounded(n: int, c: int, den: int, quotient, bits: int):
-    """sqrt(c) * n / den rounded once by quotient, the correctly rounded p / q of a format.
+def _rounded(n: int, c: int, den: int, bits: int) -> float:
+    """sqrt(c) * n / den rounded once to binary64.
 
     r = isqrt(c 4^bits) and r + 1 bracket sqrt(c) 2^bits, and the top bits of
-    den and of |n|, cut alike, bracket |n| / den.  For n != 0 the value is
-    irrational, on no rounding boundary: bits double until both ends round alike.
+    den and of |n|, cut alike, bracket |n| / den; int true division rounds
+    each end correctly.  For n != 0 the value is irrational, on no rounding
+    boundary: bits double until both ends round alike.
     """
-    a, sign = abs(n), (n > 0) - (n < 0)  # signed numerators: an mpf negates at mp.prec
+    a = abs(n)
     while a:
         m = max(0, den.bit_length() - bits)
         r, top, d, cut = isqrt(c << 2 * bits), a >> m, den >> m, m > 0
-        lo = quotient(sign * r * top, d + cut << bits)
-        if lo == quotient(sign * (r + 1) * (top + cut), d << bits):
-            return lo
+        lo = r * top / (d + cut << bits)
+        if lo == (r + 1) * (top + cut) / (d << bits):
+            return lo if n > 0 else -lo
         bits *= 2
-    return quotient(0, 1)
+    return 0.0
 
 
-def realize_chain(s: Sequence[int], ctx: RealCtx | None = None) -> RealizedChain:
+def realize_chain(s: Sequence[int]) -> RealizedChain:
     """Realize a printed string, its first symbol the leading face.
 
     The visible tetrahedra are T_1 .. T_{len(s)}; T_0 stays invisible.
     The vertex_walk from SEED gives the vertex placed at step k exactly,
     over 30 * 3^k: the same column of T_0 times the k-th prefix product.
-    Each coordinate is rounded once: to binary64, or with ctx to an mpf at
-    its working precision.
+    Each coordinate is rounded once, to binary64.
     """
     check_exact_length(len(s))
     s = tuple(s)
     if not is_valid(s):
         raise ValueError(f"invalid reflection string {s!r}")
-    quotient, prec = truediv, 53
-    if ctx is not None:
-        from mpmath import mp
-        from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
-        prec = dps_to_prec(ctx.workdps)
-
-        def quotient(p, q):  # prec + 3 quotient bits or more, and one for a nonzero remainder
-            shift = max(0, prec + 3 - p.bit_length() + q.bit_length())
-            m, rem = divmod(p << shift, q)
-            return mp.make_mpf(from_man_exp(2 * m + (rem > 0), -shift - 1, prec, round_nearest))
 
     def place(v, den):
-        return tuple(_rounded(x, c, den, quotient, prec + _EXTRA_BITS) for x, c in zip(v, SURDS))
+        return tuple(_rounded(x, c, den, 53 + _EXTRA_BITS) for x, c in zip(v, SURDS))
 
     verts = [place(v, 30) for v in SEED]
     tetrahedra, ages = [], []

@@ -10,7 +10,9 @@ for parameters with any number of digits.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import islice
+from operator import mul
 from typing import NamedTuple
 
 from mpmath import mp, mpf
@@ -26,8 +28,9 @@ from .bary import (
     lead_matrices,
     mat_mul,
     run_product,
+    vertex_walk,
 )
-from .geometry import RealizedChain, Tetrahedron, _cross
+from .geometry import SEED, SURDS, Tetrahedron, _cross, _sub
 from .metrics import (
     GapReport,
     gap2,
@@ -278,30 +281,39 @@ def limit_matrix_norm(ctx: RealCtx):
 # --- leg axes ----------------------------------------------------------------
 
 
-def leg_axis_cosines(chain: RealizedChain, ctx: RealCtx) -> list:
-    """Cosines between the axes of consecutive legs (sec of the printed leg angles).
+def _leg_axes(s) -> list:
+    """The axis of each leg as integers a, its direction diag(1 / sqrt(c)) a for c in SURDS.
 
     A leg is a maximal helical run of at least four letters (three equal
-    cyclic steps).  Inside a leg the vertices in ageing order are
-    consecutive helix points, so the axis direction solves
-    (W_{i+1} - W_i) . u = h for three consecutive differences; the
-    orientation points along growth.
+    cyclic steps).  Its last four letters place consecutive helix points
+    W_0 .. W_3, exact from the walk from SEED over one denominator: row n_k
+    of the integer N holds W_{k+1} - W_k as (sqrt(3) x, sqrt(15) y, sqrt(10) z).
+    The axis solving (W_{k+1} - W_k) . u = h > 0 is then diag(1 / sqrt(c)) a,
+    a = adj(N) 1 sign(det N), and adj(N) 1 = n1 x n2 + n2 x n0 + n0 x n1.
     """
-    axes = []
+    walk, axes = enumerate(vertex_walk(s, SEED), start=1), []
+    for _, end in helical_runs(s, 4):
+        verts = next(v for k, v in walk if k == end)
+        W = [verts[i - 1] for i in s[end - 4 : end]]
+        n0, n1, n2 = map(_sub, W[1:], W)
+        a = [sum(x) for x in zip(_cross(n1, n2), _cross(n2, n0), _cross(n0, n1))]
+        axes.append(a if sum(map(mul, a, n0)) > 0 else [-x for x in a])  # a . n0 = det N
+    return axes
+
+
+def leg_axis_cosines(s, ctx: RealCtx) -> list:
+    """Cosines between the axes of consecutive legs (sec of the printed leg angles).
+
+    Of integer axes a and b, p / sqrt(q_a q_b) for p = sum_i a_i b_i 30 / c_i
+    and q_a, q_b the same sums of squares, rounded once at ctx.
+    """
+
+    def dot(a, b):
+        return sum(30 // c * x * y for c, x, y in zip(SURDS, a, b))
+
+    axes, out = _leg_axes(s), []
     with ctx.work():
-        h = 1 / mp.sqrt(10)
-        for _, end in helical_runs(chain.string, 4):
-            tet = chain.tetrahedra[end - 1]
-            ages = chain.ages[end - 1]
-            order = sorted(range(4), key=lambda p: ages[p])
-            W = [tet.vertices[p] for p in order]
-            D = [
-                [W[k + 1][axis] - W[k][axis] for axis in range(3)] for k in range(3)
-            ]
-            u = [h * sum(row) for row in invert(D)]
-            n = _norm(u)
-            axes.append(tuple(x / n for x in u))
-        return [
-            sum(a * b for a, b in zip(axes[i], axes[i + 1]))
-            for i in range(len(axes) - 1)
-        ]
+        for a, b in zip(axes, axes[1:]):
+            p = dot(a, b)
+            out.append((1 if p > 0 else -1) * root(Fraction(p * p, dot(a, a) * dot(b, b))))
+    return out

@@ -4,8 +4,8 @@ The commands never run these: they restate a result of the paper (the
 corollary angle identity, the limiting rhombus, the tetrahelix barycentric
 formula, the axis-point bound, the disputed octahelix literal) or evaluate
 one by an independent route (an explicit determinant for the start-plane
-clearance, SAT on a pair of mpf tetrahedra), so tests can hold the package
-to it.
+clearance, SAT on a pair of mpf tetrahedra, leg axes solved on realized mpf
+vertices), so tests can hold the package to it.
 
 k_formula is the closed form of QH_L's chain matrix, its integer tables
 H0..H3 pinned by hand (docs/closed-form-adjudication.md); the package
@@ -22,8 +22,8 @@ that it is not.
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
-from reference_gap import dyadic_ints
-from tetrachain.bary import BaryMatrix
+from reference_gap import dyadic_ints, prefix_realization
+from tetrachain.bary import BaryMatrix, helical_runs, invert
 from tetrachain.embedding import _exact_separation
 from tetrachain.geometry import _cross, _sub, helix_vertex, invisible_t0
 from tetrachain.metrics import minus_identity
@@ -186,6 +186,28 @@ def axis_point_norm_bound(L: int, ctx):
     """The bound ||u|| <= (5/2) h (2L+1) on the axis point of QH_L, h = 1/sqrt(10)."""
     with ctx.work():
         return mpf(5) / 2 / mp.sqrt(10) * (2 * L + 1)
+
+
+def leg_axis_cosines_by_solve(s, ctx) -> list:
+    """Cosines between the axes of consecutive legs of s, each axis solved in mpf.
+
+    On the realization prefix_realization(s, ctx), the vertices of the
+    tetrahedron ending a leg are, in ageing order, consecutive helix points
+    W_i; the axis solves (W_{i+1} - W_i) . u = h for the three differences,
+    oriented along growth.  motion.leg_axis_cosines takes them from integers.
+    """
+    tetrahedra, ages = prefix_realization(s, ctx)
+    axes = []
+    with ctx.work():
+        h = 1 / mp.sqrt(10)
+        for _, end in helical_runs(s, 4):
+            order = sorted(range(4), key=lambda p: ages[end - 1][p])
+            W = [tetrahedra[end - 1].vertices[p] for p in order]
+            D = [[W[k + 1][axis] - W[k][axis] for axis in range(3)] for k in range(3)]
+            u = [h * sum(row) for row in invert(D)]
+            n = mp.sqrt(sum(x * x for x in u))
+            axes.append([x / n for x in u])
+        return [sum(x * y for x, y in zip(a, b)) for a, b in zip(axes, axes[1:])]
 
 
 def limiting_rhombus(ctx) -> dict:

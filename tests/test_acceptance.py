@@ -294,7 +294,7 @@ def test_length10_gap_minima(ctx40):
     for gap, s in scored:
         key = mirror_key(s)
         if key not in verdicts:
-            verdicts[key] = verify_embedded(realize_chain(key, ctx40))
+            verdicts[key] = verify_embedded(realize_chain(key))
         if verdicts[key].embedded:
             best_embedded = (gap, s)
             break
@@ -314,7 +314,7 @@ def test_length10_gap_minima(ctx40):
     assert not verdicts[mirror_key(s_min)].embedded
     qh2 = spell(quadrahelix_runs(2))
     assert qh2 in reps
-    assert verify_embedded(realize_chain(qh2, ctx40)).embedded
+    assert verify_embedded(realize_chain(qh2)).embedded
     dt = time.perf_counter() - t0
     assert dt < 60
     print(
@@ -373,15 +373,15 @@ def test_criterion_05_closed_form_identity(ctx60, monkeypatch):
     )
 
 
-def test_criterion_06_embedding_verdicts(ctx40):
+def test_criterion_06_embedding_verdicts():
     t0 = time.perf_counter()
     for L in range(1, 61):
-        v = verify_embedded(realize_chain(spell(quadrahelix_runs(L)), ctx40))
+        v = verify_embedded(realize_chain(spell(quadrahelix_runs(L))))
         assert v.embedded and v.adjacency_ok and v.first_violation is None, L
-    v4 = verify_embedded(realize_chain(spell(octahelix_runs(4)), ctx40))
+    v4 = verify_embedded(realize_chain(spell(octahelix_runs(4))))
     assert not v4.embedded and v4.first_violation == (13, 31)
     for L in (5, 6, 36):
-        v = verify_embedded(realize_chain(spell(octahelix_runs(L)), ctx40))
+        v = verify_embedded(realize_chain(spell(octahelix_runs(L))))
         assert v.embedded and v.adjacency_ok, L
     dt = time.perf_counter() - t0
     assert dt < 120
@@ -391,12 +391,12 @@ def test_criterion_06_embedding_verdicts(ctx40):
     )
 
 
-def test_embedding_certified_at_the_exact_length_limit(ctx40):
+def test_embedding_certified_at_the_exact_length_limit():
     # QH_4999, 19,998 letters, is the longest quadrahelix within bary.MAX_EXACT_LENGTH
     t0 = time.perf_counter()
     s = spell(quadrahelix_runs(4999))
     assert len(s) == 19_998 <= bary.MAX_EXACT_LENGTH < len(spell(quadrahelix_runs(5000)))
-    v = verify_embedded(realize_chain(s, ctx40))
+    v = verify_embedded(realize_chain(s))
     assert v.embedded and v.adjacency_ok and v.first_violation is None
     assert v.pairs_tested == 41_108 and v.min_separation_margin == 0.0
     dt = time.perf_counter() - t0

@@ -136,7 +136,7 @@ def test_three_leading_matrices(s):
         assert (M.num, M.power) == (expected.num, expected.power)
 
 
-def test_exact_length_guard(ctx40):
+def test_exact_length_guard():
     s = tuple((i % 2) + 1 for i in range(MAX_EXACT_LENGTH + 2))
     message = (
         f"string length {MAX_EXACT_LENGTH + 2} exceeds the exact-product limit "
@@ -147,11 +147,11 @@ def test_exact_length_guard(ctx40):
     assert str(exc.value) == message
     # realization reads the same exact prefix products, so it stops at the same limit
     with pytest.raises(ValueError) as exc:
-        realize_chain(s, ctx40)
+        realize_chain(s)
     assert str(exc.value) == message
 
 
-def test_length_refused_before_validation(ctx40):
+def test_length_refused_before_validation():
     # an invalid string past the limit is refused for its length, before any
     # pass over its letters
     s = (1, 1) + tuple((i % 2) + 1 for i in range(MAX_EXACT_LENGTH - 1))
@@ -159,11 +159,7 @@ def test_length_refused_before_validation(ctx40):
         f"string length {MAX_EXACT_LENGTH + 1} exceeds the exact-product limit "
         f"{MAX_EXACT_LENGTH}"
     )
-    refusers = (
-        chain_matrix,
-        lambda s: realize_chain(s, ctx40),
-    )
-    for refuse in refusers:
+    for refuse in (chain_matrix, realize_chain):
         with pytest.raises(ValueError) as exc:
             refuse(s)
         assert str(exc.value) == message

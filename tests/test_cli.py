@@ -412,8 +412,13 @@ def test_motion_payload(capsys):
     )
     assert payload["angle"].startswith("0.029259")
     assert all(v < 1e-30 for v in payload["residuals"].values())
-    cos = [float(x) for x in payload["leg_axis_cosines"]]
-    assert cos == pytest.approx([-0.2, 0.2, -0.2], abs=1e-9)
+    assert payload["leg_axis_cosines"] == ["-0.2", "0.2", "-0.2"]
+    payload = _run_json(
+        capsys,
+        ["motion", "--kind", "octahelix", "--L", "36"],
+        schema="motion.schema.json",
+    )
+    assert payload["leg_axis_cosines"] == ["0.2"] * 7
 
 
 def test_motion_prints_certified_digits(capsys):

@@ -11,6 +11,7 @@ from conftest import valid_strings
 from paper_checks import quadplane_determinant_direct, tetra_interiors_disjoint
 from reference_gap import (
     prefix_products,
+    prefix_realization,
     sweep_box_pairs,
     t0_frame_vertices,
     verify_embedded_reference,
@@ -24,7 +25,7 @@ from tetrachain.embedding import (
     quadplane_determinant,
     verify_embedded,
 )
-from tetrachain.geometry import Tetrahedron, invisible_t0, realize_chain
+from tetrachain.geometry import RealizedChain, Tetrahedron, invisible_t0, realize_chain
 from tetrachain.precision import RealCtx
 from tetrachain.strings import octahelix_runs, preset_540_runs, quadrahelix_runs, spell
 
@@ -72,46 +73,46 @@ def test_interiors_disjoint_cases(ctx40):
         assert not tetra_interiors_disjoint(t0, nudged)
 
 
-def test_adjacent_tetrahedra_disjoint(ctx40):
+def test_adjacent_tetrahedra_disjoint():
     # neighbours meet exactly in a face: interiors count as disjoint
-    chain = realize_chain((1, 2, 3), ctx40)
+    chain = realize_chain((1, 2, 3))
     a, b = chain.tetrahedra[0], chain.tetrahedra[1]
     assert tetra_interiors_disjoint(a, b)
 
 
 @pytest.mark.parametrize("L", [1, 2, 5, 12])
-def test_quadrahelix_embedded(L, ctx40):
-    chain = realize_chain(spell(quadrahelix_runs(L)), ctx40)
+def test_quadrahelix_embedded(L):
+    chain = realize_chain(spell(quadrahelix_runs(L)))
     verdict = verify_embedded(chain)
     assert verdict.embedded and verdict.adjacency_ok
     assert verdict.first_violation is None
     assert verdict.pairs_tested > 0
 
 
-def test_octahelix_4_not_embedded(ctx40):
-    chain = realize_chain(spell(octahelix_runs(4)), ctx40)
+def test_octahelix_4_not_embedded():
+    chain = realize_chain(spell(octahelix_runs(4)))
     verdict = verify_embedded(chain)
     assert not verdict.embedded
     assert verdict.first_violation == (13, 31)
     assert verdict.min_separation_margin == -0.39648938148074203
 
 
-def test_octahelix_1_not_embedded(ctx40):
-    chain = realize_chain(spell(octahelix_runs(1)), ctx40)
+def test_octahelix_1_not_embedded():
+    chain = realize_chain(spell(octahelix_runs(1)))
     verdict = verify_embedded(chain)
     assert not verdict.embedded
     assert verdict.first_violation == (4, 10)
     assert verdict.min_separation_margin == -0.6719131406833959
 
 
-def test_octahelix_5_embedded(ctx40):
-    chain = realize_chain(spell(octahelix_runs(5)), ctx40)
+def test_octahelix_5_embedded():
+    chain = realize_chain(spell(octahelix_runs(5)))
     verdict = verify_embedded(chain)
     assert verdict.embedded and verdict.adjacency_ok
 
 
-def test_verdict_json_shape(ctx40):
-    chain = realize_chain(spell(quadrahelix_runs(1)), ctx40)
+def test_verdict_json_shape():
+    chain = realize_chain(spell(quadrahelix_runs(1)))
     d = verify_embedded(chain).to_json_dict()
     assert d["embedded"] is True
     assert {"embedded", "first_violation", "min_separation_margin", "pairs_tested", "adjacency_ok"} <= set(d)
@@ -166,7 +167,7 @@ def _in_t0_frame(exact, ages, i, y, den):
 @settings(max_examples=15)
 @given(valid_strings(min_size=3, max_size=14))
 def test_exact_verdicts_agree_with_mpf_sat(ctx80, s):
-    chain = realize_chain(s, ctx80)
+    chain = RealizedChain(s, *prefix_realization(s, ctx80))
     tets = chain.tetrahedra
     exact = t0_frame_vertices(chain.string)
     # the vertex of age a is placed at step a - 3, in slot s[a - 4]
@@ -204,16 +205,16 @@ def _float_points(t):
     "kind,L,pairs",
     [("quadrahelix", 60, 515), ("octahelix", 36, 661), ("quadrahelix", 200, 1695)],
 )
-def test_pairs_tested_pinned(ctx40, kind, L, pairs):
+def test_pairs_tested_pinned(kind, L, pairs):
     # recorded with the former numpy broadcast prune
     s = spell((quadrahelix_runs if kind == "quadrahelix" else octahelix_runs)(L))
-    verdict = verify_embedded(realize_chain(s, ctx40))
+    verdict = verify_embedded(realize_chain(s))
     assert verdict.embedded and verdict.pairs_tested == pairs
 
 
 @given(valid_strings(min_size=3, max_size=40))
-def test_box_sweep_matches_brute_force(ctx40, s):
-    chain = realize_chain(s, ctx40)
+def test_box_sweep_matches_brute_force(s):
+    chain = realize_chain(s)
     points = [_float_points(t) for t in chain.tetrahedra]
     lo = [[min(c) for c in zip(*p)] for p in points]
     hi = [[max(c) for c in zip(*p)] for p in points]
@@ -235,9 +236,9 @@ def test_box_sweep_matches_brute_force(ctx40, s):
     [spell(quadrahelix_runs(500)), spell(octahelix_runs(36)), spell(preset_540_runs())],
     ids=len,
 )
-def test_grid_prune_matches_sweep_on_long_chains(ctx40, s):
+def test_grid_prune_matches_sweep_on_long_chains(s):
     # long legs lie across every axis; the grid finds the sweep's pairs
-    points = [_float_points(t) for t in realize_chain(s, ctx40).tetrahedra]
+    points = [_float_points(t) for t in realize_chain(s).tetrahedra]
     assert _box_pairs(points) == sweep_box_pairs(points)
 
 
@@ -247,9 +248,9 @@ def _assert_matches_reference(chain):
 
 
 @given(valid_strings(min_size=3, max_size=60))
-def test_verdict_matches_reference_verifier(ctx40, s):
+def test_verdict_matches_reference_verifier(s):
     # most random strings overlap somewhere, which exercises the violation margins
-    _assert_matches_reference(realize_chain(s, ctx40))
+    _assert_matches_reference(realize_chain(s))
 
 
 @pytest.mark.parametrize(
@@ -258,8 +259,8 @@ def test_verdict_matches_reference_verifier(ctx40, s):
     + [spell(octahelix_runs(1)), spell(octahelix_runs(4)), spell(preset_540_runs())],
     ids=lambda s: f"{len(s)}-letters",
 )
-def test_named_verdicts_match_reference_verifier(ctx40, s):
-    _assert_matches_reference(realize_chain(s, ctx40))
+def test_named_verdicts_match_reference_verifier(s):
+    _assert_matches_reference(realize_chain(s))
 
 
 def _exact_margin_bounds(A, B, bits=200):
@@ -294,9 +295,9 @@ def _exact_margin_bounds(A, B, bits=200):
         (4, (14, 31), "-0.39648938148074198691"),
     ],
 )
-def test_screen_margin_within_two_ulps(ctx40, L, pair, exact):
+def test_screen_margin_within_two_ulps(L, pair, exact):
     # the minimum-margin pair of OH_1 and of OH_4, 1-based
-    chain = realize_chain(spell(octahelix_runs(L)), ctx40)
+    chain = realize_chain(spell(octahelix_runs(L)))
     A, B = (_float_points(chain.tetrahedra[k - 1]) for k in pair)
     margin = _screen(A, B)
     assert margin == verify_embedded(chain).min_separation_margin

@@ -15,10 +15,11 @@ from reference_gap import (
     hausdorff_tetra,
     point_to_tetra,
     point_to_triangle,
+    prefix_realization,
     spectral_norm,
 )
 from tetrachain import bary
-from tetrachain.geometry import Tetrahedron, invisible_t0, realize_chain
+from tetrachain.geometry import Tetrahedron, invisible_t0
 from tetrachain.metrics import (
     discrete_gap2,
     gap2,
@@ -84,9 +85,9 @@ def test_hausdorff_of_translates(ctx40):
 
 def test_discrete_bounds_solid(ctx40):
     t0 = invisible_t0(ctx40)
-    chain = realize_chain(spell(quadrahelix_runs(4)), ctx40)
+    tetrahedra, _ = prefix_realization(spell(quadrahelix_runs(4)), ctx40)
     with ctx40.work():
-        tn = chain.tetrahedra[-1]
+        tn = tetrahedra[-1]
         solid = hausdorff_tetra(t0, tn)
         disc = discrete_hausdorff(t0, tn)
         assert disc + mpf(10) ** -40 >= solid

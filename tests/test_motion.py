@@ -1,5 +1,7 @@
 """Tests for the run product of named chains, the closed-form oracle and the rigid-motion decomposition."""
 
+from fractions import Fraction
+
 from mpmath import mp, mpf
 
 import pytest
@@ -14,6 +16,7 @@ from paper_checks import (
     corollary_angle_checks,
     k_formula,
     left_kernel_residuals,
+    leg_axis_cosines_by_solve,
     limiting_rhombus,
 )
 from reference_gap import (
@@ -24,7 +27,7 @@ from reference_gap import (
     t0_operator_norm,
 )
 from tetrachain import bary, motion
-from tetrachain.geometry import invisible_t0, realize_chain
+from tetrachain.geometry import SURDS, invisible_t0
 from tetrachain.metrics import gap2, gap_report, norm_gap, root
 from tetrachain.motion import (
     chain_gap_report,
@@ -32,6 +35,7 @@ from tetrachain.motion import (
     decompose_motion,
     gap_bound_oh,
     gap_bound_qh,
+    _leg_axes,
     homogeneous_t0,
     leg_axis_cosines,
     limit_matrix_norm,
@@ -384,22 +388,50 @@ def test_axis_point_within_bound(qh10_motion, ctx40):
 
 
 def test_leg_axis_cosines_quadrahelix(ctx40):
-    chain = realize_chain(spell(quadrahelix_runs(4)), ctx40)
-    cos = leg_axis_cosines(chain, ctx40)
+    cos = leg_axis_cosines(spell(quadrahelix_runs(4)), ctx40)
     assert len(cos) == 3
     with ctx40.work():
-        signs = [-1, 1, -1]
-        for got, sgn in zip(cos, signs):
-            assert abs(got - mpf(sgn) / 5) < mpf(10) ** -20
+        assert cos == [-mpf(1) / 5, mpf(1) / 5, -mpf(1) / 5]
 
 
 def test_leg_axis_cosines_octahelix(ctx40):
-    chain = realize_chain(spell(octahelix_runs(4)), ctx40)
-    cos = leg_axis_cosines(chain, ctx40)
+    cos = leg_axis_cosines(spell(octahelix_runs(4)), ctx40)
     assert len(cos) == 7
     with ctx40.work():
-        for got in cos:
-            assert abs(got - mpf(1) / 5) < mpf(10) ** -20
+        assert cos == [mpf(1) / 5] * 7
+
+
+_LEG_CHAINS = {
+    **{f"QH_{L}": spell(quadrahelix_runs(L)) for L in (*range(1, 41), 1249)},
+    **{f"OH_{L}": spell(octahelix_runs(L)) for L in (*range(1, 41), 624)},
+}
+
+
+def test_leg_axis_cosines_agree_with_the_mpf_solve(ctx40):
+    # the solve on 40-digit vertices that the exact integers replaced
+    for name, s in _LEG_CHAINS.items():
+        got, want = leg_axis_cosines(s, ctx40), leg_axis_cosines_by_solve(s, ctx40)
+        assert len(got) == len(want), name
+        with ctx40.work():
+            assert all(abs(x - y) < mpf(10) ** -40 for x, y in zip(got, want)), name
+
+
+def test_leg_axes_meet_in_the_limiting_rhombus():
+    # the cosines of consecutive leg axes are exactly -+1/5 alternating on QH_L and 1/5 on
+    # OH_L, the rhombus of limiting_rhombus; QH_1, QH_2 and OH_1 have no two legs of four
+    # letters, and the legs of OH_2 are not its runs of three letters
+    def dot(a, b):  # of the axis directions diag(1 / sqrt(c)) a and b
+        return sum(Fraction(x * y, c) for x, y, c in zip(a, b, SURDS))
+
+    for name, s in _LEG_CHAINS.items():
+        if name in ("QH_1", "QH_2", "OH_1", "OH_2"):
+            continue
+        axes = _leg_axes(s)
+        assert len(axes) == (3 if name == "QH_3" else 4 if name[:2] == "QH" else 8), name
+        squares = [dot(a, b) ** 2 / (dot(a, a) * dot(b, b)) for a, b in zip(axes, axes[1:])]
+        signs = [1 if dot(a, b) > 0 else -1 for a, b in zip(axes, axes[1:])]
+        assert squares == [Fraction(1, 25)] * len(squares), name
+        assert signs == ([-1, 1, -1][: len(signs)] if name[:2] == "QH" else [1] * 7), name
 
 
 def test_limiting_rhombus(ctx40):
