@@ -108,7 +108,7 @@ def reflection_matrix(i: int) -> BaryMatrix:
 
 
 def conjugate(K: BaryMatrix, i: int) -> BaryMatrix:
-    """M_i K M_i over the power of 3 of K, for K the product of a string i, ...
+    """M_i K M_i over the power of 3 of K, for K the product of a string i, ... or ..., i.
 
     M_i K M_i is then the product of the string rotated by one letter, over
     the same power of 3, so the division by 9 is exact.  On the left, row
@@ -227,22 +227,13 @@ def lead_matrices(K: BaryMatrix, s0: int, s1: int) -> dict:
 
     An open chain's first tetrahedron may be reflected in any face but the
     one the second letter uses.  Reflections are involutions, so lead r has
-    M_r M_s0 K, which is K itself for r = s0.
+    M_r M_s0 K, which is K itself for r = s0; K comes first.
     """
     leads = {s0: K}
     for r in (1, 2, 3, 4):
         if r not in (s0, s1):
             leads[r] = _pair(r, s0) @ K
-    return dict(sorted(leads.items()))
-
-
-def times_pair(A: BaryMatrix, q: int, r: int) -> BaryMatrix:
-    """A M_q M_r.
-
-    For A the inverse of lead q this is the inverse of lead r:
-    (M_r M_q K)^-1 = K^-1 M_q M_r.
-    """
-    return A @ _pair(q, r)
+    return leads
 
 
 def mat_mul(A, B):

@@ -340,7 +340,7 @@ def cmd_motion(args, ctx) -> int:
     shown, res = resolve(runs, ctx, printed, itemgetter(0), settle=True)
     payload = dict(shown, string=format_string(s), residuals={k: float(v) for k, v in res.items()})
     if kind in ("quadrahelix", "octahelix") and len(s) <= 5000:
-        payload["leg_axis_cosines"] = [_nstr(x, 12) for x in leg_axis_cosines(s, ctx)]
+        payload["leg_axis_cosines"] = [_nstr(x, 12) for x in leg_axis_cosines(runs, ctx)]
     _emit(_json_text(payload), args.out)
     return 0
 

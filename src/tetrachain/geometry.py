@@ -79,22 +79,23 @@ SURDS = (3, 15, 10)
 _EXTRA_BITS = 64  # bits the first bracket carries past the format's precision
 
 
-def _rounded(n: int, c: int, den: int, bits: int) -> float:
+def _rounded(n: int, c: int, den: int, bits: int, r: int = 0) -> float:
     """sqrt(c) * n / den rounded once to binary64.
 
     r = isqrt(c 4^bits) and r + 1 bracket sqrt(c) 2^bits, and the top bits of
     den and of |n|, cut alike, bracket |n| / den; int true division rounds
     each end correctly.  For n != 0 the value is irrational, on no rounding
-    boundary: bits double until both ends round alike.
+    boundary: bits double until both ends round alike.  A caller rounding
+    many coordinates passes the first r, which depends on c and bits only.
     """
     a = abs(n)
     while a:
         m = max(0, den.bit_length() - bits)
-        r, top, d, cut = isqrt(c << 2 * bits), a >> m, den >> m, m > 0
+        r, top, d, cut = r or isqrt(c << 2 * bits), a >> m, den >> m, m > 0
         lo = r * top / (d + cut << bits)
         if lo == (r + 1) * (top + cut) / (d << bits):
             return lo if n > 0 else -lo
-        bits *= 2
+        bits, r = 2 * bits, 0
     return 0.0
 
 
@@ -110,9 +111,11 @@ def realize_chain(s: Sequence[int]) -> RealizedChain:
     s = tuple(s)
     if not is_valid(s):
         raise ValueError(f"invalid reflection string {s!r}")
+    bits = 53 + _EXTRA_BITS
+    roots = [isqrt(c << 2 * bits) for c in SURDS]
 
     def place(v, den):
-        return tuple(_rounded(x, c, den, 53 + _EXTRA_BITS) for x, c in zip(v, SURDS))
+        return tuple(_rounded(x, c, den, bits, r) for x, c, r in zip(v, SURDS, roots))
 
     verts = [place(v, 30) for v in SEED]
     tetrahedra, ages = [], []

@@ -17,12 +17,19 @@ exact rational: leads and cuts are compared exactly, and a gap is rounded
 once, to the working precision, where it is reported.  The run product
 (bary.run_product) is rounded to numerators over 3^k and runs the same
 integer kernel.
+
+Leads a and b of one chain differ by the isometry M_b M_a, and
+d_H(T_0, T_0 M_b M_a) = sqrt(3)/2 for all twelve pairs, so g_a + g_b >=
+sqrt(3)/2 by the triangle inequality.  On exact products, whose gaps are
+true Hausdorff distances, a lead with gap^2 < 3/16 is strictly the least
+and the others need no measuring: the loop scan measures each cut's K alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 from typing import NamedTuple
 
 from mpmath import mp, mpf
@@ -104,21 +111,23 @@ def discrete_gap2(K: bary.BaryMatrix) -> Fraction:
     return Fraction(q, 2 * d * d)
 
 
-def least_gap(leads: dict) -> tuple:
+def least_gap(leads: dict, inv: bary.BaryMatrix | None = None) -> tuple:
     """(gap2, face) least over leads (face -> chain matrix); ties go to the smallest face.
 
-    The leads of a string share its tail, K_r = M_r M_q K_q, so one inverse
-    serves them all: K_r^-1 = K_q^-1 M_q M_r.  Each gap2 is a pair
-    q / den; pairs are compared by cross-multiplying, and only the least
-    becomes a Fraction.
+    The first lead goes first, with its inverse inv if the caller holds it;
+    the leads share a tail, K_r = M_r M_q K_q, so K_r^-1 = K_q^-1 M_q M_r.
+    An exact first lead below 3/16 is the least (the module's bound).  Each
+    gap2 is q / den, compared by cross-multiplying; the least becomes a Fraction.
     """
-    first, *faces = sorted(leads)
-    inv = _inverse(leads[first])
+    first, *faces = leads
+    inv = inv or _inverse(leads[first])
     best_q, best_den = _gap_terms(leads[first], inv)
     best = first
+    if leads[first].exact and 16 * best_q < 3 * best_den:
+        faces = []  # settled by the bound
     for r in faces:
-        q, den = _gap_terms(leads[r], bary.times_pair(inv, first, r))
-        if q * best_den < best_q * den:
+        q, den = _gap_terms(leads[r], inv @ bary._pair(first, r))
+        if (q * best_den, r) < (best_q * den, best):
             best_q, best_den, best = q, den, r
     return Fraction(best_q, best_den), best
 
@@ -154,24 +163,22 @@ def norm_gap(K: bary.BaryMatrix) -> mpf:
     s^2 = 3 + det K - tr K (2 - 2 cos phi for the rotation angle phi of the
     motion) and the roots of x^2 - P x + Q, with P = tr G - s^2 and
     Q = e2(G) - s^2 P; interlacing with G's block on the plane puts the
-    larger root on top.  tr K and det K = +-1 are exact on integer
-    numerators, where det N = +-3^(4p) = +-1 mod 4 for an exact product
-    (a rounded one takes the sign of det N); G is formed in mpf from
-    K - I, subtracted on the numerators first.
+    larger root on top.  Everything but the two square roots is exact on
+    the numerators: det N = +-3^(4p) = +-1 mod 4 for an exact product (a
+    rounded one takes the sign of det N), G, s^2 and P are over d^2, and
+    Q and P^2 - 4 Q over d^4; a rounded product may take P^2 - 4 Q below 0.
     """
     N, d = _numerators(K)
     if K.exact:
         sign = 2 - bary.det([[x % 4 for x in row] for row in N]) % 4
     else:
         sign = 1 if bary.det(N) > 0 else -1
-    den = mpf(d)
-    s2 = mpf((3 + sign) * d - sum(N[i][i] for i in range(4))) / den
-    D = [[mpf(x) / den for x in row] for row in minus_identity(N, d)]
-    G = [[sum(D[k][i] * D[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
-    tr = sum(G[i][i] for i in range(4))
-    P = tr - s2
-    Q = (tr * tr - sum(x * x for row in G for x in row)) / 2 - s2 * P
-    return mp.sqrt((P + mp.sqrt(max(P * P - 4 * Q, 0))) / 2)
+    s2 = ((3 + sign) * d - sum(N[i][i] for i in range(4))) * d
+    D = list(zip(*minus_identity(N, d)))  # columns
+    G = [[sum(map(mul, D[i], D[j])) for j in range(i + 1)] for i in range(4)]  # lower triangle
+    P = sum(G[i][i] for i in range(4)) - s2
+    Q = sum(G[i][i] * G[j][j] - G[i][j] ** 2 for i in range(4) for j in range(i)) - s2 * P
+    return mp.sqrt((P + mp.sqrt(mpf(max(P * P - 4 * Q, 0)))) / mpf(2 * d * d))
 
 
 def maxnorm_gap(K: bary.BaryMatrix) -> mpf:
@@ -267,31 +274,40 @@ def loop_gap_report(s, ctx: RealCtx) -> LoopGapReport:
     """Minimize the gap of a cyclic string over all rotations of its cut point.
 
     A closed loop has no distinguished first tetrahedron, so each rotation is
-    a legitimate reading of the same loop.  The product of each cut is
-    updated incrementally: moving the cut past letter i conjugates it by the
-    involution M_i.  Each cut's least gap over its leads is exact, so equal
-    gaps are real ties, and the first of them is the best cut.  Both cuts
-    are reported from the leads the scan held: one multiplication.
+    a legitimate reading of the same loop.  Moving the cut past letter i
+    conjugates its product K and K^-1 by the involution M_i.  Each cut
+    measures K itself, and forms its other leads only where the bound
+    leaves the least gap open.  Every lead is a product of n letters over
+    3^n, so cut gaps are numerators q over 288 * 9^n: equal gaps are real
+    ties, and the first of them is the best cut.  Both cuts are reported
+    from the products the scan held: one multiplication.
     """
     s = tuple(s)
     n = len(s)
     if n < 3 or s[0] == s[-1]:
         raise ValueError("loop strings must be cyclically valid")
+
+    def leads(K, cut):
+        return bary.lead_matrices(K, s[cut], s[(cut + 1) % n])
+
     K = bary.chain_matrix(s)
+    inv = _inverse(K)
     printed = best = None
     below = 0
     for cut, sym in enumerate(s):
-        leads = bary.lead_matrices(K, sym, s[(cut + 1) % n])
-        gap, _ = least_gap(leads)
+        q, den = _gap_terms(K, inv)
+        if 16 * q >= 3 * den:
+            gap, _ = least_gap(leads(K, cut), inv)
+            q = gap.numerator * (den // gap.denominator)
         if printed is None:
-            printed = (gap, leads)
-        below += gap < printed[0]
-        if best is None or gap < best[0]:
-            best = (gap, leads, cut)
-        K = bary.conjugate(K, sym)
+            printed = (q, K)
+        below += q < printed[0]
+        if best is None or q < best[0]:
+            best = (q, K, cut)
+        K, inv = bary.conjugate(K, sym), bary.conjugate(inv, sym)
     return LoopGapReport(
-        printed=lead_minimized_report(printed[1], ctx, None),
-        best=lead_minimized_report(best[1], ctx, None),
+        printed=lead_minimized_report(leads(printed[1], 0), ctx, None),
+        best=lead_minimized_report(leads(best[1], best[2]), ctx, None),
         best_cut=best[2],
         n_cuts_below_printed=below,
     )

@@ -23,7 +23,6 @@ from .bary import (
     BaryMatrix,
     chain_matrix,
     det,
-    helical_runs,
     invert,
     lead_matrices,
     mat_mul,
@@ -281,28 +280,35 @@ def limit_matrix_norm(ctx: RealCtx):
 # --- leg axes ----------------------------------------------------------------
 
 
-def _leg_axes(s) -> list:
-    """The axis of each leg as integers a, its direction diag(1 / sqrt(c)) a for c in SURDS.
+def _leg_axes(runs) -> list:
+    """The axis of each run as integers a, its direction diag(1 / sqrt(c)) a for c in SURDS.
 
-    A leg is a maximal helical run of at least four letters (three equal
-    cyclic steps).  Its last four letters place consecutive helix points
-    W_0 .. W_3, exact from the walk from SEED over one denominator: row n_k
-    of the integer N holds W_{k+1} - W_k as (sqrt(3) x, sqrt(15) y, sqrt(10) z).
+    A leg is a run whose last four letters step alike, the joint letter
+    before it counted for a run of three; other runs have None.  Those
+    letters place helix points W_0 .. W_3, exact from the walk from SEED
+    over one denominator: row n_k of the integer N holds W_{k+1} - W_k as
+    (sqrt(3) x, sqrt(15) y, sqrt(10) z).
     The axis solving (W_{k+1} - W_k) . u = h > 0 is then diag(1 / sqrt(c)) a,
     a = adj(N) 1 sign(det N), and adj(N) 1 = n1 x n2 + n2 x n0 + n0 x n1.
     """
-    walk, axes = enumerate(vertex_walk(s, SEED), start=1), []
-    for _, end in helical_runs(s, 4):
+    s = spell(runs)
+    walk, axes, end = enumerate(vertex_walk(s, SEED), start=1), [], 0
+    for _, _, m in runs:
+        tail = s[max(0, end - 1) : end + m][-4:]
+        end += m
+        if len(tail) < 4 or len({(b - a) % 4 for a, b in zip(tail, tail[1:])}) > 1:
+            axes.append(None)
+            continue
         verts = next(v for k, v in walk if k == end)
-        W = [verts[i - 1] for i in s[end - 4 : end]]
+        W = [verts[i - 1] for i in tail]
         n0, n1, n2 = map(_sub, W[1:], W)
         a = [sum(x) for x in zip(_cross(n1, n2), _cross(n2, n0), _cross(n0, n1))]
         axes.append(a if sum(map(mul, a, n0)) > 0 else [-x for x in a])  # a . n0 = det N
     return axes
 
 
-def leg_axis_cosines(s, ctx: RealCtx) -> list:
-    """Cosines between the axes of consecutive legs (sec of the printed leg angles).
+def leg_axis_cosines(runs, ctx: RealCtx) -> list:
+    """Cosines between the axes of consecutive runs that are both legs (sec of the leg angles).
 
     Of integer axes a and b, p / sqrt(q_a q_b) for p = sum_i a_i b_i 30 / c_i
     and q_a, q_b the same sums of squares, rounded once at ctx.
@@ -311,9 +317,10 @@ def leg_axis_cosines(s, ctx: RealCtx) -> list:
     def dot(a, b):
         return sum(30 // c * x * y for c, x, y in zip(SURDS, a, b))
 
-    axes, out = _leg_axes(s), []
+    axes, out = _leg_axes(runs), []
     with ctx.work():
         for a, b in zip(axes, axes[1:]):
-            p = dot(a, b)
-            out.append((1 if p > 0 else -1) * root(Fraction(p * p, dot(a, a) * dot(b, b))))
+            if a and b:
+                p = dot(a, b)
+                out.append((1 if p > 0 else -1) * root(Fraction(p * p, dot(a, a) * dot(b, b))))
     return out

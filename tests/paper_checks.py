@@ -188,26 +188,35 @@ def axis_point_norm_bound(L: int, ctx):
         return mpf(5) / 2 / mp.sqrt(10) * (2 * L + 1)
 
 
-def leg_axis_cosines_by_solve(s, ctx) -> list:
-    """Cosines between the axes of consecutive legs of s, each axis solved in mpf.
+def leg_axis_cosines_by_solve(runs, ctx) -> list:
+    """Cosines between the axes of consecutive runs of a chain that are both legs, each solved in mpf.
 
-    On the realization prefix_realization(s, ctx), the vertices of the
-    tetrahedron ending a leg are, in ageing order, consecutive helix points
-    W_i; the axis solves (W_{i+1} - W_i) . u = h for the three differences,
-    oriented along growth.  motion.leg_axis_cosines takes them from integers.
+    A run of three or more letters is a leg where one helical run of four or
+    more letters holds its last four letters, the joint letter before it
+    counted.  On the realization prefix_realization(s, ctx), the vertices
+    of the tetrahedron ending a leg are, in ageing order, consecutive helix
+    points W_i; the axis solves (W_{i+1} - W_i) . u = h for the three
+    differences, oriented along growth.  motion.leg_axis_cosines takes them
+    from integers.
     """
+    s = spell(runs)
+    helices = list(helical_runs(s, 4))
     tetrahedra, ages = prefix_realization(s, ctx)
-    axes = []
+    axes, end = [], 0
     with ctx.work():
         h = 1 / mp.sqrt(10)
-        for _, end in helical_runs(s, 4):
+        for _, _, m in runs:
+            end += m
+            if m < 3 or not any(a <= end - 4 and end <= b for a, b in helices):
+                axes.append(None)
+                continue
             order = sorted(range(4), key=lambda p: ages[end - 1][p])
             W = [tetrahedra[end - 1].vertices[p] for p in order]
             D = [[W[k + 1][axis] - W[k][axis] for axis in range(3)] for k in range(3)]
             u = [h * sum(row) for row in invert(D)]
             n = mp.sqrt(sum(x * x for x in u))
             axes.append([x / n for x in u])
-        return [sum(x * y for x, y in zip(a, b)) for a, b in zip(axes, axes[1:])]
+        return [sum(x * y for x, y in zip(a, b)) for a, b in zip(axes, axes[1:]) if a and b]
 
 
 def limiting_rhombus(ctx) -> dict:

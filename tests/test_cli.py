@@ -421,6 +421,17 @@ def test_motion_payload(capsys):
     assert payload["leg_axis_cosines"] == ["0.2"] * 7
 
 
+def test_motion_takes_legs_from_the_runs(capsys):
+    # OH_2's runs have 3 and 2 letters; its helical pieces of four letters that
+    # straddle two joints gave the cosine -133/135, no angle of the rhombus
+    payload = _run_json(
+        capsys,
+        ["motion", "--kind", "octahelix", "--L", "2"],
+        schema="motion.schema.json",
+    )
+    assert payload["leg_axis_cosines"] == []
+
+
 def test_motion_prints_certified_digits(capsys):
     # QH_601944 spells 2,407,778 letters; at 40 working digits its R[0][1] and
     # angle used to end in wrong digits, and these are the first 40 at 120 digits

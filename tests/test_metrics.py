@@ -18,7 +18,7 @@ from reference_gap import (
     prefix_realization,
     spectral_norm,
 )
-from tetrachain import bary
+from tetrachain import bary, metrics
 from tetrachain.geometry import Tetrahedron, invisible_t0
 from tetrachain.metrics import (
     discrete_gap2,
@@ -26,6 +26,7 @@ from tetrachain.metrics import (
     gap_report,
     inverse,
     lead_minimized_report,
+    least_gap,
     loop_gap_report,
     maxnorm,
     minus_identity,
@@ -33,7 +34,7 @@ from tetrachain.metrics import (
     root,
 )
 from tetrachain.precision import RealCtx
-from tetrachain.strings import preset_540_runs, quadrahelix_runs, spell
+from tetrachain.strings import octahelix_runs, preset_540_runs, quadrahelix_runs, spell
 
 TRI = ((mpf(0),) * 3, (mpf(1), mpf(0), mpf(0)), (mpf(0), mpf(1), mpf(0)))
 
@@ -241,6 +242,78 @@ def test_loop_scan_multiplies_the_loop_once(ctx40, monkeypatch):
     assert calls == [s]
     assert loop.printed == gap_report(s, ctx40)
     assert loop.best == gap_report(rotate(s, loop.best_cut), ctx40)
+
+
+def test_two_leads_sit_sqrt3_over_2_apart():
+    # leads a and b of one chain differ by M_b M_a, which moves T_0 by sqrt(3)/2:
+    # the bound g_a + g_b >= sqrt(3)/2 behind least_gap's early exit
+    pairs = [(r, q) for r in (1, 2, 3, 4) for q in (1, 2, 3, 4) if r != q]
+    assert len(pairs) == 12
+    for r, q in pairs:
+        assert gap2(bary._pair(r, q)) == Fraction(3, 4), (r, q)
+
+
+# near-closing chains, on which the first lead's gap^2 is below 3/16
+_NEAR_LOOPS = (
+    [spell(quadrahelix_runs(L)) for L in (2, 7, 10, 18, 29, 40, 70, 81, 100, 141, 182)]
+    + [spell(octahelix_runs(L)) for L in (1, 3, 4, 6, 15, 17, 23, 36, 66, 107)]
+)
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_least_gap_is_the_least_lead(data):
+    # against every lead measured, ties to the smallest face; random open strings
+    # seldom meet the bound, near-closing chains and the 540-loop's cuts always do
+    kind = data.draw(st.sampled_from(["open", "named", "loop"]))
+    if kind == "open":
+        s = data.draw(valid_strings(min_size=2, max_size=80))
+    elif kind == "named":
+        s = data.draw(st.sampled_from(_NEAR_LOOPS))
+    else:
+        s = rotate(spell(preset_540_runs()), data.draw(st.integers(0, 539)))
+    leads = bary.lead_matrices(bary.chain_matrix(s), s[0], s[1])
+    want = min(leads, key=lambda r: (gap2(leads[r]), r))
+    assert least_gap(leads) == (gap2(leads[want]), want)
+    if kind != "open":
+        assert want == s[0] and gap2(leads[want]) < Fraction(3, 16)
+
+
+def _count_gap_terms(monkeypatch) -> list:
+    calls = []
+    gap_terms = metrics._gap_terms
+    monkeypatch.setattr(metrics, "_gap_terms", lambda K, inv: calls.append(K) or gap_terms(K, inv))
+    return calls
+
+
+def test_loop_scan_forms_leads_only_for_the_reported_cuts(ctx40, monkeypatch):
+    # every cut of the 540-loop is settled by K itself: one gap measured a cut
+    s = spell(preset_540_runs())
+    formed = []
+    lead_matrices = bary.lead_matrices
+    monkeypatch.setattr(
+        bary, "lead_matrices", lambda K, s0, s1: formed.append((s0, s1)) or lead_matrices(K, s0, s1)
+    )
+    measured = _count_gap_terms(monkeypatch)
+    loop = loop_gap_report(s, ctx40)
+    assert loop.best_cut == 67
+    assert formed == [s[:2], s[67:69]]
+    assert len(measured) == len(s) + 2  # each cut's K, and the two reports' first leads
+
+
+def test_run_product_compares_every_lead(ctx40, monkeypatch):
+    # the bound holds for true Hausdorff distances; a rounded product's gaps are
+    # not, so all of its leads are measured even where the first is below 3/16
+    runs = quadrahelix_runs(1960)
+    measured = _count_gap_terms(monkeypatch)
+    with ctx40.work():
+        exact = bary.chain_matrix(spell(runs))
+        rounded = bary.run_product(runs, ctx40)
+        assert least_gap(bary.lead_matrices(exact, 1, 2))[1] == 1
+        assert len(measured) == 1
+        gap, r0 = least_gap(bary.lead_matrices(rounded, 1, 2))
+        assert r0 == 1 and gap < Fraction(3, 16)
+        assert len(measured) == 1 + 3
 
 
 def _assert_gaps_match_reference(s, ctx, rel=mpf(10) ** -35):

@@ -388,29 +388,29 @@ def test_axis_point_within_bound(qh10_motion, ctx40):
 
 
 def test_leg_axis_cosines_quadrahelix(ctx40):
-    cos = leg_axis_cosines(spell(quadrahelix_runs(4)), ctx40)
+    cos = leg_axis_cosines(quadrahelix_runs(4), ctx40)
     assert len(cos) == 3
     with ctx40.work():
         assert cos == [-mpf(1) / 5, mpf(1) / 5, -mpf(1) / 5]
 
 
 def test_leg_axis_cosines_octahelix(ctx40):
-    cos = leg_axis_cosines(spell(octahelix_runs(4)), ctx40)
+    cos = leg_axis_cosines(octahelix_runs(4), ctx40)
     assert len(cos) == 7
     with ctx40.work():
         assert cos == [mpf(1) / 5] * 7
 
 
 _LEG_CHAINS = {
-    **{f"QH_{L}": spell(quadrahelix_runs(L)) for L in (*range(1, 41), 1249)},
-    **{f"OH_{L}": spell(octahelix_runs(L)) for L in (*range(1, 41), 624)},
+    **{f"QH_{L}": quadrahelix_runs(L) for L in (*range(1, 41), 1249)},
+    **{f"OH_{L}": octahelix_runs(L) for L in (*range(1, 41), 624)},
 }
 
 
 def test_leg_axis_cosines_agree_with_the_mpf_solve(ctx40):
     # the solve on 40-digit vertices that the exact integers replaced
-    for name, s in _LEG_CHAINS.items():
-        got, want = leg_axis_cosines(s, ctx40), leg_axis_cosines_by_solve(s, ctx40)
+    for name, runs in _LEG_CHAINS.items():
+        got, want = leg_axis_cosines(runs, ctx40), leg_axis_cosines_by_solve(runs, ctx40)
         assert len(got) == len(want), name
         with ctx40.work():
             assert all(abs(x - y) < mpf(10) ** -40 for x, y in zip(got, want)), name
@@ -418,15 +418,15 @@ def test_leg_axis_cosines_agree_with_the_mpf_solve(ctx40):
 
 def test_leg_axes_meet_in_the_limiting_rhombus():
     # the cosines of consecutive leg axes are exactly -+1/5 alternating on QH_L and 1/5 on
-    # OH_L, the rhombus of limiting_rhombus; QH_1, QH_2 and OH_1 have no two legs of four
-    # letters, and the legs of OH_2 are not its runs of three letters
+    # OH_L, the rhombus of limiting_rhombus; QH_1, QH_2, OH_1 and OH_2 have no two
+    # neighbouring legs
     def dot(a, b):  # of the axis directions diag(1 / sqrt(c)) a and b
         return sum(Fraction(x * y, c) for x, y, c in zip(a, b, SURDS))
 
-    for name, s in _LEG_CHAINS.items():
+    for name, runs in _LEG_CHAINS.items():
         if name in ("QH_1", "QH_2", "OH_1", "OH_2"):
             continue
-        axes = _leg_axes(s)
+        axes = [a for a in _leg_axes(runs) if a]
         assert len(axes) == (3 if name == "QH_3" else 4 if name[:2] == "QH" else 8), name
         squares = [dot(a, b) ** 2 / (dot(a, a) * dot(b, b)) for a, b in zip(axes, axes[1:])]
         signs = [1 if dot(a, b) > 0 else -1 for a, b in zip(axes, axes[1:])]
